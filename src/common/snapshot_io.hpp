@@ -70,6 +70,11 @@ class Writer {
     for (const char c : s) buf_.push_back(static_cast<std::uint8_t>(c));
   }
 
+  /// Appends `bytes` verbatim (no length prefix; callers write their own).
+  void blob(std::span<const std::uint8_t> bytes) {
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
+
   /// 4-character section marker; Reader::expect_tag() checks it, turning a
   /// misaligned stream into a named error at the section boundary instead
   /// of nonsense fields further in.
@@ -128,6 +133,16 @@ class Reader {
     need(n, "string body");
     std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_),
                   static_cast<std::size_t>(n));
+    pos_ += static_cast<std::size_t>(n);
+    return s;
+  }
+
+  /// The next `n` bytes, bounds-checked before anything is allocated or
+  /// copied; the view lives as long as the stream's backing bytes.
+  std::span<const std::uint8_t> blob(std::uint64_t n) {
+    need(n, "blob");
+    const std::span<const std::uint8_t> s =
+        bytes_.subspan(pos_, static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     return s;
   }

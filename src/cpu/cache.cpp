@@ -11,10 +11,10 @@ Cache::Cache(const CacheGeometry& geom) : geom_(geom), sets_(geom.sets()) {
   BWPART_ASSERT(geom.size_bytes % (geom.line_bytes * geom.ways) == 0,
                 "size must be divisible by line*ways");
   BWPART_ASSERT(sets_ > 0, "cache needs at least one set");
-  lines_.resize(static_cast<std::size_t>(sets_) * geom_.ways);
 }
 
 Cache::Outcome Cache::access(Addr addr, AccessType type) {
+  if (lines_.empty()) lines_.resize(line_count());
   const std::uint64_t tag = tag_of(addr);
   const std::uint32_t set = set_of(addr);
   Line* base = &lines_[static_cast<std::size_t>(set) * geom_.ways];
@@ -55,6 +55,7 @@ Cache::Outcome Cache::access(Addr addr, AccessType type) {
 }
 
 bool Cache::probe(Addr addr) const {
+  if (lines_.empty()) return false;
   const std::uint64_t tag = tag_of(addr);
   const std::uint32_t set = set_of(addr);
   const Line* base = &lines_[static_cast<std::size_t>(set) * geom_.ways];
@@ -64,9 +65,7 @@ bool Cache::probe(Addr addr) const {
   return false;
 }
 
-void Cache::invalidate_all() {
-  for (auto& line : lines_) line = Line{};
-}
+void Cache::invalidate_all() { lines_.clear(); }
 
 void Cache::save_state(snap::Writer& w) const {
   w.tag("CACH");
@@ -84,8 +83,11 @@ void Cache::save_state(snap::Writer& w) const {
 
 void Cache::restore_state(snap::Reader& r) {
   r.expect_tag("CACH");
-  snap::require(r.u64() == lines_.size(),
-                "cache geometry differs from the snapshot's");
+  const std::uint64_t n = r.u64();
+  snap::require(n == 0 || n == line_count(),
+                "cache snapshot holds neither zero lines nor sets x ways "
+                "lines (geometry differs from the snapshot's)");
+  lines_.resize(static_cast<std::size_t>(n));
   for (Line& line : lines_) {
     line.tag = r.u64();
     line.lru_stamp = r.u64();

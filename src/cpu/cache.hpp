@@ -1,6 +1,12 @@
 // Set-associative write-back write-allocate cache with true-LRU
 // replacement. Used for the private L1 D-cache and unified private L2 of
 // each core (paper Table II: 32 KB 2-way L1, 256 KB 8-way L2, 64 B lines).
+//
+// The line array is allocated on the first access(). Most configurations
+// never model the private caches (CoreConfig::model_caches is off), yet
+// every core owns an L1 and an L2 and every snapshot fork builds, saves and
+// restores them; an untouched cache costs no memory and snapshots as zero
+// lines, and an empty array means exactly "every line invalid".
 #pragma once
 
 #include <cstdint>
@@ -53,8 +59,10 @@ class Cache {
   void reset_stats() { hits_ = misses_ = 0; }
 
   /// Snapshot hooks: every line (tags, LRU stamps, dirty bits), the LRU
-  /// clock and the hit/miss counters. Geometry is configuration and must
-  /// match the snapshot (checked on restore).
+  /// clock and the hit/miss counters. A cache that was never accessed saves
+  /// zero lines. Geometry is configuration: restore accepts exactly zero
+  /// lines (leaving the cache as if freshly built) or sets x ways lines,
+  /// and throws snap::SnapshotError on any other count.
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
@@ -66,6 +74,9 @@ class Cache {
     bool dirty = false;
   };
 
+  std::size_t line_count() const {
+    return static_cast<std::size_t>(sets_) * geom_.ways;
+  }
   std::uint64_t tag_of(Addr addr) const { return addr / geom_.line_bytes / sets_; }
   std::uint32_t set_of(Addr addr) const {
     return static_cast<std::uint32_t>((addr / geom_.line_bytes) % sets_);
@@ -76,7 +87,7 @@ class Cache {
 
   CacheGeometry geom_;
   std::uint32_t sets_;
-  std::vector<Line> lines_;  // [set][way] flattened
+  std::vector<Line> lines_;  // [set][way] flattened; empty until accessed
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -64,8 +64,7 @@ std::uint64_t parse_hex64(const std::string& text, const char* field) {
 std::vector<std::string> list_keys(const fs::path& dir, const char* ext) {
   std::vector<std::string> keys;
   std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) return keys;
+  // A directory that cannot be opened yields the end iterator: no keys.
   for (const fs::directory_entry& entry :
        fs::directory_iterator(dir, ec)) {
     const fs::path& p = entry.path();
@@ -89,15 +88,6 @@ void write_file_atomically(const fs::path& final_path,
     snap::require(out.good(), "write to spool temp file failed");
   }
   fs::rename(tmp, final_path);
-}
-
-std::vector<std::uint8_t> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  snap::require(in.good(), "cannot open spool file for reading");
-  std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  snap::require(!in.bad(), "read from spool file failed");
-  return raw;
 }
 
 /// Refreshes a file's mtime; ignores failure (the file may have been
@@ -503,7 +493,7 @@ std::optional<ClaimedUnit> Spool::claim() const {
     // rename(2) preserves mtime, so a freshly claimed unit stolen from a
     // stale lease would instantly look stale again without this touch.
     touch(claim_path(key));
-    const std::vector<std::uint8_t> spec = read_file(claim_path(key));
+    const std::vector<std::uint8_t> spec = read_whole_file(claim_path(key));
     ClaimedUnit c;
     c.unit = parse_unit_spec(
         std::string(reinterpret_cast<const char*>(spec.data()), spec.size()));
@@ -555,7 +545,7 @@ bool Spool::has_result(const std::string& key) const {
 }
 
 UnitResult Spool::read_result(const std::string& key) const {
-  return decode_result_shard(read_file(result_path(key)));
+  return decode_result_shard(read_whole_file(result_path(key)));
 }
 
 std::vector<std::string> Spool::todo_keys() const {

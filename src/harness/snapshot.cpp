@@ -1,7 +1,6 @@
 #include "harness/snapshot.hpp"
 
 #include <fstream>
-#include <iterator>
 #include <string>
 
 #include "harness/differential.hpp"
@@ -12,6 +11,7 @@ namespace bwpart::harness {
 namespace {
 
 constexpr char kMagic[4] = {'B', 'W', 'P', 'S'};
+// kSnapshotFormatVersion history.
 // v2: the DRAM hot-path overhaul moved controller queues into pooled SoA
 // storage and the DRAM system onto cached next-legal-tick state, changing
 // the serialized system-state layout. v1 files decode into garbage under
@@ -30,7 +30,11 @@ constexpr char kMagic[4] = {'B', 'W', 'P', 'S'};
 // phase-changeable generator knobs in each trace blob (a churn schedule
 // mutates them mid-run), so v4 payloads no longer decode; same loud
 // rejection.
-constexpr std::uint32_t kFormatVersion = 5;
+// v6: a private cache that was never accessed serializes as zero lines
+// instead of sets x ways all-invalid lines. A v5 build would reject such a
+// cache section as a geometry mismatch, so the bump makes an older build
+// name the real cause. (This build could decode a v5 payload, but like
+// every bump before it, it reads its own version only.)
 
 std::uint64_t hash_u64(std::uint64_t v, std::uint64_t h) {
   return hash_bytes(&v, sizeof(v), h);
@@ -152,7 +156,7 @@ std::vector<std::uint8_t> encode_payload(const ProfileSnapshot& s) {
   }
   w.f64(s.profiled_b);
   w.sz(s.state.size());
-  for (const std::uint8_t byte : s.state) w.u8(byte);
+  w.blob(s.state);
   return w.take();
 }
 
@@ -164,10 +168,10 @@ void write_profile_snapshot(const std::string& path,
 
   snap::Writer w;
   for (const char m : kMagic) w.u8(static_cast<std::uint8_t>(m));
-  w.u32(kFormatVersion);
+  w.u32(kSnapshotFormatVersion);
   w.u64(snapshot.config_fp);
   w.u64(payload.size());
-  for (const std::uint8_t byte : payload) w.u8(byte);
+  w.blob(payload);
   // The checksum covers everything before it (magic through payload), so a
   // flipped bit anywhere in the file — header included — fails the read.
   const std::span<const std::uint8_t> body = w.bytes();
@@ -182,28 +186,42 @@ void write_profile_snapshot(const std::string& path,
   snap::require(out.good(), "write to snapshot file failed");
 }
 
-ProfileSnapshot read_profile_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  snap::require(in.good(), "cannot open snapshot file for reading");
-  std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  snap::require(!in.bad(), "read from snapshot file failed");
+std::vector<std::uint8_t> read_whole_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.tellg();  // -1 when the open failed
+  if (!in.good() || size < 0) {
+    throw snap::SnapshotError("cannot open '" + path.string() +
+                              "' for reading");
+  }
+  in.seekg(0);
+  std::vector<std::uint8_t> raw(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(raw.data()), size);
+  if (in.gcount() != size) {
+    throw snap::SnapshotError("read from '" + path.string() +
+                              "' ended before its " + std::to_string(size) +
+                              " bytes");
+  }
+  return raw;
+}
 
+ProfileSnapshot read_profile_snapshot(const std::string& path) {
+  const std::vector<std::uint8_t> raw = read_whole_file(path);
   snap::Reader r(raw);
   for (const char m : kMagic) {
     snap::require(r.u8() == static_cast<std::uint8_t>(m),
                   "not a BWPS snapshot file (bad magic)");
   }
   const std::uint32_t version = r.u32();
-  if (version != kFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     throw snap::SnapshotError(
         "unsupported BWPS snapshot format version " +
         std::to_string(version) + " (this build reads version " +
-        std::to_string(kFormatVersion) +
+        std::to_string(kSnapshotFormatVersion) +
         "; v1 predates the SoA DRAM/controller state layout, v2 the "
         "multi-controller system layout, v3 the DRAM-generation "
-        "registry's config fingerprint, and v4 the churn engine's "
-        "liveness/tenancy state — re-capture the snapshot with "
+        "registry's config fingerprint, v4 the churn engine's "
+        "liveness/tenancy state, and v5 zero-line snapshots of private "
+        "caches that were never accessed — re-capture the snapshot with "
         "this build)");
   }
 
@@ -211,27 +229,29 @@ ProfileSnapshot read_profile_snapshot(const std::string& path) {
   s.config_fp = r.u64();
   const std::size_t payload_len = r.sz();
 
-  const std::size_t body_len = r.position() + payload_len;
-  snap::require(body_len + 8 <= raw.size(),
+  const std::size_t rest = raw.size() - r.position();
+  snap::require(rest >= 8 && payload_len <= rest - 8,
                 "truncated snapshot file (payload shorter than its header "
                 "claims)");
-  const std::uint64_t want = hash_bytes(raw.data(), body_len);
+  const std::size_t body_len = r.position() + payload_len;
+  // Verify the checksum before interpreting any payload field, so a
+  // corrupted count or length prefix fails as a checksum mismatch instead
+  // of an absurd allocation.
+  snap::Reader sum(std::span<const std::uint8_t>(raw).subspan(body_len, 8));
+  snap::require(sum.u64() == hash_bytes(raw.data(), body_len),
+                "snapshot checksum mismatch (file corrupted)");
 
-  const std::size_t count = r.sz();
-  s.params.resize(count);
+  s.params.resize(r.sz());
   for (core::AppParams& p : s.params) {
     p.apc_alone = r.f64();
     p.api = r.f64();
   }
   s.profiled_b = r.f64();
-  const std::size_t state_len = r.sz();
-  s.state.resize(state_len);
-  for (std::uint8_t& byte : s.state) byte = r.u8();
+  const std::span<const std::uint8_t> state = r.blob(r.u64());
+  s.state.assign(state.begin(), state.end());
   snap::require(r.position() == body_len,
                 "snapshot payload length disagrees with its contents");
-
-  const std::uint64_t got = r.u64();
-  snap::require(got == want, "snapshot checksum mismatch (file corrupted)");
+  r.skip(8);  // the checksum, verified above
   snap::require(r.at_end(), "trailing bytes after snapshot checksum");
   return s;
 }

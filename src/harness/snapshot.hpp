@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,6 +43,10 @@ inline constexpr bool kSnapshotEnabled = true;
 #else
 inline constexpr bool kSnapshotEnabled = false;
 #endif
+
+/// The one "BWPS" format version this build writes and reads; snapshot.cpp
+/// records why each older version no longer decodes.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /// Everything the warmup + profile phases produced, shared by every forked
 /// measure phase of a sweep.
@@ -75,5 +80,10 @@ void write_profile_snapshot(const std::string& path,
 /// on a bad magic, an unsupported version, truncation, trailing bytes or a
 /// checksum mismatch — corruption is never silently restored.
 ProfileSnapshot read_profile_snapshot(const std::string& path);
+
+/// Reads a whole file in one sized read (snapshot and spool files alike).
+/// Throws snap::SnapshotError naming the path when it cannot be opened or
+/// yields fewer bytes than its size.
+std::vector<std::uint8_t> read_whole_file(const std::filesystem::path& path);
 
 }  // namespace bwpart::harness

@@ -4,8 +4,35 @@
 
 #include <vector>
 
+#include "harness/system.hpp"
+#include "workload/mixes.hpp"
+
 namespace bwpart::cpu {
 namespace {
+
+std::vector<std::uint8_t> saved(const Cache& c) {
+  snap::Writer w;
+  c.save_state(w);
+  return w.take();
+}
+
+/// A cache section holding `lines` all-invalid lines, as a build that
+/// disagreed about the geometry would have written it.
+std::vector<std::uint8_t> forged_section(std::uint64_t lines) {
+  snap::Writer w;
+  w.tag("CACH");
+  w.u64(lines);
+  for (std::uint64_t i = 0; i < lines; ++i) {
+    w.u64(0);
+    w.u64(0);
+    w.b(false);
+    w.b(false);
+  }
+  w.u64(0);  // LRU clock
+  w.u64(0);  // hits
+  w.u64(0);  // misses
+  return w.take();
+}
 
 TEST(CacheGeometry, SetCountMatchesParameters) {
   EXPECT_EQ(CacheGeometry::l1_default().sets(), 32u * 1024 / (64 * 2));
@@ -131,6 +158,102 @@ TEST(Cache, WorkingSetLargerThanCacheThrashesWithStreaming) {
   }
   // Sequential sweep over 4x the capacity with LRU: every access misses.
   EXPECT_EQ(c.hits(), 0u);
+}
+
+TEST(CacheSnapshot, NeverAccessedCacheSavesZeroLines) {
+  const Cache untouched(CacheGeometry::l2_default());
+  EXPECT_FALSE(untouched.probe(0x1000));
+  const std::vector<std::uint8_t> empty = saved(untouched);
+  snap::Reader r(empty);
+  r.expect_tag("CACH");
+  EXPECT_EQ(r.u64(), 0u);
+  r.skip(3 * 8);  // LRU clock, hits, misses
+  EXPECT_TRUE(r.at_end());
+
+  Cache used(CacheGeometry::l2_default());
+  used.access(0x1000, AccessType::Read);
+  const std::vector<std::uint8_t> full = saved(used);
+  snap::Reader r2(full);
+  r2.expect_tag("CACH");
+  EXPECT_EQ(r2.u64(), CacheGeometry::l2_default().sets() * 8u);
+}
+
+TEST(CacheSnapshot, ZeroLineRestoreMakesAnAccessedCacheFresh) {
+  const CacheGeometry g{2 * 64 * 4, 64, 2};  // 4 sets, 2 ways
+  // Three hot lines interleaved with a 13-line stream over 8 slots, a third
+  // of the accesses writes: the sequence hits, misses and evicts dirty
+  // victims.
+  const auto addr = [](int i) {
+    return static_cast<Addr>(i % 2 == 0 ? i / 2 % 3 : 3 + i * 5 % 13) * 64;
+  };
+  const auto type = [](int i) {
+    return i % 3 == 0 ? AccessType::Write : AccessType::Read;
+  };
+  Cache used(g);
+  for (int i = 0; i < 40; ++i) used.access(addr(i), type(i));
+
+  const std::vector<std::uint8_t> empty = saved(Cache(g));
+  snap::Reader r(empty);
+  used.restore_state(r);
+  EXPECT_TRUE(r.at_end());
+  for (int i = 0; i < 40; ++i) EXPECT_FALSE(used.probe(addr(i))) << i;
+
+  Cache fresh(g);
+  int writebacks = 0;
+  for (int i = 0; i < 40; ++i) {
+    const Cache::Outcome a = used.access(addr(i), type(i));
+    const Cache::Outcome b = fresh.access(addr(i), type(i));
+    EXPECT_EQ(a.hit, b.hit) << i;
+    EXPECT_EQ(a.writeback, b.writeback) << i;
+    EXPECT_EQ(a.writeback_addr, b.writeback_addr) << i;
+    writebacks += b.writeback ? 1 : 0;
+  }
+  EXPECT_GT(fresh.hits(), 0u);
+  EXPECT_GT(writebacks, 0);
+  EXPECT_EQ(used.hits(), fresh.hits());
+  EXPECT_EQ(used.misses(), fresh.misses());
+  EXPECT_EQ(saved(used), saved(fresh));
+}
+
+TEST(CacheSnapshot, RestoreRejectsLineCountsOtherThanZeroOrSetsTimesWays) {
+  const CacheGeometry g{2 * 64 * 4, 64, 2};  // 8 lines
+  for (const std::uint64_t lines : {1u, 7u, 9u, 16u}) {
+    Cache c(g);
+    c.access(0, AccessType::Write);
+    const std::vector<std::uint8_t> bytes = forged_section(lines);
+    snap::Reader r(bytes);
+    EXPECT_THROW(c.restore_state(r), snap::SnapshotError) << lines;
+    EXPECT_TRUE(c.probe(0)) << "rejected restore was partially applied";
+  }
+  for (const std::uint64_t lines : {0u, 8u}) {
+    Cache c(g);
+    const std::vector<std::uint8_t> bytes = forged_section(lines);
+    snap::Reader r(bytes);
+    EXPECT_NO_THROW(c.restore_state(r)) << lines;
+    EXPECT_TRUE(r.at_end()) << lines;
+  }
+}
+
+// Unmodelled private caches are never accessed, so a system snapshot
+// carries none of their lines, whatever their geometry.
+TEST(CacheSnapshot, UnmodelledCachesLeaveSystemStateSizeGeometryFree) {
+  const std::vector<workload::BenchmarkSpec> mix =
+      workload::resolve_mix(workload::paper_mixes()[0]);
+  const auto state_size = [&](const CacheGeometry& l1,
+                              const CacheGeometry& l2) {
+    harness::SystemConfig cfg;
+    EXPECT_FALSE(cfg.core.model_caches);
+    cfg.core.l1 = l1;
+    cfg.core.l2 = l2;
+    harness::CmpSystem sys(cfg, mix, 42);
+    sys.run(5'000);
+    snap::Writer w;
+    sys.save_state(w);
+    return w.bytes().size();
+  };
+  EXPECT_EQ(
+      state_size(CacheGeometry::l1_default(), CacheGeometry::l2_default()),
+      state_size({64 * 1024, 64, 4}, {1024 * 1024, 64, 16}));
 }
 
 }  // namespace

@@ -52,6 +52,9 @@ pbt::GenFn<SnapCase> snap_case_gen() {
     SnapCase c;
     c.cfg = gen::system_config(rng);
     c.cfg.dram.enable_powerdown = rng.next_bool(0.25);
+    // Modelled private caches: the only configuration whose snapshots
+    // carry cache lines (untouched caches save as zero lines).
+    c.cfg.core.model_caches = rng.next_bool(0.3);
     c.mix = gen::mix(rng, 2, 4);
     c.params = gen::workload(rng, c.mix.size(), c.mix.size());
     c.phases = gen::phase_config(rng);
@@ -74,7 +77,7 @@ std::string print_snap_case(const SnapCase& c) {
      << " mix={";
   for (const workload::BenchmarkSpec& b : c.mix) os << b.name << " ";
   os << "} ch=" << c.cfg.dram.channels << " ranks=" << c.cfg.dram.ranks
-     << " ff=" << c.cfg.fast_forward;
+     << " ff=" << c.cfg.fast_forward << " caches=" << c.cfg.core.model_caches;
   return os.str();
 }
 
@@ -119,6 +122,18 @@ std::string compare_systems(const CmpSystem& a, const CmpSystem& b) {
          << ca.mem_stall_cycles << "/" << cb.mem_stall_cycles
          << " queue-stall " << ca.queue_stall_cycles << "/"
          << cb.queue_stall_cycles;
+      return os.str();
+    }
+    const auto cache_diverges = [&](const char* level, const cpu::Cache& xa,
+                                    const cpu::Cache& xb) {
+      if (xa.hits() == xb.hits() && xa.misses() == xb.misses()) return false;
+      os << level << " counters diverge for app " << app << ": hits "
+         << xa.hits() << "/" << xb.hits() << " misses " << xa.misses() << "/"
+         << xb.misses();
+      return true;
+    };
+    if (cache_diverges("L1", a.core(app).l1(), b.core(app).l1()) ||
+        cache_diverges("L2", a.core(app).l2(), b.core(app).l2())) {
       return os.str();
     }
     if (a.interference().interference_cycles(app) !=
@@ -314,16 +329,17 @@ TEST(SnapshotRoundtrip, CorruptAndTruncatedFilesFailLoudly) {
   std::remove((testing::TempDir() + "snap_corrupt_variant.bwps").c_str());
 }
 
-// A snapshot written by an older build (format versions 1-3) must be
-// rejected by version — loudly, naming both versions — before any payload
-// byte is interpreted under the new layout. The test forges old-version
-// files from a valid v4 one (the version field lives at a fixed offset
-// right after the magic; the trailing checksum covers it, so it is
-// recomputed the same way write_profile_snapshot seals the file). A
-// from-the-future version is rejected the same way. The whole drill runs
-// once per shipped new DRAM generation plus the DDR2 baseline — the v4
-// container must round-trip and version-reject identically whatever
-// parameter set the snapshot was captured under.
+// A snapshot written by an older build (every format version below the
+// current one) must be rejected by version — loudly, naming both versions
+// and why the old one no longer reads — before any payload byte is
+// interpreted under the new layout. The test forges old-version files from
+// a valid current one (the version field lives at a fixed offset right
+// after the magic; the trailing checksum covers it, so it is recomputed the
+// same way write_profile_snapshot seals the file). A from-the-future
+// version is rejected the same way. The whole drill runs once per shipped
+// new DRAM generation plus the DDR2 baseline — the container must
+// round-trip and version-reject identically whatever parameter set the
+// snapshot was captured under.
 TEST(SnapshotRoundtrip, OldFormatVersionRejectedLoudlyAcrossGenerations) {
   const std::vector<workload::BenchmarkSpec> mix =
       workload::resolve_mix(workload::paper_mixes()[0]);
@@ -341,15 +357,13 @@ TEST(SnapshotRoundtrip, OldFormatVersionRejectedLoudlyAcrossGenerations) {
         testing::TempDir() + "snap_version_" + gen + ".bwps";
     write_profile_snapshot(path, snap);
 
-    // The untampered v5 file round-trips under this generation.
+    // The untampered current-version file round-trips under this
+    // generation.
     const ProfileSnapshot back = read_profile_snapshot(path);
     EXPECT_EQ(back.config_fp, snap.config_fp) << gen;
     EXPECT_EQ(back.state, snap.state) << gen;
 
-    std::ifstream in(path, std::ios::binary);
-    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                    std::istreambuf_iterator<char>());
-    in.close();
+    const std::vector<std::uint8_t> bytes = read_whole_file(path);
     ASSERT_GT(bytes.size(), 24u);
 
     const auto with_version = [&](std::uint32_t v) {
@@ -368,25 +382,22 @@ TEST(SnapshotRoundtrip, OldFormatVersionRejectedLoudlyAcrossGenerations) {
                static_cast<std::streamsize>(forged.size()));
     };
 
-    with_version(1);
-    try {
-      (void)read_profile_snapshot(path);
-      FAIL() << "v1 snapshot was accepted under " << gen;
-    } catch (const snap::SnapshotError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-      EXPECT_NE(what.find("version 5"), std::string::npos) << what;
-    }
-    with_version(2);
-    EXPECT_THROW(read_profile_snapshot(path), snap::SnapshotError);
-    with_version(3);
-    try {
-      (void)read_profile_snapshot(path);
-      FAIL() << "v3 snapshot was accepted under " << gen;
-    } catch (const snap::SnapshotError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("version 3"), std::string::npos) << what;
-      EXPECT_NE(what.find("version 5"), std::string::npos) << what;
+    const std::string current =
+        "version " + std::to_string(kSnapshotFormatVersion);
+    for (std::uint32_t v = 1; v < kSnapshotFormatVersion; ++v) {
+      with_version(v);
+      try {
+        (void)read_profile_snapshot(path);
+        ADD_FAILURE() << "v" << v << " snapshot was accepted under " << gen;
+      } catch (const snap::SnapshotError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("version " + std::to_string(v) + " "),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find(current), std::string::npos) << what;
+        // Every retired version carries its own rationale.
+        EXPECT_NE(what.find("v" + std::to_string(v) + " "), std::string::npos)
+            << what;
+      }
     }
     with_version(99);
     EXPECT_THROW(read_profile_snapshot(path), snap::SnapshotError);
