@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "cpu/cache.hpp"
+#include "dram/config.hpp"
 #include "harness/experiment.hpp"
 #include "harness/system.hpp"
 #include "mem/controller.hpp"
@@ -149,42 +150,97 @@ void BM_ControllerSchedulerScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerSchedulerScan)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_ControllerTickUnderLoad(benchmark::State& state) {
-  const auto queue_depth = static_cast<std::size_t>(state.range(0));
-  dram::DramConfig cfg = dram::DramConfig::ddr2_400();
-  mem::MemoryController mc(cfg, Frequency::from_ghz(5.0), 4,
+/// Sums the attributed cycles. Attached to a controller, it makes every bus
+/// tick run the interference-attribution pass, as inside CmpSystem.
+class SumObserver final : public mem::InterferenceObserver {
+ public:
+  void on_interference(AppId, Cycle cpu_cycles) override {
+    total += cpu_cycles;
+  }
+  Cycle total = 0;
+};
+
+/// Ticks one controller every CPU cycle while every `stride`-th of its
+/// `num_apps` app ids keeps its queue slice topped up with reads from
+/// `next_addr(line)`. Items processed counts CPU cycles.
+template <typename AddrFn>
+void tick_controller_under_load(benchmark::State& state,
+                                const dram::DramConfig& cfg,
+                                std::uint32_t num_apps, std::uint32_t stride,
+                                std::size_t queue_depth, AddrFn next_addr) {
+  mem::MemoryController mc(cfg, Frequency::from_ghz(5.0), num_apps,
                            std::make_unique<mem::FcfsScheduler>(),
                            queue_depth, dram::MapScheme::ChanRowColBankRank,
-                           queue_depth * 4, mem::AdmissionMode::PerApp);
+                           queue_depth * (num_apps / stride),
+                           mem::AdmissionMode::PerApp);
   mc.set_completion_callback([](const mem::MemRequest&, Cycle) {});
+  SumObserver observer;
+  mc.set_interference_observer(&observer);
   std::uint64_t line = 0;
   Cycle t = 0;
   for (auto _ : state) {
-    for (AppId app = 0; app < 4; ++app) {
+    for (AppId app = 0; app < num_apps; app += stride) {
       if (mc.can_accept(app)) {
-        mc.enqueue(app, (line++ * 64) % (1ull << 30), AccessType::Read, t);
+        mc.enqueue(app, next_addr(line++), AccessType::Read, t);
       }
     }
     mc.tick(t);
     ++t;
   }
+  benchmark::DoNotOptimize(observer.total);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_ControllerTickUnderLoad(benchmark::State& state) {
+  // Four apps streaming sequential lines through DDR2-400.
+  tick_controller_under_load(
+      state, dram::DramConfig::ddr2_400(), 4, 1,
+      static_cast<std::size_t>(state.range(0)),
+      [](std::uint64_t line) { return (line * 64) % (1ull << 30); });
 }
 BENCHMARK(BM_ControllerTickUnderLoad)->Arg(8)->Arg(32)->Arg(128);
 
+void BM_ControllerTickPortfolio64(benchmark::State& state) {
+  // One controller of the portfolio64 machine: DDR2-1600, built over all 64
+  // global app ids of which only its 16 round-robin apps (every 4th id)
+  // enqueue, with per-app slices of the given depth (32 is the default).
+  // Scattered lines spread the reads over banks and rows, so attribution
+  // sees both bus and bank conflicts.
+  tick_controller_under_load(
+      state, dram::dram_config_for_generation("ddr2_1600"), 64, 4,
+      static_cast<std::size_t>(state.range(0)), [](std::uint64_t line) {
+        return ((line * 0x9E3779B97F4A7C15ull) >> 34) << 6;
+      });
+}
+BENCHMARK(BM_ControllerTickPortfolio64)->Arg(4)->Arg(32);
+
 void BM_FullSystemCycle(benchmark::State& state) {
+  // A steady-state window per iteration, so the figure is the engine's cost
+  // per simulated cycle rather than run()'s call overhead. Items processed
+  // counts simulated cycles; s_per_cycle is its inverse rate.
+  constexpr Cycle kWindow = 10'000;
   const auto copies = static_cast<std::uint32_t>(state.range(0));
   harness::SystemConfig cfg;
+  cfg.num_controllers = static_cast<std::size_t>(state.range(1));
   const auto apps = workload::resolve_mix(workload::fig1_mix(), copies);
   harness::CmpSystem sys(cfg, apps, 1);
   sys.run(50'000);  // warm
   for (auto _ : state) {
-    sys.run(1);
+    sys.run(kWindow);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  const auto cycles = static_cast<double>(state.iterations()) *
+                      static_cast<double>(kWindow);
+  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
   state.counters["cores"] = static_cast<double>(apps.size());
+  state.counters["s_per_cycle"] = benchmark::Counter(
+      cycles, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_FullSystemCycle)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_FullSystemCycle)
+    ->ArgNames({"copies", "controllers"})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->Args({4, 1})
+    ->Args({4, 4});
 
 /// One post-profile snapshot at sharded-sweep scale (the quick-portfolio
 /// phases), captured once and reused by both snapshot benchmarks so the

@@ -139,6 +139,7 @@ MemoryController::MemoryController(const dram::DramConfig& cfg,
   visited_row_.reserve(bound);
   for (PendQueue& q : pend_) q.reserve(bound);
   issued_scratch_.reserve(channels_);
+  waiting_apps_.reserve(num_apps);
 }
 
 bool MemoryController::can_accept(AppId app) const {
@@ -260,7 +261,10 @@ std::uint64_t MemoryController::enqueue(AppId app, Addr addr, AccessType type,
            static_cast<std::uint32_t>(rank_index(req.loc)));
   // Arrival times are monotone (and ids tie-break upward), so a new request
   // can only become the app's oldest when it had none pending.
-  if (oldest_pending_[app] == kNoSlot) oldest_pending_[app] = slot;
+  if (oldest_pending_[app] == kNoSlot) {
+    oldest_pending_[app] = slot;
+    waiting_apps_.push_back(app);
+  }
   ++rank_pending_[rank_index(req.loc)];
   ++active_;
   ++per_app_count_[app];
@@ -328,6 +332,11 @@ dram::Tick MemoryController::cached_next_event_tick() const {
 }
 
 Cycle MemoryController::next_event_cpu_cycle() const {
+  // After an active tick the next due tick runs unprobed (see tick()), so
+  // it bounds the horizon; a memo kept warm across a skip is still exact.
+  if (last_tick_active_ && cached_event_version_ != state_version_) {
+    return next_bus_activity_cpu_cycle();
+  }
   const dram::Tick e = cached_next_event_tick();
   return e == dram::kNoTick ? kNoCycle : crossing_.cpu_cycle_of_tick(e);
 }
@@ -414,6 +423,14 @@ void MemoryController::recompute_oldest(AppId app) {
     }
   }
   oldest_pending_[app] = o;
+  if (o == kNoSlot) {
+    // Only called for an app whose incumbent just issued: it is listed.
+    const auto it =
+        std::find(waiting_apps_.begin(), waiting_apps_.end(), app);
+    BWPART_ASSERT(it != waiting_apps_.end(), "waiting app not listed");
+    *it = waiting_apps_.back();
+    waiting_apps_.pop_back();
+  }
 }
 
 dram::Tick MemoryController::next_event_tick(dram::Tick from) const {
@@ -451,10 +468,8 @@ dram::Tick MemoryController::next_event_tick(dram::Tick from) const {
     // drains, or when a drain-held write becomes issue-ready (moving it
     // from "blocked on a resource" to "ready but not picked").
     const dram::TimingsTicks& t = dram_.timings();
-    for (AppId app = 0; app < num_apps_; ++app) {
-      const std::uint32_t slot = oldest_pending_[app];
-      if (slot == kNoSlot) continue;
-      const MemRequest& r = pool_[slot];
+    for (const AppId app : waiting_apps_) {
+      const MemRequest& r = pool_[oldest_pending_[app]];
       const dram::CommandType need = dram_.required_command(r.loc, r.type);
       if (!writes_eligible && r.type == AccessType::Write) {
         const dram::Tick e =
@@ -735,81 +750,58 @@ bool MemoryController::scan_dynamic(std::uint32_t channel, dram::Tick now,
   return false;
 }
 
+bool MemoryController::interfered(AppId app, const MemRequest& oldest,
+                                  dram::Tick now, AppId winner) const {
+  // Paper Section IV-C (detection per STFM / FST). Ready: a different
+  // application's command won the slot.
+  const bool ready_verdict = winner != kNoApp && winner != app;
+  // Blocked on a resource: data bus or bank; attribute to its last user.
+  // Refresh is not inter-application interference.
+  const std::uint32_t ch = oldest.loc.channel;
+  const dram::CommandType need =
+      dram_.required_command(oldest.loc, oldest.type);
+  bool blocked_verdict = false;
+  if (!dram_.refresh_blocked(ch, oldest.loc.rank)) {
+    const dram::TimingsTicks& t = dram_.timings();
+    const bool bus_block =
+        dram::is_column_command(need) &&
+        now + t.al + (dram::is_read_command(need) ? t.cl : t.cwl) <
+            bus_busy_until_[ch];
+    const AppId holder =
+        bus_block ? bus_user_[ch] : bank_last_user_[bank_index(oldest.loc)];
+    blocked_verdict = holder != kNoApp && holder != app;
+  }
+  if (ready_verdict == blocked_verdict) return ready_verdict;
+  return dram_.can_issue({need, oldest.loc, app, oldest.id}, now)
+             ? ready_verdict
+             : blocked_verdict;
+}
+
 void MemoryController::account_interference(dram::Tick now,
                                             std::span<const AppId> issued_app,
                                             Cycle weight) {
-  // For each application with at least one waiting request, examine its
-  // oldest waiting request and attribute this tick to interference when the
-  // request is delayed by another application's use of the bus or bank
-  // (paper Section IV-C; detection per STFM / FST).
-  for (AppId app = 0; app < num_apps_; ++app) {
-    const std::uint32_t slot = oldest_pending_[app];
-    if (slot == kNoSlot) continue;
-    const MemRequest& oldest = pool_[slot];
-    const std::uint32_t ch = oldest.loc.channel;
-    const dram::CommandType need =
-        dram_.required_command(oldest.loc, oldest.type);
-    const dram::Command cmd{need, oldest.loc, app, oldest.id};
-    bool interfered = false;
-    if (dram_.can_issue(cmd, now)) {
-      // Ready but a different application's command won the slot.
-      interfered = issued_app[ch] != kNoApp && issued_app[ch] != app;
-    } else if (dram_.refresh_blocked(ch, oldest.loc.rank)) {
-      interfered = false;  // refresh is not inter-application interference
-    } else {
-      // Blocked on a resource: data bus or bank; attribute to its last user.
-      const dram::TimingsTicks& t = dram_.timings();
-      const bool bus_block =
-          dram::is_column_command(need) &&
-          now + t.al + (dram::is_read_command(need) ? t.cl : t.cwl) <
-              bus_busy_until_[ch];
-      if (bus_block) {
-        interfered = bus_user_[ch] != kNoApp && bus_user_[ch] != app;
-      } else {
-        const AppId owner = bank_last_user_[bank_index(oldest.loc)];
-        interfered = owner != kNoApp && owner != app;
-      }
+  // Each application with a waiting request is judged on its oldest one.
+  for (const AppId app : waiting_apps_) {
+    const MemRequest& oldest = pool_[oldest_pending_[app]];
+    if (interfered(app, oldest, now, issued_app[oldest.loc.channel])) {
+      observer_->on_interference(app, weight);
     }
-    if (interfered) observer_->on_interference(app, weight);
   }
 }
 
 void MemoryController::account_interference_range(dram::Tick from,
                                                   dram::Tick to) {
   // Every classification input is frozen over a dead range: nothing issues
-  // or completes, device state only ages, and every flip tick (earliest
-  // legal issue, bus drain, refresh events) bounds the skip. The per-tick
-  // weights telescope: sum of (cpu_of(n+1) - cpu_of(n)) over [from, to).
+  // or completes (so a ready request has no winner to blame), device state
+  // only ages, and every flip tick (earliest legal issue, bus drain,
+  // refresh events) bounds the skip. The per-tick weights telescope: sum
+  // of (cpu_of(n+1) - cpu_of(n)) over [from, to).
   const Cycle weight = crossing_.cpu_cycle_of_tick(to) -
                        crossing_.cpu_cycle_of_tick(from);
-  for (AppId app = 0; app < num_apps_; ++app) {
-    const std::uint32_t slot = oldest_pending_[app];
-    if (slot == kNoSlot) continue;
-    const MemRequest& oldest = pool_[slot];
-    const std::uint32_t ch = oldest.loc.channel;
-    const dram::CommandType need =
-        dram_.required_command(oldest.loc, oldest.type);
-    const dram::Command cmd{need, oldest.loc, app, oldest.id};
-    bool interfered = false;
-    if (dram_.can_issue(cmd, from)) {
-      // Ready the whole range, but a dead range issues nothing: no victim.
-      interfered = false;
-    } else if (dram_.refresh_blocked(ch, oldest.loc.rank)) {
-      interfered = false;
-    } else {
-      const dram::TimingsTicks& t = dram_.timings();
-      const bool bus_block =
-          dram::is_column_command(need) &&
-          from + t.al + (dram::is_read_command(need) ? t.cl : t.cwl) <
-              bus_busy_until_[ch];
-      if (bus_block) {
-        interfered = bus_user_[ch] != kNoApp && bus_user_[ch] != app;
-      } else {
-        const AppId owner = bank_last_user_[bank_index(oldest.loc)];
-        interfered = owner != kNoApp && owner != app;
-      }
+  for (const AppId app : waiting_apps_) {
+    if (interfered(app, pool_[oldest_pending_[app]], from, kNoApp)) {
+      observer_->on_interference(app, weight);
     }
-    if (interfered) observer_->on_interference(app, weight);
   }
 }
 
@@ -987,6 +979,10 @@ void MemoryController::restore_state(snap::Reader& r) {
   started_ = r.b();
   last_tick_active_ = r.b();
   restore_u32_fixed(r, oldest_pending_);
+  waiting_apps_.clear();
+  for (AppId app = 0; app < num_apps_; ++app) {
+    if (oldest_pending_[app] != kNoSlot) waiting_apps_.push_back(app);
+  }
   snap::require(r.u64() == app_live_.size(),
                 "app count differs from the snapshot's");
   num_live_ = 0;

@@ -130,12 +130,14 @@ class MemoryController {
   void set_fast_forward(bool on) { fast_forward_ = on; }
   bool fast_forward() const { return fast_forward_; }
 
-  /// First CPU cycle at which the controller can next act on its own —
-  /// deliver a completion, issue a command, or advance device housekeeping
-  /// (refresh, power-down). Valid between tick() calls; kNoCycle when the
-  /// controller is empty and the device has no scheduled events. The system
-  /// loop may skip straight to min(core wakes, this) without simulating the
-  /// cycles in between.
+  /// A CPU cycle no later than the first one at which the controller can
+  /// next act on its own — deliver a completion, issue a command, or advance
+  /// device housekeeping (refresh, power-down). Valid between tick() calls;
+  /// kNoCycle when the controller is empty and the device has no scheduled
+  /// events. The system loop may skip straight to min(core wakes, this)
+  /// without simulating the cycles in between. Right after an active bus
+  /// tick, with no memoized horizon, it answers the next due bus tick
+  /// without probing: tick() runs that tick unconditionally anyway.
   Cycle next_event_cpu_cycle() const;
 
   /// First CPU cycle > the last tick() call at which a new bus tick falls
@@ -194,7 +196,8 @@ class MemoryController {
   /// engine/wiring, not state: the fast_forward_ switch (snapshots restore
   /// bit-identically into either engine), the event-horizon memo and the
   /// pending queues' derived policy keys (restore invalidates both; they
-  /// rebuild on first use), completion/observer/obs hooks (the host rewires
+  /// rebuild on first use), the waiting-app list (rebuilt from the restored
+  /// oldest-pending index), completion/observer/obs hooks (the host rewires
   /// them) and the per-tick scratch vectors.
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
@@ -281,6 +284,16 @@ class MemoryController {
   /// victim's classification is constant over [from, to), and the per-tick
   /// CPU-cycle weights telescope to an exact total.
   void account_interference_range(dram::Tick from, dram::Tick to);
+  /// The attribution verdict shared by both accounting paths: whether
+  /// waiting app `app`, whose oldest request is `oldest`, is delayed by
+  /// another application at bus tick `now`. `winner` is the app whose
+  /// command issued on the request's channel this tick (kNoApp when none,
+  /// and always across a dead range). A ready request is a victim when
+  /// another app won the slot; a blocked one when the block is not refresh
+  /// and another app holds the data bus or last used the bank. Command
+  /// legality, which picks between the two, is tested only when they differ.
+  bool interfered(AppId app, const MemRequest& oldest, dram::Tick now,
+                  AppId winner) const;
   /// Rebuilds oldest_pending_[app] by scanning the pending queues (arrival
   /// then id order; kNoSlot when the app has none). Only needed when the
   /// app's current oldest leaves the pending set — new arrivals are never
@@ -374,11 +387,11 @@ class MemoryController {
   Cycle last_cpu_cycle_ = 0;
   bool started_ = false;
   bool fast_forward_ = true;
-  /// Whether the last executed bus tick issued or delivered anything. No
-  /// longer gates event probing (the probe early-exits cheaply on active
-  /// ticks, so the engine now probes every iteration and converts all
-  /// provably dead ticks into skips); kept maintained and serialized as
-  /// part of the engine-visible state.
+  /// Whether the last executed bus tick issued or delivered anything (a
+  /// skip also sets it). Gates event probing: tick() probes for a dead range
+  /// only after an inactive tick, and next_event_cpu_cycle() answers the
+  /// next due bus tick instead of probing after an active one. Serialized,
+  /// so a restored controller makes the same probe decisions.
   bool last_tick_active_ = true;
   /// Bumped on every state mutation that can move the event horizon;
   /// invalidates the cached_next_event_tick() memo.
@@ -392,6 +405,12 @@ class MemoryController {
   /// issued) — the interference-attribution and event-horizon paths read it
   /// every bus tick, so a full rescan there would dominate the tick cost.
   std::vector<std::uint32_t> oldest_pending_;
+  /// The apps whose oldest_pending_ is set, in no particular order (every
+  /// consumer is order-independent). Those per-tick paths walk this instead
+  /// of all num_apps_ ids: a controller of a multi-controller system is
+  /// built over the global id space but sees only its own apps enqueue.
+  /// Derived state, rebuilt on restore.
+  std::vector<AppId> waiting_apps_;
 
   // Per-tick scratch storage (kept as members to avoid reallocation in the
   // bus-tick hot path).

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace bwpart {
@@ -114,6 +116,13 @@ TEST(Parallel, MalformedSweepThreadsEnvMeansNoCap) {
 TEST(Parallel, ActuallyUsesMultipleThreads) {
   std::atomic<int> concurrent{0};
   std::atomic<int> peak{0};
+  // Rendezvous instead of a fixed busy loop: a body stays in flight until a
+  // second body overlaps it, so the peak no longer depends on how fast the
+  // workers start on a loaded host. The wait is bounded by one shared
+  // deadline, so a serial parallel_for fails the check below after about a
+  // second instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
   parallel_for(
       64,
       [&](std::size_t) {
@@ -121,9 +130,10 @@ TEST(Parallel, ActuallyUsesMultipleThreads) {
         int p = peak.load();
         while (now > p && !peak.compare_exchange_weak(p, now)) {
         }
-        // Busy-wait a little so workers overlap.
-        volatile int sink = 0;
-        for (int k = 0; k < 100000; ++k) sink = sink + 1;
+        while (peak.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
         concurrent.fetch_sub(1);
       },
       4);

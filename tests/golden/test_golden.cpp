@@ -17,6 +17,15 @@
 // itself. The 98 mix entries and the generation section are unchanged
 // from schema 2.
 //
+// Schema 4 adds a "controllers" section: the portfolio64 machine (16
+// copies of hetero-5, 64 apps, on 4 independent DDR2-1600 controllers) x
+// all 7 schemes at the same CI-scale phases. Every controller there is
+// built over all 64 global app ids while only its 16 round-robin apps
+// enqueue, and per-controller DSTF enforcement, interference attribution
+// and the event engine all run once per controller, so a change to any of
+// those trips this section even when every single-controller entry holds.
+// The mixes, generations and churn sections are unchanged from schema 3.
+//
 //   test_golden --file tests/golden/fingerprints.json [--update]
 //
 // Every sweep is computed through Experiment::run_all — under the default
@@ -46,6 +55,7 @@
 #include "harness/churn.hpp"
 #include "harness/differential.hpp"
 #include "harness/experiment.hpp"
+#include "harness/shard.hpp"
 #include "workload/mixes.hpp"
 
 namespace {
@@ -235,6 +245,23 @@ Corpus compute_churn_corpus() {
   return corpus;
 }
 
+/// The schema-4 "controllers" section: portfolio64's one config, whose
+/// phases and seed are the golden ones.
+Corpus compute_controller_corpus() {
+  const harness::shard::ShardConfig cfg =
+      harness::shard::make_portfolio("portfolio64").configs.front();
+  const harness::Experiment experiment = harness::shard::make_experiment(cfg);
+  // The schemes fork in parallel here: the config is large and alone.
+  const std::vector<harness::RunResult> results =
+      experiment.run_all(core::kAllSchemes);
+  std::map<std::string, std::string> row;
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    row[core::to_string(core::kAllSchemes[s])] =
+        hex64(harness::fingerprint(results[s]));
+  }
+  return {{"portfolio64", std::move(row)}};
+}
+
 void write_rows(std::ofstream& os, const Corpus& corpus,
                 const char* indent) {
   for (std::size_t i = 0; i < corpus.size(); ++i) {
@@ -249,14 +276,15 @@ void write_rows(std::ofstream& os, const Corpus& corpus,
 }
 
 void write_corpus(const std::string& path, const Corpus& corpus,
-                  const GenCorpus& gen_corpus, const Corpus& churn_corpus) {
+                  const GenCorpus& gen_corpus, const Corpus& churn_corpus,
+                  const Corpus& controller_corpus) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
     std::exit(2);
   }
   const harness::PhaseConfig ph = golden_phases();
-  os << "{\n  \"schema\": 3,\n  \"seed\": " << ph.seed << ",\n"
+  os << "{\n  \"schema\": 4,\n  \"seed\": " << ph.seed << ",\n"
      << "  \"phases\": {\"warmup\": " << ph.warmup_cycles
      << ", \"profile\": " << ph.profile_cycles
      << ", \"measure\": " << ph.measure_cycles << "},\n  \"mixes\": {\n";
@@ -272,6 +300,8 @@ void write_corpus(const std::string& path, const Corpus& corpus,
   os << "  },\n  \"churn_settings\": {\"reprofile\": " << cc.reprofile_window
      << ", \"epoch\": " << cc.eval_epoch << "},\n  \"churn\": {\n";
   write_rows(os, churn_corpus, "    ");
+  os << "  },\n  \"controllers\": {\n";
+  write_rows(os, controller_corpus, "    ");
   os << "  }\n}\n";
 }
 
@@ -330,15 +360,16 @@ int main(int argc, char** argv) {
   const Corpus corpus = compute_corpus();
   const GenCorpus gen_corpus = compute_generation_corpus();
   const Corpus churn_corpus = compute_churn_corpus();
+  const Corpus controller_corpus = compute_controller_corpus();
   if (update) {
-    write_corpus(path, corpus, gen_corpus, churn_corpus);
+    write_corpus(path, corpus, gen_corpus, churn_corpus, controller_corpus);
     std::printf(
         "wrote %zu mixes x %zu schemes plus %zu generations x %zu mixes "
-        "plus %zu churn scenarios to %s\n",
+        "plus %zu churn scenarios plus %zu multi-controller configs to %s\n",
         corpus.size(), corpus.empty() ? 0 : corpus.front().second.size(),
         gen_corpus.size(),
         gen_corpus.empty() ? 0 : gen_corpus.front().second.size(),
-        churn_corpus.size(), path.c_str());
+        churn_corpus.size(), controller_corpus.size(), path.c_str());
     return 0;
   }
 
@@ -362,10 +393,10 @@ int main(int argc, char** argv) {
   }
 
   if (!doc->has("schema") ||
-      static_cast<int>(doc->at("schema").num) != 3) {
+      static_cast<int>(doc->at("schema").num) != 4) {
     std::fprintf(stderr,
-                 "golden corpus '%s' uses an old schema (the churn section "
-                 "arrived in schema 3) — regenerate with --update\n",
+                 "golden corpus '%s' uses an old schema (the controllers "
+                 "section arrived in schema 4) — regenerate with --update\n",
                  path.c_str());
     return 1;
   }
@@ -417,6 +448,16 @@ int main(int argc, char** argv) {
   } else {
     check_rows(doc->at("churn"), churn_corpus, "churn / ", checked,
                mismatches);
+  }
+  if (!doc->has("controllers")) {
+    std::fprintf(stderr,
+                 "golden corpus '%s' has no \"controllers\" section — "
+                 "regenerate with --update\n",
+                 path.c_str());
+    ++mismatches;
+  } else {
+    check_rows(doc->at("controllers"), controller_corpus, "controllers / ",
+               checked, mismatches);
   }
   if (mismatches != 0) {
     std::fprintf(

@@ -4,7 +4,10 @@
 // interference attribution, core stats and IPC against the reference
 // cycle-by-cycle loop — across random machines, mixes, schemes and seeds,
 // including power-down and write-drain configurations that exercise every
-// skip-bounding event source.
+// skip-bounding event source, and one- or two-controller topologies (each
+// controller is built over every global app id, but only its round-robin
+// apps ever enqueue on it).
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -52,6 +55,8 @@ pbt::GenFn<FfCase> ff_case_gen() {
     }
     c.admission = rng.next_bool(0.5) ? mem::AdmissionMode::PerApp
                                      : mem::AdmissionMode::Shared;
+    c.cfg.num_controllers = static_cast<std::size_t>(
+        pbt::gen_uint(rng, 1, std::min<std::size_t>(2, c.mix.size())));
     return c;
   };
 }
@@ -67,19 +72,21 @@ std::string print_ff_case(const FfCase& c) {
      << " refresh=" << c.cfg.dram.enable_refresh
      << " wdrain=" << c.write_drain.enabled
      << " perapp=" << (c.admission == mem::AdmissionMode::PerApp)
-     << " window=" << c.cfg.dstf_row_hit_window;
+     << " window=" << c.cfg.dstf_row_hit_window
+     << " controllers=" << c.cfg.num_controllers;
   return os.str();
 }
 
-/// Builds a CmpSystem for `c` with the given engine, installs the scheme's
-/// scheduler plus the write-drain/admission knobs, and runs
-/// warmup + reset + measure.
-void run_system(const FfCase& c, bool fast_forward, CmpSystem& sys) {
-  (void)fast_forward;
-  if (c.write_drain.enabled) sys.controller().set_write_drain(c.write_drain);
-  sys.controller().set_admission_mode(c.admission);
-  sys.controller().replace_scheduler(make_scheduler(
-      c.scheme, c.mix.size(), c.params, c.cfg.dstf_row_hit_window));
+/// Installs the scheme's scheduler plus the write-drain/admission knobs on
+/// every controller of `sys`, then runs warmup + reset + measure.
+void run_system(const FfCase& c, CmpSystem& sys) {
+  for (std::size_t k = 0; k < sys.num_controllers(); ++k) {
+    mem::MemoryController& mc = sys.controller(k);
+    if (c.write_drain.enabled) mc.set_write_drain(c.write_drain);
+    mc.set_admission_mode(c.admission);
+    mc.replace_scheduler(make_scheduler(c.scheme, c.mix.size(), c.params,
+                                        c.cfg.dstf_row_hit_window));
+  }
   sys.run(c.phases.warmup_cycles);
   sys.reset_measurement();
   sys.run(c.phases.measure_cycles);
@@ -91,8 +98,8 @@ std::string compare_systems(const CmpSystem& fast, const CmpSystem& ref) {
   std::ostringstream os;
   const std::uint32_t n = fast.num_apps();
   for (AppId a = 0; a < n; ++a) {
-    const mem::AppMemStats& f = fast.controller().app_stats(a);
-    const mem::AppMemStats& r = ref.controller().app_stats(a);
+    const mem::AppMemStats& f = fast.controller_for(a).app_stats(a);
+    const mem::AppMemStats& r = ref.controller_for(a).app_stats(a);
     if (f.enqueued != r.enqueued || f.served_reads != r.served_reads ||
         f.served_writes != r.served_writes ||
         f.sum_queue_cycles != r.sum_queue_cycles) {
@@ -127,22 +134,25 @@ std::string compare_systems(const CmpSystem& fast, const CmpSystem& ref) {
       return os.str();
     }
   }
-  const dram::DramStats& fd = fast.controller().dram().stats();
-  const dram::DramStats& rd = ref.controller().dram().stats();
-  if (fd.activates != rd.activates || fd.reads != rd.reads ||
-      fd.writes != rd.writes || fd.precharges != rd.precharges ||
-      fd.refreshes != rd.refreshes ||
-      fd.data_bus_busy_ticks != rd.data_bus_busy_ticks ||
-      fd.ticks != rd.ticks ||
-      fd.powerdown_rank_ticks != rd.powerdown_rank_ticks) {
-    os << "DramStats diverge: act " << fd.activates << "/" << rd.activates
-       << " rd " << fd.reads << "/" << rd.reads << " wr " << fd.writes << "/"
-       << rd.writes << " pre " << fd.precharges << "/" << rd.precharges
-       << " ref " << fd.refreshes << "/" << rd.refreshes << " bus "
-       << fd.data_bus_busy_ticks << "/" << rd.data_bus_busy_ticks
-       << " ticks " << fd.ticks << "/" << rd.ticks << " pd-ticks "
-       << fd.powerdown_rank_ticks << "/" << rd.powerdown_rank_ticks;
-    return os.str();
+  for (std::size_t k = 0; k < fast.num_controllers(); ++k) {
+    const dram::DramStats& fd = fast.controller(k).dram().stats();
+    const dram::DramStats& rd = ref.controller(k).dram().stats();
+    if (fd.activates != rd.activates || fd.reads != rd.reads ||
+        fd.writes != rd.writes || fd.precharges != rd.precharges ||
+        fd.refreshes != rd.refreshes ||
+        fd.data_bus_busy_ticks != rd.data_bus_busy_ticks ||
+        fd.ticks != rd.ticks ||
+        fd.powerdown_rank_ticks != rd.powerdown_rank_ticks) {
+      os << "DramStats diverge on controller " << k << ": act "
+         << fd.activates << "/" << rd.activates << " rd " << fd.reads << "/"
+         << rd.reads << " wr " << fd.writes << "/" << rd.writes << " pre "
+         << fd.precharges << "/" << rd.precharges << " ref " << fd.refreshes
+         << "/" << rd.refreshes << " bus " << fd.data_bus_busy_ticks << "/"
+         << rd.data_bus_busy_ticks << " ticks " << fd.ticks << "/"
+         << rd.ticks << " pd-ticks " << fd.powerdown_rank_ticks << "/"
+         << rd.powerdown_rank_ticks;
+      return os.str();
+    }
   }
   const std::vector<double> f_ipc = fast.measured_ipc();
   const std::vector<double> r_ipc = ref.measured_ipc();
@@ -171,8 +181,8 @@ TEST(FastForwardDifferential, SystemStatsBitIdenticalAcrossRandomCases) {
         ref_cfg.fast_forward = false;
         CmpSystem fast(fast_cfg, c.mix, c.phases.seed);
         CmpSystem ref(ref_cfg, c.mix, c.phases.seed);
-        run_system(c, true, fast);
-        run_system(c, false, ref);
+        run_system(c, fast);
+        run_system(c, ref);
         if (fast.now() != ref.now()) return "simulated time diverged";
         const std::string diff = compare_systems(fast, ref);
         if (!diff.empty()) return diff;

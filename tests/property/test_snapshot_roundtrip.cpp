@@ -5,6 +5,7 @@
 // in flight) and engines, through memory and through the on-disk "BWPS"
 // container. Corrupt or truncated files must fail with snap::SnapshotError,
 // never undefined behavior.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -64,6 +65,8 @@ pbt::GenFn<SnapCase> snap_case_gen() {
     c.install_scheduler = rng.next_bool(0.6);
     c.reset_before_snap = rng.next_bool(0.4);
     c.disk_roundtrip = rng.next_bool(0.35);
+    c.cfg.num_controllers = static_cast<std::size_t>(
+        pbt::gen_uint(rng, 1, std::min<std::size_t>(2, c.mix.size())));
     return c;
   };
 }
@@ -77,14 +80,17 @@ std::string print_snap_case(const SnapCase& c) {
      << " mix={";
   for (const workload::BenchmarkSpec& b : c.mix) os << b.name << " ";
   os << "} ch=" << c.cfg.dram.channels << " ranks=" << c.cfg.dram.ranks
-     << " ff=" << c.cfg.fast_forward << " caches=" << c.cfg.core.model_caches;
+     << " ff=" << c.cfg.fast_forward << " caches=" << c.cfg.core.model_caches
+     << " controllers=" << c.cfg.num_controllers;
   return os.str();
 }
 
 void install(const SnapCase& c, CmpSystem& sys) {
-  sys.controller().replace_scheduler(make_scheduler(
-      c.scheme, c.mix.size(), c.params, c.cfg.dstf_row_hit_window));
-  sys.controller().set_admission_mode(mem::AdmissionMode::PerApp);
+  for (std::size_t k = 0; k < sys.num_controllers(); ++k) {
+    sys.controller(k).replace_scheduler(make_scheduler(
+        c.scheme, c.mix.size(), c.params, c.cfg.dstf_row_hit_window));
+    sys.controller(k).set_admission_mode(mem::AdmissionMode::PerApp);
+  }
 }
 
 /// Field-by-field comparison of everything the two systems measured, plus
@@ -96,8 +102,8 @@ std::string compare_systems(const CmpSystem& a, const CmpSystem& b) {
     return os.str();
   }
   for (AppId app = 0; app < a.num_apps(); ++app) {
-    const mem::AppMemStats& fa = a.controller().app_stats(app);
-    const mem::AppMemStats& fb = b.controller().app_stats(app);
+    const mem::AppMemStats& fa = a.controller_for(app).app_stats(app);
+    const mem::AppMemStats& fb = b.controller_for(app).app_stats(app);
     if (fa.enqueued != fb.enqueued || fa.served_reads != fb.served_reads ||
         fa.served_writes != fb.served_writes ||
         fa.sum_queue_cycles != fb.sum_queue_cycles) {
@@ -144,19 +150,22 @@ std::string compare_systems(const CmpSystem& a, const CmpSystem& b) {
       return os.str();
     }
   }
-  const dram::DramStats& da = a.controller().dram().stats();
-  const dram::DramStats& db = b.controller().dram().stats();
-  if (da.activates != db.activates || da.reads != db.reads ||
-      da.writes != db.writes || da.precharges != db.precharges ||
-      da.refreshes != db.refreshes ||
-      da.data_bus_busy_ticks != db.data_bus_busy_ticks ||
-      da.ticks != db.ticks ||
-      da.powerdown_rank_ticks != db.powerdown_rank_ticks) {
-    os << "DramStats diverge: act " << da.activates << "/" << db.activates
-       << " rd " << da.reads << "/" << db.reads << " wr " << da.writes << "/"
-       << db.writes << " bus " << da.data_bus_busy_ticks << "/"
-       << db.data_bus_busy_ticks << " ticks " << da.ticks << "/" << db.ticks;
-    return os.str();
+  for (std::size_t k = 0; k < a.num_controllers(); ++k) {
+    const dram::DramStats& da = a.controller(k).dram().stats();
+    const dram::DramStats& db = b.controller(k).dram().stats();
+    if (da.activates != db.activates || da.reads != db.reads ||
+        da.writes != db.writes || da.precharges != db.precharges ||
+        da.refreshes != db.refreshes ||
+        da.data_bus_busy_ticks != db.data_bus_busy_ticks ||
+        da.ticks != db.ticks ||
+        da.powerdown_rank_ticks != db.powerdown_rank_ticks) {
+      os << "DramStats diverge on controller " << k << ": act "
+         << da.activates << "/" << db.activates << " rd " << da.reads << "/"
+         << db.reads << " wr " << da.writes << "/" << db.writes << " bus "
+         << da.data_bus_busy_ticks << "/" << db.data_bus_busy_ticks
+         << " ticks " << da.ticks << "/" << db.ticks;
+      return os.str();
+    }
   }
   const std::vector<double> ia = a.measured_ipc();
   const std::vector<double> ib = b.measured_ipc();
