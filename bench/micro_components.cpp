@@ -151,7 +151,8 @@ void BM_ControllerSchedulerScan(benchmark::State& state) {
 BENCHMARK(BM_ControllerSchedulerScan)->Arg(8)->Arg(32)->Arg(128);
 
 /// Sums the attributed cycles. Attached to a controller, it makes every bus
-/// tick run the interference-attribution pass, as inside CmpSystem.
+/// tick run the interference-attribution pass, as in a CmpSystem profile
+/// window; detached, the controller ticks as in a fixed-share measure phase.
 class SumObserver final : public mem::InterferenceObserver {
  public:
   void on_interference(AppId, Cycle cpu_cycles) override {
@@ -162,12 +163,15 @@ class SumObserver final : public mem::InterferenceObserver {
 
 /// Ticks one controller every CPU cycle while every `stride`-th of its
 /// `num_apps` app ids keeps its queue slice topped up with reads from
-/// `next_addr(line)`. Items processed counts CPU cycles.
+/// `next_addr(line)`. The benchmark's arguments are the per-app queue depth
+/// and whether an interference observer is attached. Items processed
+/// counts CPU cycles.
 template <typename AddrFn>
 void tick_controller_under_load(benchmark::State& state,
                                 const dram::DramConfig& cfg,
                                 std::uint32_t num_apps, std::uint32_t stride,
-                                std::size_t queue_depth, AddrFn next_addr) {
+                                AddrFn next_addr) {
+  const auto queue_depth = static_cast<std::size_t>(state.range(0));
   mem::MemoryController mc(cfg, Frequency::from_ghz(5.0), num_apps,
                            std::make_unique<mem::FcfsScheduler>(),
                            queue_depth, dram::MapScheme::ChanRowColBankRank,
@@ -175,7 +179,7 @@ void tick_controller_under_load(benchmark::State& state,
                            mem::AdmissionMode::PerApp);
   mc.set_completion_callback([](const mem::MemRequest&, Cycle) {});
   SumObserver observer;
-  mc.set_interference_observer(&observer);
+  if (state.range(1) != 0) mc.set_interference_observer(&observer);
   std::uint64_t line = 0;
   Cycle t = 0;
   for (auto _ : state) {
@@ -195,10 +199,11 @@ void BM_ControllerTickUnderLoad(benchmark::State& state) {
   // Four apps streaming sequential lines through DDR2-400.
   tick_controller_under_load(
       state, dram::DramConfig::ddr2_400(), 4, 1,
-      static_cast<std::size_t>(state.range(0)),
       [](std::uint64_t line) { return (line * 64) % (1ull << 30); });
 }
-BENCHMARK(BM_ControllerTickUnderLoad)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_ControllerTickUnderLoad)
+    ->ArgsProduct({{8, 32, 128}, {1, 0}})
+    ->ArgNames({"depth", "observer"});
 
 void BM_ControllerTickPortfolio64(benchmark::State& state) {
   // One controller of the portfolio64 machine: DDR2-1600, built over all 64
@@ -208,11 +213,13 @@ void BM_ControllerTickPortfolio64(benchmark::State& state) {
   // sees both bus and bank conflicts.
   tick_controller_under_load(
       state, dram::dram_config_for_generation("ddr2_1600"), 64, 4,
-      static_cast<std::size_t>(state.range(0)), [](std::uint64_t line) {
+      [](std::uint64_t line) {
         return ((line * 0x9E3779B97F4A7C15ull) >> 34) << 6;
       });
 }
-BENCHMARK(BM_ControllerTickPortfolio64)->Arg(4)->Arg(32);
+BENCHMARK(BM_ControllerTickPortfolio64)
+    ->ArgsProduct({{4, 32}, {1, 0}})
+    ->ArgNames({"depth", "observer"});
 
 void BM_FullSystemCycle(benchmark::State& state) {
   // A steady-state window per iteration, so the figure is the engine's cost

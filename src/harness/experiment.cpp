@@ -78,12 +78,17 @@ class PhaseTimer {
 }  // namespace
 
 std::vector<core::AppParams> Experiment::profile_phase(CmpSystem& sys) const {
+  // Interference is attributed only over windows whose counters are read:
+  // reset_measurement() discards the warm-up's, the profile window's feed
+  // Eq. 12-13.
+  sys.set_interference_attribution(false);
   {
     obs::ScopedSpan span = phase_span(sys, "warmup");
     PhaseTimer timer(hub_, "harness.wall_ns.warmup");
     sys.run(phases_.warmup_cycles);
   }
   sys.reset_measurement();
+  sys.set_interference_attribution(true);
   {
     obs::ScopedSpan span = phase_span(sys, "profile");
     PhaseTimer timer(hub_, "harness.wall_ns.profile");
@@ -126,12 +131,17 @@ RunResult Experiment::measure_phase(
             ? mem::AdmissionMode::Shared
             : mem::AdmissionMode::PerApp);
   }
+  // Only the rolling re-profiler reads the interference counters here; a
+  // fixed-share measure phase runs without attribution.
+  const bool reprofile =
+      phases_.reprofile_period > 0 && shares_override.empty();
+  sys.set_interference_attribution(reprofile);
   sys.reset_measurement();
   {
     obs::ScopedSpan span =
         phase_span(sys, "measure:" + core::to_string(scheme));
     PhaseTimer timer(hub_, "harness.wall_ns.measure");
-    if (phases_.reprofile_period > 0 && shares_override.empty()) {
+    if (reprofile) {
       profile::RollingProfiler rolling(
           static_cast<std::uint32_t>(n), phases_.reprofile_period);
       rolling.set_observability(sys.observability());
@@ -309,6 +319,7 @@ core::AppParams profile_standalone(const SystemConfig& cfg,
                                    const PhaseConfig& phases) {
   const workload::BenchmarkSpec one[] = {bench};
   CmpSystem sys(cfg, one, phases.seed);
+  sys.set_interference_attribution(false);  // reads only IPC and APC
   sys.run(phases.warmup_cycles);
   sys.reset_measurement();
   sys.run(phases.profile_cycles);

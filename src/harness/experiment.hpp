@@ -29,7 +29,8 @@ struct PhaseConfig {
   /// (ground truth) instead of the online interference-based estimator.
   bool oracle_alone = false;
   /// Re-profiling period during the measure phase; 0 disables (shares stay
-  /// fixed at the profile-phase estimate).
+  /// fixed at the profile-phase estimate, and the measure phase runs
+  /// without interference attribution, which nothing would read).
   Cycle reprofile_period = 0;
   std::uint64_t seed = 42;
 

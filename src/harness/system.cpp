@@ -141,6 +141,12 @@ double CmpSystem::bus_utilization() const {
   return sum / static_cast<double>(controllers_.size());
 }
 
+void CmpSystem::set_interference_attribution(bool on) {
+  for (auto& mc : controllers_) {
+    mc->set_interference_observer(on ? &interference_ : nullptr);
+  }
+}
+
 void CmpSystem::set_app_live(AppId app, bool live) {
   BWPART_ASSERT(app < num_apps(), "app id out of range");
   if ((live_[app] != 0) == live) return;

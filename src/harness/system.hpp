@@ -130,10 +130,21 @@ class CmpSystem {
   /// Mean DRAM data-bus utilization across controllers (== the single
   /// controller's utilization on 1-controller configs).
   double bus_utilization() const;
+  /// Per-app T_cyc,interference since the last reset_measurement(). The
+  /// counters advance only while interference attribution is on.
   profile::InterferenceCounters& interference() { return interference_; }
   const profile::InterferenceCounters& interference() const {
     return interference_;
   }
+
+  /// Attaches (on) or detaches (off) the interference counters on every
+  /// controller. While off, no bus tick is attributed and interference()
+  /// stays frozen; every other result is bit-identical either way, because
+  /// attribution only reads controller state. On by default. Like the
+  /// completion and observability hooks it is wiring, not state: save_state
+  /// does not record it and restore_state leaves it as it is, so a freshly
+  /// built system attributes after a restore until switched off.
+  void set_interference_attribution(bool on);
 
   const SystemConfig& config() const { return cfg_; }
   const workload::BenchmarkSpec& benchmark(AppId app) const {
@@ -175,7 +186,8 @@ class CmpSystem {
   void reset_measurement();
 
   /// Per-app cumulative profiler counters (accesses, instructions,
-  /// interference) since the last reset_measurement().
+  /// interference) since the last reset_measurement(). Interference counts
+  /// only the stretches run with interference attribution on.
   std::vector<profile::AppCounters> profiler_counters() const;
 
   /// Measured per-app IPC / APC over the window since reset_measurement().

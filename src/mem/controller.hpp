@@ -149,6 +149,10 @@ class MemoryController {
   }
 
   void set_completion_callback(CompletionCallback cb) { on_complete_ = std::move(cb); }
+  /// Attaches the attribution observer; nullptr detaches it. Detached, no
+  /// bus tick or dead range is attributed and the event probe ignores
+  /// attribution flip points. Attribution only reads controller state, so
+  /// every other result is the same either way.
   void set_interference_observer(InterferenceObserver* obs) {
     observer_ = obs;
     ++state_version_;

@@ -3,7 +3,10 @@
 // The controller attributes each bus tick on which an application's oldest
 // request is delayed by another application (bus or bank conflict) and
 // reports it here weighted in CPU cycles; accumulating those weights
-// reproduces the paper's per-cycle T_cyc,interference counter.
+// reproduces the paper's per-cycle T_cyc,interference counter. The counters
+// advance only while attached as a controller's observer: CmpSystem attaches
+// them while interference attribution is on (set_interference_attribution),
+// which Experiment limits to the windows whose counters it reads.
 #pragma once
 
 #include <vector>

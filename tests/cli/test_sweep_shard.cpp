@@ -473,7 +473,21 @@ TEST(SweepShard, OrchestratorSigkillMidSweepResumesWithoutRerunningUnits) {
       spawn({g_sweepd_path, "--portfolio", "table4", "--spool", dir,
              "--workers", "2", "--sim", g_sim_path, "--lease-ms", "500"});
   ASSERT_GT(orch, 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  // Kill it mid-sweep: as soon as the first unit's result shard lands. A
+  // fixed delay is no proxy for that, since the whole sweep can finish
+  // within it on an idle host.
+  const auto any_result = [&] {
+    std::error_code ec;
+    for (const auto& e :
+         fs::directory_iterator(fs::path(dir) / "results", ec)) {
+      if (e.path().extension() == ".bwrr") return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 10'000 && !any_result(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(any_result()) << "the sweep never completed a unit";
   ASSERT_EQ(::kill(orch, SIGKILL), 0);
   int status = 0;
   ::waitpid(orch, &status, 0);

@@ -26,6 +26,13 @@
 // those trips this section even when every single-controller entry holds.
 // The mixes, generations and churn sections are unchanged from schema 3.
 //
+// Schema 5 adds a "reprofile" section: three Table IV mixes (one homo, two
+// hetero) x all 7 schemes with the rolling re-profiler on in the measure
+// phase (period 10k cycles). It is the one measure phase whose result
+// depends on the interference counters, so a change that stops attributing
+// there trips every row even when the fixed-share sections all hold. The
+// other sections are unchanged from schema 4.
+//
 //   test_golden --file tests/golden/fingerprints.json [--update]
 //
 // Every sweep is computed through Experiment::run_all — under the default
@@ -147,6 +154,11 @@ harness::ChurnRunConfig golden_churn_config(core::Scheme scheme, bool qos) {
   return cfg;
 }
 
+/// Mixes and re-profiling period of the schema-5 "reprofile" section.
+constexpr const char* kGoldenReprofileMixes[] = {"homo-2", "hetero-1",
+                                                 "hetero-6"};
+constexpr Cycle kGoldenReprofilePeriod = 10'000;
+
 const workload::MixSpec& golden_mix_by_name(const char* name) {
   if (workload::qos_mix1().name == std::string_view(name)) {
     return workload::qos_mix1();
@@ -154,8 +166,19 @@ const workload::MixSpec& golden_mix_by_name(const char* name) {
   for (const workload::MixSpec& mix : workload::paper_mixes()) {
     if (mix.name == std::string_view(name)) return mix;
   }
-  std::fprintf(stderr, "unknown golden churn mix '%s'\n", name);
+  std::fprintf(stderr, "unknown golden mix '%s'\n", name);
   std::exit(2);
+}
+
+/// One corpus row: scheme name -> fingerprint of a kAllSchemes sweep.
+std::map<std::string, std::string> scheme_row(
+    const std::vector<harness::RunResult>& results) {
+  std::map<std::string, std::string> row;
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    row[core::to_string(core::kAllSchemes[s])] =
+        hex64(harness::fingerprint(results[s]));
+  }
+  return row;
 }
 
 Corpus compute_corpus() {
@@ -170,20 +193,13 @@ Corpus compute_corpus() {
   parallel_for(mixes.size(), [&](std::size_t i) {
     const auto apps = workload::resolve_mix(mixes[i]);
     const harness::Experiment experiment(machine, apps, phases);
-    const std::vector<harness::RunResult> results =
-        experiment.run_all(core::kAllSchemes, 1);
-    std::map<std::string, std::string> row;
-    for (std::size_t s = 0; s < results.size(); ++s) {
-      row[core::to_string(core::kAllSchemes[s])] =
-          hex64(harness::fingerprint(results[s]));
-    }
-    corpus[i] = {std::string(mixes[i].name), std::move(row)};
+    corpus[i] = {std::string(mixes[i].name),
+                 scheme_row(experiment.run_all(core::kAllSchemes, 1))};
   });
   return corpus;
 }
 
 GenCorpus compute_generation_corpus() {
-  const auto mixes = workload::paper_mixes();
   const harness::PhaseConfig phases = golden_phases();
   constexpr std::size_t n_gens = std::size(kGoldenGenerations);
   constexpr std::size_t n_mixes = std::size(kGoldenGenerationMixes);
@@ -197,25 +213,11 @@ GenCorpus compute_generation_corpus() {
     const std::size_t m = idx % n_mixes;
     harness::SystemConfig machine;
     machine.dram = dram::dram_config_for_generation(kGoldenGenerations[g]);
-    const workload::MixSpec* spec = nullptr;
-    for (const auto& mix : mixes) {
-      if (mix.name == kGoldenGenerationMixes[m]) spec = &mix;
-    }
-    if (spec == nullptr) {
-      std::fprintf(stderr, "unknown golden mix '%s'\n",
-                   kGoldenGenerationMixes[m]);
-      std::exit(2);
-    }
-    const auto apps = workload::resolve_mix(*spec);
+    const char* mix = kGoldenGenerationMixes[m];
+    const auto apps = workload::resolve_mix(golden_mix_by_name(mix));
     const harness::Experiment experiment(machine, apps, phases);
-    const std::vector<harness::RunResult> results =
-        experiment.run_all(core::kAllSchemes, 1);
-    std::map<std::string, std::string> row;
-    for (std::size_t s = 0; s < results.size(); ++s) {
-      row[core::to_string(core::kAllSchemes[s])] =
-          hex64(harness::fingerprint(results[s]));
-    }
-    corpus[g].second[m] = {std::string(spec->name), std::move(row)};
+    corpus[g].second[m] = {mix,
+                           scheme_row(experiment.run_all(core::kAllSchemes, 1))};
   });
   return corpus;
 }
@@ -252,14 +254,24 @@ Corpus compute_controller_corpus() {
       harness::shard::make_portfolio("portfolio64").configs.front();
   const harness::Experiment experiment = harness::shard::make_experiment(cfg);
   // The schemes fork in parallel here: the config is large and alone.
-  const std::vector<harness::RunResult> results =
-      experiment.run_all(core::kAllSchemes);
-  std::map<std::string, std::string> row;
-  for (std::size_t s = 0; s < results.size(); ++s) {
-    row[core::to_string(core::kAllSchemes[s])] =
-        hex64(harness::fingerprint(results[s]));
-  }
-  return {{"portfolio64", std::move(row)}};
+  return {{"portfolio64", scheme_row(experiment.run_all(core::kAllSchemes))}};
+}
+
+/// The schema-5 "reprofile" section: golden phases plus a rolling
+/// re-profiler in every measure phase.
+Corpus compute_reprofile_corpus() {
+  constexpr std::size_t n = std::size(kGoldenReprofileMixes);
+  const harness::SystemConfig machine;
+  harness::PhaseConfig phases = golden_phases();
+  phases.reprofile_period = kGoldenReprofilePeriod;
+  Corpus corpus(n);
+  parallel_for(n, [&](std::size_t i) {
+    const char* mix = kGoldenReprofileMixes[i];
+    const auto apps = workload::resolve_mix(golden_mix_by_name(mix));
+    const harness::Experiment experiment(machine, apps, phases);
+    corpus[i] = {mix, scheme_row(experiment.run_all(core::kAllSchemes, 1))};
+  });
+  return corpus;
 }
 
 void write_rows(std::ofstream& os, const Corpus& corpus,
@@ -277,14 +289,15 @@ void write_rows(std::ofstream& os, const Corpus& corpus,
 
 void write_corpus(const std::string& path, const Corpus& corpus,
                   const GenCorpus& gen_corpus, const Corpus& churn_corpus,
-                  const Corpus& controller_corpus) {
+                  const Corpus& controller_corpus,
+                  const Corpus& reprofile_corpus) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
     std::exit(2);
   }
   const harness::PhaseConfig ph = golden_phases();
-  os << "{\n  \"schema\": 4,\n  \"seed\": " << ph.seed << ",\n"
+  os << "{\n  \"schema\": 5,\n  \"seed\": " << ph.seed << ",\n"
      << "  \"phases\": {\"warmup\": " << ph.warmup_cycles
      << ", \"profile\": " << ph.profile_cycles
      << ", \"measure\": " << ph.measure_cycles << "},\n  \"mixes\": {\n";
@@ -302,6 +315,9 @@ void write_corpus(const std::string& path, const Corpus& corpus,
   write_rows(os, churn_corpus, "    ");
   os << "  },\n  \"controllers\": {\n";
   write_rows(os, controller_corpus, "    ");
+  os << "  },\n  \"reprofile_settings\": {\"period\": "
+     << kGoldenReprofilePeriod << "},\n  \"reprofile\": {\n";
+  write_rows(os, reprofile_corpus, "    ");
   os << "  }\n}\n";
 }
 
@@ -361,15 +377,19 @@ int main(int argc, char** argv) {
   const GenCorpus gen_corpus = compute_generation_corpus();
   const Corpus churn_corpus = compute_churn_corpus();
   const Corpus controller_corpus = compute_controller_corpus();
+  const Corpus reprofile_corpus = compute_reprofile_corpus();
   if (update) {
-    write_corpus(path, corpus, gen_corpus, churn_corpus, controller_corpus);
+    write_corpus(path, corpus, gen_corpus, churn_corpus, controller_corpus,
+                 reprofile_corpus);
     std::printf(
         "wrote %zu mixes x %zu schemes plus %zu generations x %zu mixes "
-        "plus %zu churn scenarios plus %zu multi-controller configs to %s\n",
+        "plus %zu churn scenarios plus %zu multi-controller configs plus "
+        "%zu re-profiling mixes to %s\n",
         corpus.size(), corpus.empty() ? 0 : corpus.front().second.size(),
         gen_corpus.size(),
         gen_corpus.empty() ? 0 : gen_corpus.front().second.size(),
-        churn_corpus.size(), controller_corpus.size(), path.c_str());
+        churn_corpus.size(), controller_corpus.size(),
+        reprofile_corpus.size(), path.c_str());
     return 0;
   }
 
@@ -393,10 +413,10 @@ int main(int argc, char** argv) {
   }
 
   if (!doc->has("schema") ||
-      static_cast<int>(doc->at("schema").num) != 4) {
+      static_cast<int>(doc->at("schema").num) != 5) {
     std::fprintf(stderr,
-                 "golden corpus '%s' uses an old schema (the controllers "
-                 "section arrived in schema 4) — regenerate with --update\n",
+                 "golden corpus '%s' uses an old schema (the reprofile "
+                 "section arrived in schema 5) — regenerate with --update\n",
                  path.c_str());
     return 1;
   }
@@ -457,6 +477,19 @@ int main(int argc, char** argv) {
     ++mismatches;
   } else {
     check_rows(doc->at("controllers"), controller_corpus, "controllers / ",
+               checked, mismatches);
+  }
+  if (!doc->has("reprofile") || !doc->has("reprofile_settings") ||
+      static_cast<Cycle>(doc->at("reprofile_settings").at("period").num) !=
+          kGoldenReprofilePeriod) {
+    std::fprintf(stderr,
+                 "golden corpus '%s' has no \"reprofile\" section for period "
+                 "%llu — regenerate with --update\n",
+                 path.c_str(),
+                 static_cast<unsigned long long>(kGoldenReprofilePeriod));
+    ++mismatches;
+  } else {
+    check_rows(doc->at("reprofile"), reprofile_corpus, "reprofile / ",
                checked, mismatches);
   }
   if (mismatches != 0) {

@@ -228,5 +228,81 @@ TEST(CmpSystem, InterferenceObservedUnderContention) {
   EXPECT_GT(total, 0u);
 }
 
+std::vector<Cycle> interference_of(const CmpSystem& sys) {
+  std::vector<Cycle> out;
+  for (AppId a = 0; a < sys.num_apps(); ++a) {
+    out.push_back(sys.interference().interference_cycles(a));
+  }
+  return out;
+}
+
+TEST(CmpSystem, AttributionOffFreezesInterferenceCounters) {
+  const auto apps = workload::resolve_mix(workload::fig1_mix());
+  CmpSystem sys(small_cfg(), apps, 1);
+  sys.run(150'000);
+  const auto before = sys.profiler_counters();
+  sys.set_interference_attribution(false);
+  sys.run(150'000);
+  const auto after = sys.profiler_counters();
+  Cycle total = 0;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    total += before[i].interference_cycles;
+    EXPECT_EQ(after[i].interference_cycles, before[i].interference_cycles);
+    EXPECT_GT(after[i].accesses, before[i].accesses);
+  }
+  EXPECT_GT(total, 0u);
+}
+
+TEST(CmpSystem, AttributionBackOnResumesExactly) {
+  // A system that pauses attribution for a window attributes the next one
+  // exactly as a system that never paused: attribution only reads state.
+  const auto apps = workload::resolve_mix(workload::fig1_mix());
+  CmpSystem always(small_cfg(), apps, 1);
+  CmpSystem paused(small_cfg(), apps, 1);
+  always.run(100'000);
+  paused.run(100'000);
+  paused.set_interference_attribution(false);
+  always.run(100'000);
+  paused.run(100'000);
+  const auto always_mid = interference_of(always);
+  const auto paused_mid = interference_of(paused);
+  paused.set_interference_attribution(true);
+  always.run(100'000);
+  paused.run(100'000);
+  const auto always_end = interference_of(always);
+  const auto paused_end = interference_of(paused);
+  Cycle resumed = 0;
+  for (AppId a = 0; a < always.num_apps(); ++a) {
+    EXPECT_EQ(paused_end[a] - paused_mid[a], always_end[a] - always_mid[a])
+        << "app " << a;
+    EXPECT_EQ(paused.core(a).stats().instructions,
+              always.core(a).stats().instructions);
+    resumed += paused_end[a] - paused_mid[a];
+  }
+  EXPECT_GT(resumed, 0u);
+}
+
+TEST(CmpSystem, RestoredSystemAttributes) {
+  // The switch is wiring, not state: a snapshot taken with attribution off
+  // restores into a fresh system that attributes.
+  const auto apps = workload::resolve_mix(workload::fig1_mix());
+  CmpSystem original(small_cfg(), apps, 1);
+  original.set_interference_attribution(false);
+  original.run(100'000);
+  snap::Writer w;
+  original.save_state(w);
+  CmpSystem restored(small_cfg(), apps, 1);
+  snap::Reader r(w.bytes());
+  restored.restore_state(r);
+  original.set_interference_attribution(true);
+  original.run(150'000);
+  restored.run(150'000);
+  const auto expected = interference_of(original);
+  EXPECT_EQ(interference_of(restored), expected);
+  Cycle total = 0;
+  for (const Cycle c : expected) total += c;
+  EXPECT_GT(total, 0u);
+}
+
 }  // namespace
 }  // namespace bwpart::harness

@@ -6,7 +6,8 @@
 // including power-down and write-drain configurations that exercise every
 // skip-bounding event source, and one- or two-controller topologies (each
 // controller is built over every global app id, but only its round-robin
-// apps ever enqueue on it).
+// apps ever enqueue on it), with interference attribution on or off in
+// each phase (off, dead ranges are not cut at attribution flip ticks).
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
@@ -34,6 +35,9 @@ struct FfCase {
   core::Scheme scheme = core::Scheme::NoPartitioning;
   mem::WriteDrainConfig write_drain{};
   mem::AdmissionMode admission = mem::AdmissionMode::Shared;
+  /// Interference attribution in the warm-up and the measure run.
+  bool attribute_warmup = true;
+  bool attribute_measure = true;
 };
 
 pbt::GenFn<FfCase> ff_case_gen() {
@@ -57,6 +61,8 @@ pbt::GenFn<FfCase> ff_case_gen() {
                                      : mem::AdmissionMode::Shared;
     c.cfg.num_controllers = static_cast<std::size_t>(
         pbt::gen_uint(rng, 1, std::min<std::size_t>(2, c.mix.size())));
+    c.attribute_warmup = rng.next_bool(0.5);
+    c.attribute_measure = rng.next_bool(0.5);
     return c;
   };
 }
@@ -73,7 +79,8 @@ std::string print_ff_case(const FfCase& c) {
      << " wdrain=" << c.write_drain.enabled
      << " perapp=" << (c.admission == mem::AdmissionMode::PerApp)
      << " window=" << c.cfg.dstf_row_hit_window
-     << " controllers=" << c.cfg.num_controllers;
+     << " controllers=" << c.cfg.num_controllers
+     << " attribute=" << c.attribute_warmup << c.attribute_measure;
   return os.str();
 }
 
@@ -87,8 +94,10 @@ void run_system(const FfCase& c, CmpSystem& sys) {
     mc.replace_scheduler(make_scheduler(c.scheme, c.mix.size(), c.params,
                                         c.cfg.dstf_row_hit_window));
   }
+  sys.set_interference_attribution(c.attribute_warmup);
   sys.run(c.phases.warmup_cycles);
   sys.reset_measurement();
+  sys.set_interference_attribution(c.attribute_measure);
   sys.run(c.phases.measure_cycles);
 }
 
@@ -168,7 +177,9 @@ std::string compare_systems(const CmpSystem& fast, const CmpSystem& ref) {
 
 // Fast vs reference at the CmpSystem level, field-by-field, over random
 // machines including power-down, write-drain, per-app admission and every
-// scheme's scheduler — the configurations the Experiment driver never sets.
+// scheme's scheduler — configurations Experiment itself never sets — with
+// attribution drawn on or off per phase (Experiment switches it at phase
+// boundaries).
 TEST(FastForwardDifferential, SystemStatsBitIdenticalAcrossRandomCases) {
   check::Recorder rec;
   const pbt::Result r = pbt::for_all<FfCase>(
@@ -186,6 +197,14 @@ TEST(FastForwardDifferential, SystemStatsBitIdenticalAcrossRandomCases) {
         if (fast.now() != ref.now()) return "simulated time diverged";
         const std::string diff = compare_systems(fast, ref);
         if (!diff.empty()) return diff;
+        if (!c.attribute_measure) {
+          for (AppId a = 0; a < fast.num_apps(); ++a) {
+            if (fast.interference().interference_cycles(a) != 0 ||
+                ref.interference().interference_cycles(a) != 0) {
+              return "interference attributed with attribution off";
+            }
+          }
+        }
         if (rec.count() != 0) {
           return "invariant violation: " + rec.violations().front().what;
         }

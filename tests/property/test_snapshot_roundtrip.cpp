@@ -3,12 +3,13 @@
 // bit-identically to the uninterrupted original, for random machines,
 // mixes, schedulers, cut points (including mid-measure-phase, with requests
 // in flight) and engines, through memory and through the on-disk "BWPS"
-// container. Corrupt or truncated files must fail with snap::SnapshotError,
-// never undefined behavior.
+// container, with interference attribution on or off. Corrupt or truncated
+// files must fail with snap::SnapshotError, never undefined behavior.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +47,9 @@ struct SnapCase {
   /// a phase boundary, the sweep engine's exact use).
   bool reset_before_snap = false;
   bool disk_roundtrip = false;
+  /// Interference attribution, the same on every system of a case (a
+  /// restore does not carry it, so each restored system is switched too).
+  bool attribute = true;
 };
 
 pbt::GenFn<SnapCase> snap_case_gen() {
@@ -67,6 +71,7 @@ pbt::GenFn<SnapCase> snap_case_gen() {
     c.disk_roundtrip = rng.next_bool(0.35);
     c.cfg.num_controllers = static_cast<std::size_t>(
         pbt::gen_uint(rng, 1, std::min<std::size_t>(2, c.mix.size())));
+    c.attribute = rng.next_bool(0.5);
     return c;
   };
 }
@@ -81,7 +86,8 @@ std::string print_snap_case(const SnapCase& c) {
   for (const workload::BenchmarkSpec& b : c.mix) os << b.name << " ";
   os << "} ch=" << c.cfg.dram.channels << " ranks=" << c.cfg.dram.ranks
      << " ff=" << c.cfg.fast_forward << " caches=" << c.cfg.core.model_caches
-     << " controllers=" << c.cfg.num_controllers;
+     << " controllers=" << c.cfg.num_controllers
+     << " attribute=" << c.attribute;
   return os.str();
 }
 
@@ -178,6 +184,20 @@ std::string compare_systems(const CmpSystem& a, const CmpSystem& b) {
   return {};
 }
 
+/// With attribution off, no system of the case may have attributed a cycle.
+std::string check_unattributed(
+    const SnapCase& c, std::initializer_list<const CmpSystem*> systems) {
+  if (c.attribute) return {};
+  for (const CmpSystem* sys : systems) {
+    for (AppId app = 0; app < sys->num_apps(); ++app) {
+      if (sys->interference().interference_cycles(app) != 0) {
+        return "interference attributed with attribution off";
+      }
+    }
+  }
+  return {};
+}
+
 // save -> restore into a fresh system -> continue, against the same system
 // running uninterrupted: every stat field and every measured double must be
 // bit-identical after the suffix. Covers mid-measure-phase cut points (the
@@ -188,6 +208,7 @@ TEST(SnapshotRoundtrip, RestoredSystemContinuesBitIdentically) {
       "snapshot-roundtrip", snap_case_gen(),
       [](const SnapCase& c) -> std::string {
         CmpSystem original(c.cfg, c.mix, c.phases.seed);
+        original.set_interference_attribution(c.attribute);
         if (c.install_scheduler) install(c, original);
         original.run(c.prefix);
         if (c.reset_before_snap) original.reset_measurement();
@@ -220,11 +241,14 @@ TEST(SnapshotRoundtrip, RestoredSystemContinuesBitIdentically) {
         snap::Reader r2(state);
         restored.restore_state(r2);
         if (!r2.at_end()) return "restore left trailing state bytes";
+        restored.set_interference_attribution(c.attribute);
         // The restored system's scheduler was rebuilt from the stream; the
         // suffix must evolve both systems identically.
         original.run(c.suffix);
         restored.run(c.suffix);
-        return compare_systems(original, restored);
+        const std::string diff = compare_systems(original, restored);
+        if (!diff.empty()) return diff;
+        return check_unattributed(c, {&original, &restored});
       },
       {}, nullptr, print_snap_case);
   EXPECT_TRUE(r.ok) << r.report();
@@ -245,6 +269,8 @@ TEST(SnapshotRoundtrip, CrossEngineRestoreIsBitIdentical) {
         ref_cfg.fast_forward = false;
         CmpSystem fast(fast_cfg, c.mix, c.phases.seed);
         CmpSystem ref(ref_cfg, c.mix, c.phases.seed);
+        fast.set_interference_attribution(c.attribute);
+        ref.set_interference_attribution(c.attribute);
         if (c.install_scheduler) {
           install(c, fast);
           install(c, ref);
@@ -262,13 +288,18 @@ TEST(SnapshotRoundtrip, CrossEngineRestoreIsBitIdentical) {
         snap::Reader rr(wf.bytes());
         fast_from_ref.restore_state(rf);
         ref_from_fast.restore_state(rr);
+        fast_from_ref.set_interference_attribution(c.attribute);
+        ref_from_fast.set_interference_attribution(c.attribute);
 
         fast.run(c.suffix);
         fast_from_ref.run(c.suffix);
         ref_from_fast.run(c.suffix);
         const std::string d1 = compare_systems(fast, fast_from_ref);
         if (!d1.empty()) return "fast-from-ref: " + d1;
-        return compare_systems(fast, ref_from_fast);
+        const std::string d2 = compare_systems(fast, ref_from_fast);
+        if (!d2.empty()) return d2;
+        return check_unattributed(c,
+                                  {&fast, &ref, &fast_from_ref, &ref_from_fast});
       },
       {}, nullptr, print_snap_case);
   EXPECT_TRUE(r.ok) << r.report();
