@@ -125,11 +125,16 @@ void BM_DramNextEventTick(benchmark::State& state) {
 BENCHMARK(BM_DramNextEventTick);
 
 void BM_ControllerSchedulerScan(benchmark::State& state) {
-  // Isolates the pending-queue scan: every queued read maps to the same
-  // bank with a distinct row (large stride keeps the bank/rank bits
-  // fixed), so behind the head each entry needs the open row closed first
-  // and nearly every tick walks the full queue through the veto chain.
+  // Isolates the pending-queue scan: every queued read gets a distinct row
+  // (large stride) on one of the first `banks` of DDR2-400's 32 banks
+  // (rank and bank are the low line-address bits). With one bank, behind
+  // the head each entry needs the open row closed first, so nearly every
+  // tick walks the full queue through the veto chain, but all of it is one
+  // (bank, command) pair. Spread over all 32 banks, the queue holds many
+  // pairs, as portfolio64's do (~18 in ~22 requests), which resolves the
+  // per-request cost of the scan.
   const auto depth = static_cast<std::size_t>(state.range(0));
+  const auto banks = static_cast<std::uint64_t>(state.range(1));
   dram::DramConfig cfg = dram::DramConfig::ddr2_400();
   cfg.enable_refresh = false;
   mem::MemoryController mc(cfg, Frequency::from_ghz(5.0), 1,
@@ -137,18 +142,21 @@ void BM_ControllerSchedulerScan(benchmark::State& state) {
                            dram::MapScheme::ChanRowColBankRank, depth,
                            mem::AdmissionMode::PerApp);
   mc.set_completion_callback([](const mem::MemRequest&, Cycle) {});
-  std::uint64_t row = 0;
+  std::uint64_t n = 0;
   Cycle t = 0;
   for (auto _ : state) {
     while (mc.can_accept(0)) {
-      mc.enqueue(0, (row++) << 24, AccessType::Read, t);
+      mc.enqueue(0, (n << 24) | ((n % banks) << 6), AccessType::Read, t);
+      ++n;
     }
     mc.tick(t);
     ++t;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ControllerSchedulerScan)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_ControllerSchedulerScan)
+    ->ArgsProduct({{8, 32, 128}, {1, 32}})
+    ->ArgNames({"depth", "banks"});
 
 /// Sums the attributed cycles. Attached to a controller, it makes every bus
 /// tick run the interference-attribution pass, as in a CmpSystem profile

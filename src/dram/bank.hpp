@@ -14,59 +14,69 @@
 
 #include "common/assert.hpp"
 #include "common/snapshot_io.hpp"
+#include "dram/command.hpp"
 #include "dram/config.hpp"
 #include "dram/timing_table.hpp"
 
 namespace bwpart::dram {
 
+/// open_row() of a closed bank. No address decodes to it.
+inline constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
+
 class BankArray {
  public:
   BankArray() = default;
   explicit BankArray(std::size_t n)
-      : open_(n, 0), row_(n, 0), next_act_(n, 0), next_rd_(n, 0),
-        next_wr_(n, 0), next_pre_(n, 0) {}
+      : open_row_(n, kNoRow), row_(n, 0), ready_(n * kCmdClasses, 0) {}
 
-  std::size_t size() const { return open_.size(); }
+  std::size_t size() const { return open_row_.size(); }
 
-  bool row_open(std::size_t i) const { return open_[i] != 0; }
-  std::uint64_t open_row(std::size_t i) const {
-    BWPART_ASSERT(open_[i] != 0, "no open row");
-    return row_[i];
-  }
-  /// The open-row value without the open-bank precondition (the protocol
-  /// checker's precharge fold reads it right before closing).
+  bool row_open(std::size_t i) const { return open_row_[i] != kNoRow; }
+  /// The open row, or kNoRow while the bank is closed.
+  std::uint64_t open_row(std::size_t i) const { return open_row_[i]; }
+  /// The last activated row, open or not (the protocol checker's precharge
+  /// fold reads it right before closing; snapshots carry it).
   std::uint64_t row_value(std::size_t i) const { return row_[i]; }
 
   bool can_activate(std::size_t i, Tick now) const {
-    return open_[i] == 0 && now >= next_act_[i];
+    return !row_open(i) && now >= next_activate_tick(i);
   }
   bool can_read(std::size_t i, Tick now) const {
-    return open_[i] != 0 && now >= next_rd_[i];
+    return row_open(i) && now >= next_read_tick(i);
   }
   bool can_write(std::size_t i, Tick now) const {
-    return open_[i] != 0 && now >= next_wr_[i];
+    return row_open(i) && now >= next_write_tick(i);
   }
   bool can_precharge(std::size_t i, Tick now) const {
-    return open_[i] != 0 && now >= next_pre_[i];
+    return row_open(i) && now >= next_precharge_tick(i);
   }
 
   /// Earliest tick an activate could be accepted (row must also be closed).
-  Tick next_activate_tick(std::size_t i) const { return next_act_[i]; }
+  Tick next_activate_tick(std::size_t i) const { return ticks(i)[kAct]; }
   /// Earliest tick a read could be accepted (a row must also be open).
-  Tick next_read_tick(std::size_t i) const { return next_rd_[i]; }
+  Tick next_read_tick(std::size_t i) const { return ticks(i)[kRd]; }
   /// Earliest tick a write could be accepted (a row must also be open).
-  Tick next_write_tick(std::size_t i) const { return next_wr_[i]; }
+  Tick next_write_tick(std::size_t i) const { return ticks(i)[kWr]; }
   /// Earliest tick a precharge could be accepted (a row must also be open).
-  Tick next_precharge_tick(std::size_t i) const { return next_pre_[i]; }
+  Tick next_precharge_tick(std::size_t i) const { return ticks(i)[kPre]; }
+
+  /// The raw arrays behind the queries above, for loops that hoist them:
+  /// the open row (or kNoRow) per bank, and the ready ticks per (bank,
+  /// class): the earliest tick the bank accepts a command of that class,
+  /// whether or not it is in the row state the command needs.
+  const std::uint64_t* open_row_data() const { return open_row_.data(); }
+  const Tick* ready_data() const { return ready_.data(); }
 
   void activate(std::size_t i, Tick now, std::uint64_t row,
                 const CmdTimings& t) {
     BWPART_ASSERT(can_activate(i, now), "activate violates bank timing");
-    open_[i] = 1;
+    BWPART_ASSERT(row != kNoRow, "row out of range");
+    open_row_[i] = row;
     row_[i] = row;
-    next_rd_[i] = now + t.act_to_col;
-    next_wr_[i] = now + t.act_to_col;
-    next_pre_[i] = now + t.act_to_pre;
+    Tick* r = ticks(i);
+    r[kRd] = now + t.act_to_col;
+    r[kWr] = now + t.act_to_col;
+    r[kPre] = now + t.act_to_pre;
   }
 
   /// Column read; with `auto_precharge` the bank closes itself as soon as
@@ -74,20 +84,22 @@ class BankArray {
   void read(std::size_t i, Tick now, bool auto_precharge,
             const CmdTimings& t) {
     BWPART_ASSERT(can_read(i, now), "read violates bank timing");
-    next_pre_[i] = std::max(next_pre_[i], now + t.rd_to_pre);
-    next_rd_[i] = now + t.col_to_col;
-    next_wr_[i] = std::max(next_wr_[i], now + t.col_to_col);
-    if (auto_precharge) close_at(i, next_pre_[i], t);
+    Tick* r = ticks(i);
+    r[kPre] = std::max(r[kPre], now + t.rd_to_pre);
+    r[kRd] = now + t.col_to_col;
+    r[kWr] = std::max(r[kWr], now + t.col_to_col);
+    if (auto_precharge) close_at(i, r[kPre], t);
   }
 
   void write(std::size_t i, Tick now, bool auto_precharge,
              const CmdTimings& t) {
     BWPART_ASSERT(can_write(i, now), "write violates bank timing");
     // Precharge must wait for the write data plus recovery time.
-    next_pre_[i] = std::max(next_pre_[i], now + t.wr_to_pre);
-    next_rd_[i] = std::max(next_rd_[i], now + t.col_to_col);
-    next_wr_[i] = now + t.col_to_col;
-    if (auto_precharge) close_at(i, next_pre_[i], t);
+    Tick* r = ticks(i);
+    r[kPre] = std::max(r[kPre], now + t.wr_to_pre);
+    r[kRd] = std::max(r[kRd], now + t.col_to_col);
+    r[kWr] = now + t.col_to_col;
+    if (auto_precharge) close_at(i, r[kPre], t);
   }
 
   void precharge(std::size_t i, Tick now, const CmdTimings& t) {
@@ -97,42 +109,48 @@ class BankArray {
 
   /// Refresh completion: bank is closed and unusable until now + tRFC.
   void refresh(std::size_t i, Tick now, const CmdTimings& t) {
-    BWPART_ASSERT(open_[i] == 0, "refresh with open row");
-    next_act_[i] = std::max(next_act_[i], now + t.rfc);
+    BWPART_ASSERT(!row_open(i), "refresh with open row");
+    Tick* r = ticks(i);
+    r[kAct] = std::max(r[kAct], now + t.rfc);
   }
 
   /// Serializes one bank's fields (same order the scalar layout used, so
   /// the stream stays a per-bank record sequence).
   void save_one(std::size_t i, snap::Writer& w) const {
-    w.b(open_[i] != 0);
+    w.b(row_open(i));
     w.u64(row_[i]);
-    w.u64(next_act_[i]);
-    w.u64(next_rd_[i]);
-    w.u64(next_wr_[i]);
-    w.u64(next_pre_[i]);
+    for (const std::size_t c : {kAct, kRd, kWr, kPre}) w.u64(ticks(i)[c]);
   }
   void restore_one(std::size_t i, snap::Reader& r) {
-    open_[i] = r.b() ? 1 : 0;
+    const bool open = r.b();
     row_[i] = r.u64();
-    next_act_[i] = r.u64();
-    next_rd_[i] = r.u64();
-    next_wr_[i] = r.u64();
-    next_pre_[i] = r.u64();
+    snap::require(row_[i] != kNoRow, "bank row out of range");
+    open_row_[i] = open ? row_[i] : kNoRow;
+    for (const std::size_t c : {kAct, kRd, kWr, kPre}) ticks(i)[c] = r.u64();
   }
 
  private:
+  // Offsets of the classes in a bank's ready ticks.
+  static constexpr auto kAct = static_cast<std::size_t>(CmdClass::Activate);
+  static constexpr auto kPre = static_cast<std::size_t>(CmdClass::Precharge);
+  static constexpr auto kRd = static_cast<std::size_t>(CmdClass::Read);
+  static constexpr auto kWr = static_cast<std::size_t>(CmdClass::Write);
+
+  Tick* ticks(std::size_t i) { return &ready_[i * kCmdClasses]; }
+  const Tick* ticks(std::size_t i) const { return &ready_[i * kCmdClasses]; }
+
   void close_at(std::size_t i, Tick pre_start, const CmdTimings& t) {
-    open_[i] = 0;
-    next_act_[i] = std::max(next_act_[i], pre_start + t.pre_to_act);
+    open_row_[i] = kNoRow;
+    Tick* r = ticks(i);
+    r[kAct] = std::max(r[kAct], pre_start + t.pre_to_act);
   }
 
-  // Parallel per-bank vectors, index = flattened bank.
-  std::vector<std::uint8_t> open_;
+  // Parallel per-bank vectors, index = flattened bank, except the ready
+  // ticks, which are interleaved per bank: index = bank * kCmdClasses +
+  // class. row_ keeps the last activated row after the bank closes.
+  std::vector<std::uint64_t> open_row_;
   std::vector<std::uint64_t> row_;
-  std::vector<Tick> next_act_;
-  std::vector<Tick> next_rd_;
-  std::vector<Tick> next_wr_;
-  std::vector<Tick> next_pre_;
+  std::vector<Tick> ready_;
 };
 
 }  // namespace bwpart::dram

@@ -1,6 +1,7 @@
 #include "dram/dram_system.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -17,7 +18,17 @@ DramSystem::DramSystem(const DramConfig& cfg, MapScheme scheme)
              cfg.banks_per_rank),
       ranks_(static_cast<std::size_t>(cfg.channels) * cfg.ranks),
       chans_(cfg.channels),
-      close_page_(cfg.page_policy == PagePolicy::Close) {
+      rank_ready_(ranks_.size() * kCmdClasses, 0),
+      bus_ready_(ranks_.size() * kCmdClasses, 0),
+      // In CmdClass order.
+      class_cmd_{CommandType::Activate, CommandType::Precharge,
+                 cfg.page_policy == PagePolicy::Close ? CommandType::ReadAp
+                                                      : CommandType::Read,
+                 cfg.page_policy == PagePolicy::Close ? CommandType::WriteAp
+                                                      : CommandType::Write},
+      // A power of two: map_ asserted it.
+      rank_shift_(static_cast<unsigned>(std::countr_zero(cfg.banks_per_rank))) {
+  rebuild_ready_ticks();
   // Stagger refresh across ranks so they do not all drain simultaneously.
   for (std::size_t i = 0; i < ranks_.size(); ++i) {
     ranks_[i].next_refresh_due =
@@ -45,6 +56,52 @@ void DramSystem::rebuild_refresh_cache() {
   }
 }
 
+void DramSystem::refresh_rank_ready(std::size_t rank_idx) {
+  const RankState& r = ranks_[rank_idx];
+  Tick* ready = &rank_ready_[rank_idx * kCmdClasses];
+  const auto set = [ready](CmdClass c, Tick t) {
+    ready[static_cast<std::size_t>(c)] = t;
+  };
+  if (r.pd) {  // powered down: the wake-up is an event, not a timing expiry
+    for (std::size_t c = 0; c < kCmdClasses; ++c) ready[c] = kNoTick;
+    return;
+  }
+  Tick act = r.any_act ? r.last_act + tt_.act_to_act : 0;  // tRRD
+  if (r.act_count >= 4) {                                  // tFAW
+    act = std::max(act, r.act_window[r.act_count % 4] + tt_.faw);
+  }
+  set(CmdClass::Activate, r.refresh_pending ? kNoTick : act);
+  set(CmdClass::Precharge, 0);
+  const Tick col = r.any_col ? r.last_col + tt_.col_to_col : 0;  // tCCD
+  set(CmdClass::Read,
+      r.any_write ? std::max(col, r.write_data_end + tt_.wrdata_to_rd)
+                  : col);  // tWTR
+  set(CmdClass::Write, col);
+}
+
+void DramSystem::refresh_bus_ready(std::uint32_t channel) {
+  const ChannelState& ch = chans_[channel];
+  for (std::uint32_t rk = 0; rk < cfg_.ranks; ++rk) {
+    // Switching the data bus between ranks needs an extra tRTRS gap; the
+    // burst of a command issued at t starts at t + its data latency.
+    const Tick need =
+        ch.bus_free_at +
+        (ch.bus_has_last && ch.bus_last_rank != rk ? tt_.rtrs : 0);
+    Tick* ready =
+        &bus_ready_[(static_cast<std::size_t>(channel) * cfg_.ranks + rk) *
+                    kCmdClasses];
+    ready[static_cast<std::size_t>(CmdClass::Read)] =
+        need > tt_.rd_lat ? need - tt_.rd_lat : 0;
+    ready[static_cast<std::size_t>(CmdClass::Write)] =
+        need > tt_.wr_lat ? need - tt_.wr_lat : 0;
+  }
+}
+
+void DramSystem::rebuild_ready_ticks() {
+  for (std::size_t i = 0; i < ranks_.size(); ++i) refresh_rank_ready(i);
+  for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) refresh_bus_ready(ch);
+}
+
 void DramSystem::tick_slow(Tick now) {
   for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) {
     for (std::uint32_t rk = 0; rk < cfg_.ranks; ++rk) {
@@ -53,6 +110,7 @@ void DramSystem::tick_slow(Tick now) {
         if (!r.refresh_pending && now >= r.next_refresh_due) {
           r.refresh_pending = true;  // blocks new activates to this rank
           ++refresh_pending_count_;
+          refresh_rank_ready(static_cast<std::size_t>(ch) * cfg_.ranks + rk);
         }
         if (r.refresh_pending) try_refresh(ch, rk, now);
       }
@@ -140,12 +198,6 @@ Tick DramSystem::next_event_tick(
   return best;
 }
 
-Tick DramSystem::earliest_issue_tick(const Command& cmd, Tick from) const {
-  return earliest_issue_tick_at(cmd.type, bank_index(cmd.loc),
-                                rank_index(cmd.loc), cmd.loc.channel,
-                                cmd.loc.row, from);
-}
-
 void DramSystem::skip_ticks(Tick from, Tick to,
                             std::span<const std::uint32_t> rank_pending) {
   BWPART_ASSERT(to > from, "empty skip range");
@@ -172,27 +224,29 @@ void DramSystem::skip_ticks(Tick from, Tick to,
 
 void DramSystem::update_powerdown(RankState& r, std::uint32_t channel,
                                   std::uint32_t rank, Tick now) {
+  const std::size_t rank_idx =
+      static_cast<std::size_t>(channel) * cfg_.ranks + rank;
   if (r.pd) {
     ++stats_.powerdown_rank_ticks;
     if (r.waking && now >= r.wake_ready) {
       r.pd = false;
       r.waking = false;
       r.last_activity = now;
+      refresh_rank_ready(rank_idx);
     }
     return;
   }
   if (r.refresh_pending) return;
   if (now < r.last_activity + pd_threshold_) return;
   // Enter precharge power-down only with every bank closed and recovered.
-  const std::size_t bank0 =
-      (static_cast<std::size_t>(channel) * cfg_.ranks + rank) *
-      cfg_.banks_per_rank;
+  const std::size_t bank0 = rank_idx * cfg_.banks_per_rank;
   for (std::uint32_t b = 0; b < cfg_.banks_per_rank; ++b) {
     const std::size_t bi = bank0 + b;
     if (banks_.row_open(bi) || now < banks_.next_activate_tick(bi)) return;
   }
   r.pd = true;
   r.waking = false;
+  refresh_rank_ready(rank_idx);
 }
 
 void DramSystem::notify_rank_pending(std::uint32_t channel,
@@ -249,6 +303,7 @@ void DramSystem::try_refresh(std::uint32_t channel, std::uint32_t rank,
   ++stats_.refreshes;
   r.refresh_pending = false;
   r.next_refresh_due += t_.refi;
+  refresh_rank_ready(static_cast<std::size_t>(channel) * cfg_.ranks + rank);
   BWPART_ASSERT(refresh_pending_count_ > 0, "refresh cache underflow");
   --refresh_pending_count_;
   // The deadline minimum only matters while nothing is pending; keep it
@@ -322,6 +377,10 @@ IssueResult DramSystem::issue(const Command& cmd, Tick now) {
     }
     case CommandType::Refresh:
       BWPART_ASSERT(false, "refresh is internal to DramSystem");
+  }
+  if (cmd.type != CommandType::Precharge) {
+    refresh_rank_ready(rank_index(loc));
+    if (is_column_command(cmd.type)) refresh_bus_ready(loc.channel);
   }
   return result;
 }
@@ -408,6 +467,7 @@ void DramSystem::restore_state(snap::Reader& r) {
     ch.bus_last_rank = r.u32();
     ch.bus_has_last = r.b();
   }
+  rebuild_ready_ticks();  // derived, never serialized
   stats_.activates = r.u64();
   stats_.reads = r.u64();
   stats_.writes = r.u64();

@@ -4,14 +4,19 @@
 // class decides *whether* a specific DRAM command is legal right now and
 // evolves device state when it issues.
 //
-// Hot-path layout: bank state lives in a structure-of-arrays (BankArray)
-// and every legality/earliest-tick query exists in an index-based inline
-// form (`*_at`), so the controller's per-tick scheduler scan and event
-// probes run over contiguous memory with no per-call address decoding. The
-// Location-based entry points forward to the same inline helpers — one
-// source of truth for the timing rules.
+// Hot-path layout: every timing rule is derived once, where the state it
+// reads changes, into a *ready tick* per command class (CmdClass) at the
+// level the rule lives on: the bank (its next-legal ticks, in BankArray),
+// the rank (tRRD, tFAW, tCCD, tWTR, refresh drain, power-down) and the data
+// bus per (channel, rank) (burst occupancy plus the tRTRS switch gap). A
+// command is legal at the first tick no earlier than all three, once its
+// bank is in the row state it needs. can_issue and earliest_issue_tick are
+// thin reads of the tables, and the controller's per-tick scheduler scan
+// and event probe read them directly through ReadyTicks.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -72,6 +77,48 @@ struct IssueResult {
   Tick data_finish = 0;
 };
 
+/// Read-only view of the engine's ready-tick tables, for loops that query
+/// many requests per tick (the controller's scheduler scan and event
+/// probe). Take it once per loop; the pointers stay valid for the engine's
+/// lifetime, since the tables never resize after construction.
+struct ReadyTicks {
+  const std::uint64_t* open_row;  ///< per flat bank: open row or kNoRow
+  const Tick* bank;               ///< [flat bank * kCmdClasses + class]
+  const Tick* rank;               ///< [flat rank * kCmdClasses + class]
+  const Tick* bus;                ///< [flat rank * kCmdClasses + class]
+  /// Flat bank >> rank_shift is its flat rank (banks per rank is a power
+  /// of two).
+  unsigned rank_shift;
+
+  /// Class of the next command a request for row `r` at flat bank `b`
+  /// needs, without branching: closed bank -> Activate, other row open ->
+  /// Precharge, row hit -> Read or Write.
+  CmdClass class_at(std::size_t b, std::uint64_t r, bool is_write) const {
+    const std::uint64_t open = open_row[b];
+    const unsigned is_open = open != kNoRow ? 1u : 0u;
+    const unsigned hit = is_open & (open == r ? 1u : 0u);
+    return static_cast<CmdClass>(is_open + hit + (hit & (is_write ? 1u : 0u)));
+  }
+  /// First tick both bank `b` and its rank allow class `c`: kNoTick while
+  /// the rank is powered down, or draining for refresh when `c` is
+  /// Activate.
+  Tick bank_rank(std::size_t b, CmdClass c) const {
+    const auto ci = static_cast<std::size_t>(c);
+    return std::max(bank[b * kCmdClasses + ci],
+                    rank[(b >> rank_shift) * kCmdClasses + ci]);
+  }
+  /// First tick the data bus takes a class-`c` burst from bank `b`'s rank
+  /// (0 for Activate and Precharge, which move no data).
+  Tick bus_at(std::size_t b, CmdClass c) const {
+    return bus[(b >> rank_shift) * kCmdClasses + static_cast<std::size_t>(c)];
+  }
+  /// First tick a class-`c` command to bank `b` is legal, provided the bank
+  /// is in the row state the class needs.
+  Tick issue_tick(std::size_t b, CmdClass c) const {
+    return std::max(bank_rank(b, c), bus_at(b, c));
+  }
+};
+
 class DramSystem {
  public:
   explicit DramSystem(const DramConfig& cfg,
@@ -125,15 +172,9 @@ class DramSystem {
   /// issues, no refresh/power-down event fires). Exact for pure timing
   /// constraints; returns kNoTick when the command is blocked on a state
   /// change instead (powered-down rank, refresh-pending Activate, wrong /
-  /// missing open row), whose timing next_event_tick() covers.
+  /// missing open row), whose timing next_event_tick() covers. A read of
+  /// the bank's row state, then of each ready-tick table.
   Tick earliest_issue_tick(const Command& cmd, Tick from) const;
-
-  /// Index-based form of earliest_issue_tick for the controller's pending
-  /// scan: the caller has the flat bank/rank indices and row cached in its
-  /// own structure-of-arrays, so no Location decoding happens per query.
-  Tick earliest_issue_tick_at(CommandType type, std::size_t bank_idx,
-                              std::size_t rank_idx, std::uint32_t channel,
-                              std::uint64_t row, Tick from) const;
 
   /// Batch-advances time over [from, to), a range tick() proved dead via
   /// next_event_tick(): accounts the skipped ticks in the stats (including
@@ -147,11 +188,7 @@ class DramSystem {
   /// True if the bank addressed by `loc` currently has `loc.row` open.
   bool is_row_hit(const Location& loc) const {
     const std::size_t b = bank_index(loc);
-    return banks_.row_open(b) && banks_.row_value(b) == loc.row;
-  }
-  /// Index-based row-hit query (bank state only; row equality on `row`).
-  bool is_row_hit_at(std::size_t bank_idx, std::uint64_t row) const {
-    return banks_.row_open(bank_idx) && banks_.row_value(bank_idx) == row;
+    return banks_.row_open(b) && banks_.open_row(b) == loc.row;
   }
   /// True if the addressed bank has any row open.
   bool is_row_open(const Location& loc) const {
@@ -162,36 +199,27 @@ class DramSystem {
   /// row hit -> column command; open conflicting row -> Precharge;
   /// closed bank -> Activate.
   CommandType required_command(const Location& loc, AccessType type) const {
-    return required_command_at(bank_index(loc), loc.row, type);
+    return command_of(ready_ticks().class_at(bank_index(loc), loc.row,
+                                             type == AccessType::Write));
   }
-  /// Index-based form for the controller's pending scan.
-  CommandType required_command_at(std::size_t bank_idx, std::uint64_t row,
-                                  AccessType type) const;
+  /// The command a request of class `c` issues: column classes carry
+  /// auto-precharge under the close-page policy.
+  CommandType command_of(CmdClass c) const {
+    return class_cmd_[static_cast<std::size_t>(c)];
+  }
 
   /// Checks every timing constraint (bank, rank, bus, pending refresh) for
-  /// issuing `cmd` at tick `now`.
+  /// issuing `cmd` at tick `now`: legal exactly when its earliest issue
+  /// tick is `now`.
   bool can_issue(const Command& cmd, Tick now) const {
-    return can_issue_at(cmd.type, bank_index(cmd.loc), rank_index(cmd.loc),
-                        cmd.loc.channel, cmd.loc.row, now,
-                        /*check_bus=*/true);
+    return earliest_issue_tick(cmd, now) == now;
   }
 
-  /// Same as can_issue but ignoring data-bus occupancy — used by the
-  /// controller to detect a column command whose *only* blocker is the bus,
-  /// so it can reserve the bus for it instead of letting lower-priority
-  /// commands perpetually push the bus-free time out (rank-switch
-  /// starvation).
-  bool can_issue_ignoring_bus(const Command& cmd, Tick now) const {
-    return can_issue_at(cmd.type, bank_index(cmd.loc), rank_index(cmd.loc),
-                        cmd.loc.channel, cmd.loc.row, now,
-                        /*check_bus=*/false);
+  /// The ready-tick tables behind every legality query (see ReadyTicks).
+  ReadyTicks ready_ticks() const {
+    return {banks_.open_row_data(), banks_.ready_data(), rank_ready_.data(),
+            bus_ready_.data(), rank_shift_};
   }
-
-  /// Index-based legality check; the single source of truth for every
-  /// timing rule (the Location-based entry points forward here).
-  bool can_issue_at(CommandType type, std::size_t bank_idx,
-                    std::size_t rank_idx, std::uint32_t channel,
-                    std::uint64_t row, Tick now, bool check_bus) const;
 
   /// Issues `cmd`; all constraints must hold (checked).
   IssueResult issue(const Command& cmd, Tick now);
@@ -215,12 +243,13 @@ class DramSystem {
 
   /// Snapshot hooks: every bank/rank/channel state machine, the stats block
   /// and the tick cursor. Derived hot-path caches (the refresh-deadline
-  /// minimum and pending-refresh count) are rebuilt from the restored rank
-  /// state, not serialized. The shadow protocol checker travels as an
-  /// optional length-prefixed section: a checker-less build skips a
-  /// checker-carrying snapshot's section, while restoring a checker-less
-  /// snapshot into a checking build fails loudly (the shadow would be out
-  /// of sync and report false violations).
+  /// minimum, the pending-refresh count and the rank and bus ready ticks)
+  /// are rebuilt from the restored rank and channel state, not serialized.
+  /// The shadow protocol checker travels as an optional length-prefixed
+  /// section: a checker-less build skips a checker-carrying snapshot's
+  /// section, while restoring a checker-less snapshot into a checking build
+  /// fails loudly (the shadow would be out of sync and report false
+  /// violations).
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
@@ -252,13 +281,15 @@ class DramSystem {
   RankState& rank_at(std::uint32_t channel, std::uint32_t rank);
   const RankState& rank_at(std::uint32_t channel, std::uint32_t rank) const;
 
-  bool rank_allows_activate(const RankState& r, Tick now) const;
-  bool bus_allows(const ChannelState& ch, Tick data_start,
-                  std::uint32_t rank) const;
-  /// Earliest tick a column command with data latency `lat` clears the
-  /// data-bus constraint (tRTRS gap included).
-  Tick bus_ready_tick(const ChannelState& ch, Tick lat,
-                      std::uint32_t rank) const;
+  /// Re-derives rank `rank_idx`'s ready ticks from its RankState. Called
+  /// wherever that state changes: issue, refresh drain start and finish,
+  /// power-down entry and exit, restore.
+  void refresh_rank_ready(std::size_t rank_idx);
+  /// Re-derives the bus ready ticks of every rank on `channel` from its
+  /// ChannelState (after each column command, and on restore).
+  void refresh_bus_ready(std::uint32_t channel);
+  /// Both of the above for every rank and channel (construction, restore).
+  void rebuild_ready_ticks();
   void update_powerdown(RankState& r, std::uint32_t channel,
                         std::uint32_t rank, Tick now);
   /// Attempts to start the pending refresh of one rank.
@@ -276,9 +307,20 @@ class DramSystem {
   BankArray banks_;                  // SoA, [channel][rank][bank] flattened
   std::vector<RankState> ranks_;     // [channel][rank] flattened
   std::vector<ChannelState> chans_;  // [channel]
+  /// Rank ready ticks, [flat rank * kCmdClasses + class]: tRRD and tFAW
+  /// for Activate, tCCD (plus tWTR for Read) for the column classes; every
+  /// class is kNoTick while the rank is powered down, and Activate while it
+  /// drains for refresh.
+  std::vector<Tick> rank_ready_;
+  /// Data-bus ready ticks, [flat rank * kCmdClasses + class]: the first
+  /// command tick whose burst from that rank clears the channel's last
+  /// burst plus the tRTRS gap on a rank switch. Zero for ACT and PRE.
+  std::vector<Tick> bus_ready_;
   std::unique_ptr<ProtocolChecker> checker_;  // shadow model (BWPART_CHECK)
   DramStats stats_;
-  bool close_page_ = true;
+  /// command_of() table: the command each class issues under the policy.
+  std::array<CommandType, kCmdClasses> class_cmd_;
+  unsigned rank_shift_ = 0;  ///< log2(banks_per_rank), see ReadyTicks
   Tick pd_threshold_ = 0;
   Tick last_tick_ = 0;
   bool ticked_ = false;
@@ -291,9 +333,9 @@ class DramSystem {
 };
 
 // ---------------------------------------------------------------------------
-// Inline hot-path queries. These run once per pending request per bus tick
-// inside the controller's scan/probe loops; everything they touch is a
-// contiguous-array load plus a compare against a cached next-legal tick.
+// Inline queries. The controller's per-tick loops read the ready tables
+// through ReadyTicks; these serve the Command-based entry points and the
+// per-tick housekeeping.
 
 inline DramSystem::RankState& DramSystem::rank_at(std::uint32_t channel,
                                                   std::uint32_t rank) {
@@ -308,142 +350,21 @@ inline const DramSystem::RankState& DramSystem::rank_at(
   return const_cast<DramSystem*>(this)->rank_at(channel, rank);
 }
 
-inline CommandType DramSystem::required_command_at(std::size_t bank_idx,
-                                                   std::uint64_t row,
-                                                   AccessType type) const {
-  if (banks_.row_open(bank_idx)) {
-    if (banks_.row_value(bank_idx) != row) return CommandType::Precharge;
-    if (type == AccessType::Read) {
-      return close_page_ ? CommandType::ReadAp : CommandType::Read;
-    }
-    return close_page_ ? CommandType::WriteAp : CommandType::Write;
-  }
-  return CommandType::Activate;
-}
-
-inline bool DramSystem::rank_allows_activate(const RankState& r,
-                                             Tick now) const {
-  if (r.refresh_pending) return false;
-  if (r.any_act && now < r.last_act + tt_.act_to_act) return false;
-  if (r.act_count >= 4) {
-    const Tick fourth_back = r.act_window[r.act_count % 4];
-    if (now < fourth_back + tt_.faw) return false;
-  }
-  return true;
-}
-
-inline bool DramSystem::bus_allows(const ChannelState& ch, Tick data_start,
-                                   std::uint32_t rank) const {
-  // Switching the data bus between ranks needs an extra tRTRS gap.
-  const Tick gap =
-      ch.bus_has_last && ch.bus_last_rank != rank ? tt_.rtrs : 0;
-  return data_start >= ch.bus_free_at + gap;
-}
-
-inline Tick DramSystem::bus_ready_tick(const ChannelState& ch, Tick lat,
-                                       std::uint32_t rank) const {
-  const Tick gap = ch.bus_has_last && ch.bus_last_rank != rank ? tt_.rtrs : 0;
-  const Tick need = ch.bus_free_at + gap;
-  return need > lat ? need - lat : 0;
-}
-
-inline bool DramSystem::can_issue_at(CommandType type, std::size_t bank_idx,
-                                     std::size_t rank_idx,
-                                     std::uint32_t channel, std::uint64_t row,
-                                     Tick now, bool check_bus) const {
-  const RankState& rank = ranks_[rank_idx];
-  if (rank.pd) return false;  // powered down; wake via notify_rank_pending
-  switch (type) {
-    case CommandType::Activate:
-      return banks_.can_activate(bank_idx, now) &&
-             rank_allows_activate(rank, now);
-    case CommandType::Read:
-    case CommandType::ReadAp: {
-      if (!banks_.can_read(bank_idx, now) ||
-          banks_.row_value(bank_idx) != row) {
-        return false;
-      }
-      if (rank.any_col && now < rank.last_col + tt_.col_to_col) return false;
-      if (rank.any_write && now < rank.write_data_end + tt_.wrdata_to_rd) {
-        return false;  // tWTR
-      }
-      return !check_bus ||
-             bus_allows(chans_[channel], now + tt_.rd_lat,
-                        static_cast<std::uint32_t>(rank_idx % cfg_.ranks));
-    }
-    case CommandType::Write:
-    case CommandType::WriteAp: {
-      if (!banks_.can_write(bank_idx, now) ||
-          banks_.row_value(bank_idx) != row) {
-        return false;
-      }
-      if (rank.any_col && now < rank.last_col + tt_.col_to_col) return false;
-      return !check_bus ||
-             bus_allows(chans_[channel], now + tt_.wr_lat,
-                        static_cast<std::uint32_t>(rank_idx % cfg_.ranks));
-    }
-    case CommandType::Precharge:
-      return banks_.can_precharge(bank_idx, now);
-    case CommandType::Refresh:
-      // Refresh is driven internally by tick(); never issued externally.
-      return false;
-  }
-  return false;
-}
-
-inline Tick DramSystem::earliest_issue_tick_at(CommandType type,
-                                               std::size_t bank_idx,
-                                               std::size_t rank_idx,
-                                               std::uint32_t channel,
-                                               std::uint64_t row,
-                                               Tick from) const {
-  const RankState& rank = ranks_[rank_idx];
-  if (rank.pd) return kNoTick;  // wake is an event, not a timing expiry
-  Tick e = from;
-  switch (type) {
-    case CommandType::Activate: {
-      if (banks_.row_open(bank_idx)) return kNoTick;
-      if (rank.refresh_pending) return kNoTick;
-      e = std::max(e, banks_.next_activate_tick(bank_idx));
-      if (rank.any_act) e = std::max(e, rank.last_act + tt_.act_to_act);
-      if (rank.act_count >= 4) {
-        e = std::max(e, rank.act_window[rank.act_count % 4] + tt_.faw);
-      }
-      return e;
-    }
-    case CommandType::Read:
-    case CommandType::ReadAp: {
-      if (!banks_.row_open(bank_idx) || banks_.row_value(bank_idx) != row) {
-        return kNoTick;
-      }
-      e = std::max(e, banks_.next_read_tick(bank_idx));
-      if (rank.any_col) e = std::max(e, rank.last_col + tt_.col_to_col);
-      if (rank.any_write) {
-        e = std::max(e, rank.write_data_end + tt_.wrdata_to_rd);
-      }
-      return std::max(
-          e, bus_ready_tick(chans_[channel], tt_.rd_lat,
-                            static_cast<std::uint32_t>(rank_idx % cfg_.ranks)));
-    }
-    case CommandType::Write:
-    case CommandType::WriteAp: {
-      if (!banks_.row_open(bank_idx) || banks_.row_value(bank_idx) != row) {
-        return kNoTick;
-      }
-      e = std::max(e, banks_.next_write_tick(bank_idx));
-      if (rank.any_col) e = std::max(e, rank.last_col + tt_.col_to_col);
-      return std::max(
-          e, bus_ready_tick(chans_[channel], tt_.wr_lat,
-                            static_cast<std::uint32_t>(rank_idx % cfg_.ranks)));
-    }
-    case CommandType::Precharge: {
-      if (!banks_.row_open(bank_idx)) return kNoTick;
-      return std::max(e, banks_.next_precharge_tick(bank_idx));
-    }
-    case CommandType::Refresh:
-      return kNoTick;  // internal to tick()
-  }
-  return kNoTick;
+inline Tick DramSystem::earliest_issue_tick(const Command& cmd,
+                                            Tick from) const {
+  if (cmd.type == CommandType::Refresh) return kNoTick;  // internal to tick()
+  // The bank must be in the row state the command needs; a wrong or
+  // missing open row is a state change away, which next_event_tick()
+  // covers.
+  const std::size_t b = bank_index(cmd.loc);
+  const bool open = banks_.row_open(b);
+  const CmdClass c = class_of(cmd.type);
+  const bool row_state_ok =
+      c == CmdClass::Activate    ? !open
+      : c == CmdClass::Precharge ? open
+                                 : open && banks_.open_row(b) == cmd.loc.row;
+  if (!row_state_ok) return kNoTick;
+  return std::max(from, ready_ticks().issue_tick(b, c));
 }
 
 inline void DramSystem::tick(Tick now) {

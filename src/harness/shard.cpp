@@ -12,6 +12,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "dram/config.hpp"
@@ -30,6 +31,9 @@ constexpr char kUnitHeader[] = "bwpart-shard-unit v1";
 constexpr std::uint32_t kResultVersion = 2;
 constexpr char kUnitExt[] = ".unit";
 constexpr char kResultExt[] = ".bwrr";
+/// Spool files are written under `.tmp.<pid>.<name>` in their target
+/// directory and renamed onto `<name>` once complete.
+constexpr std::string_view kTempPrefix = ".tmp.";
 
 core::Scheme parse_scheme(const std::string& name) {
   for (core::Scheme s : core::kAllSchemes) {
@@ -58,9 +62,10 @@ std::uint64_t parse_hex64(const std::string& text, const char* field) {
   return v;
 }
 
-/// Lists the keys (stems) of every regular file in `dir` carrying `ext`.
-/// Entries may vanish mid-scan (another process renamed them); those are
-/// simply skipped.
+/// Lists the keys (stems) of every regular file in `dir` carrying `ext`,
+/// skipping in-flight temp files: a partial file left by a writer killed
+/// mid-write is never listed, claimed or merged. Entries may vanish
+/// mid-scan (another process renamed them); those are simply skipped.
 std::vector<std::string> list_keys(const fs::path& dir, const char* ext) {
   std::vector<std::string> keys;
   std::error_code ec;
@@ -68,17 +73,23 @@ std::vector<std::string> list_keys(const fs::path& dir, const char* ext) {
   for (const fs::directory_entry& entry :
        fs::directory_iterator(dir, ec)) {
     const fs::path& p = entry.path();
-    if (p.extension() == ext) keys.push_back(p.stem().string());
+    if (p.extension() != ext) continue;
+    std::string key = p.stem().string();
+    if (!key.starts_with(kTempPrefix)) keys.push_back(std::move(key));
   }
   return keys;
 }
 
+/// The in-flight name `final_path` is written under before its rename.
+fs::path temp_path(const fs::path& final_path) {
+  return final_path.parent_path() /
+         (std::string(kTempPrefix) + std::to_string(::getpid()) + "." +
+          final_path.filename().string());
+}
+
 void write_file_atomically(const fs::path& final_path,
                            const void* data, std::size_t size) {
-  const fs::path tmp =
-      final_path.parent_path() /
-      (".tmp." + std::to_string(::getpid()) + "." +
-       final_path.filename().string());
+  const fs::path tmp = temp_path(final_path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     snap::require(out.good(), "cannot open spool temp file for writing");
@@ -444,9 +455,7 @@ bool Spool::has_snapshot(std::uint64_t config_fp) const {
 void Spool::put_snapshot(std::uint64_t config_fp,
                          const ProfileSnapshot& snapshot) const {
   const fs::path final_path = snapshot_path(config_fp);
-  const fs::path tmp = final_path.parent_path() /
-                       (".tmp." + std::to_string(::getpid()) + "." +
-                        final_path.filename().string());
+  const fs::path tmp = temp_path(final_path);
   write_profile_snapshot(tmp.string(), snapshot);
   fs::rename(tmp, final_path);
 }

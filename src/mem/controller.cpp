@@ -9,6 +9,8 @@ namespace bwpart::mem {
 
 namespace {
 
+constexpr auto kWriteType = static_cast<std::uint8_t>(AccessType::Write);
+
 template <typename V, typename X>
 void insert_at(V& v, std::size_t pos, X x) {
   v.insert(v.begin() + static_cast<std::ptrdiff_t>(pos), x);
@@ -31,7 +33,6 @@ void MemoryController::PendQueue::reserve(std::size_t n) {
   slot.reserve(n);
   type.reserve(n);
   bank.reserve(n);
-  rank.reserve(n);
   row.reserve(n);
   app.reserve(n);
 }
@@ -39,15 +40,13 @@ void MemoryController::PendQueue::reserve(std::size_t n) {
 void MemoryController::PendQueue::insert(std::size_t pos, double key,
                                          const MemRequest& req,
                                          std::uint32_t slot_idx,
-                                         std::uint32_t bank_idx,
-                                         std::uint32_t rank_idx) {
+                                         std::uint32_t bank_idx) {
   insert_at(prim, pos, key);
   insert_at(arrival, pos, req.arrival_cpu);
   insert_at(id, pos, req.id);
   insert_at(slot, pos, slot_idx);
   insert_at(type, pos, static_cast<std::uint8_t>(req.type));
   insert_at(bank, pos, bank_idx);
-  insert_at(rank, pos, rank_idx);
   insert_at(row, pos, req.loc.row);
   insert_at(app, pos, req.app);
 }
@@ -59,7 +58,6 @@ void MemoryController::PendQueue::erase(std::size_t pos) {
   erase_at(slot, pos);
   erase_at(type, pos);
   erase_at(bank, pos);
-  erase_at(rank, pos);
   erase_at(row, pos);
   erase_at(app, pos);
 }
@@ -85,15 +83,6 @@ std::size_t MemoryController::PendQueue::upper_bound(double key, Cycle arr,
     }
   }
   return lo;
-}
-
-std::size_t MemoryController::PendQueue::find_slot(
-    std::uint32_t slot_idx) const {
-  for (std::size_t i = 0; i < slot.size(); ++i) {
-    if (slot[i] == slot_idx) return i;
-  }
-  BWPART_ASSERT(false, "slot missing from channel queue");
-  return size();
 }
 
 // --------------------------------------------------------------------------
@@ -127,16 +116,13 @@ MemoryController::MemoryController(const dram::DramConfig& cfg,
       bus_user_(cfg.channels, kNoApp),
       bus_busy_until_(cfg.channels, 0),
       oldest_pending_(num_apps, kNoSlot),
-      probe_stamp_(cfg.total_banks(), 0),
-      probe_seen_(cfg.total_banks(), 0) {
+      row_hit_epoch_(cfg.total_banks(), 0) {
   BWPART_ASSERT(scheduler_ != nullptr, "controller needs a scheduler");
   BWPART_ASSERT(num_apps > 0, "controller needs at least one app");
   BWPART_ASSERT(per_app_queue_capacity > 0, "zero queue capacity");
   const std::size_t bound = queue_capacity_bound();
   inflight_slots_.reserve(bound);
   scratch_.reserve(bound);
-  visited_bank_.reserve(bound);
-  visited_row_.reserve(bound);
   for (PendQueue& q : pend_) q.reserve(bound);
   issued_scratch_.reserve(channels_);
   waiting_apps_.reserve(num_apps);
@@ -199,7 +185,6 @@ void MemoryController::rebuild_queue_order() {
     std::uint32_t slot;
     std::uint8_t type;
     std::uint32_t bank;
-    std::uint32_t rank;
     std::uint64_t row;
     std::uint32_t app;
   };
@@ -214,7 +199,7 @@ void MemoryController::rebuild_queue_order() {
     tmp.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       tmp.push_back({q.prim[i], q.arrival[i], q.id[i], q.slot[i], q.type[i],
-                     q.bank[i], q.rank[i], q.row[i], q.app[i]});
+                     q.bank[i], q.row[i], q.app[i]});
     }
     std::sort(tmp.begin(), tmp.end(), [](const Entry& a, const Entry& b) {
       if (a.prim != b.prim) return a.prim < b.prim;
@@ -228,7 +213,6 @@ void MemoryController::rebuild_queue_order() {
       q.slot[i] = tmp[i].slot;
       q.type[i] = tmp[i].type;
       q.bank[i] = tmp[i].bank;
-      q.rank[i] = tmp[i].rank;
       q.row[i] = tmp[i].row;
       q.app[i] = tmp[i].app;
     }
@@ -257,8 +241,7 @@ std::uint64_t MemoryController::enqueue(AppId app, Addr addr, AccessType type,
                               ? q.size()
                               : q.upper_bound(key, req.arrival_cpu, req.id);
   q.insert(pos, key, req, slot,
-           static_cast<std::uint32_t>(bank_index(req.loc)),
-           static_cast<std::uint32_t>(rank_index(req.loc)));
+           static_cast<std::uint32_t>(bank_index(req.loc)));
   // Arrival times are monotone (and ids tie-break upward), so a new request
   // can only become the app's oldest when it had none pending.
   if (oldest_pending_[app] == kNoSlot) {
@@ -438,28 +421,21 @@ dram::Tick MemoryController::next_event_tick(dram::Tick from) const {
   best = std::min(best, next_completion_);
   if (best <= from) return from;
   const bool writes_eligible = writes_would_be_eligible();
-  ++probe_epoch_;
+  // One branch on a combined flag, not one on the request's type first.
+  const bool writes_held = !writes_eligible;
+  // Each request's earliest issue tick is one read of each ready table: the
+  // class its bank state implies, then the max over bank, rank and bus.
+  // Blocked classes read kNoTick, which the min ignores.
+  const dram::ReadyTicks ready = dram_.ready_ticks();
   for (std::uint32_t ch = 0; ch < channels_; ++ch) {
     const PendQueue& q = pend_[ch];
     const std::size_t n = q.size();
     for (std::size_t i = 0; i < n; ++i) {
-      const auto ty = static_cast<AccessType>(q.type[i]);
-      if (!writes_eligible && ty == AccessType::Write) continue;
+      const bool is_write = q.type[i] == kWriteType;
+      if (is_write & writes_held) continue;
       const std::uint32_t bank = q.bank[i];
-      const dram::CommandType need =
-          dram_.required_command_at(bank, q.row[i], ty);
-      const auto bit =
-          static_cast<std::uint8_t>(1u << static_cast<unsigned>(need));
-      if (probe_stamp_[bank] == probe_epoch_) {
-        if ((probe_seen_[bank] & bit) != 0) continue;
-        probe_seen_[bank] = static_cast<std::uint8_t>(probe_seen_[bank] | bit);
-      } else {
-        probe_stamp_[bank] = probe_epoch_;
-        probe_seen_[bank] = bit;
-      }
-      const dram::Tick e = dram_.earliest_issue_tick_at(
-          need, bank, q.rank[i], ch, q.row[i], from);
-      if (e != dram::kNoTick) best = std::min(best, e);
+      const dram::CmdClass cls = ready.class_at(bank, q.row[i], is_write);
+      best = std::min(best, ready.issue_tick(bank, cls));
       if (best <= from) return from;
     }
   }
@@ -467,18 +443,18 @@ dram::Tick MemoryController::next_event_tick(dram::Tick from) const {
     // A victim's attribution can also flip when its blocking data burst
     // drains, or when a drain-held write becomes issue-ready (moving it
     // from "blocked on a resource" to "ready but not picked").
-    const dram::TimingsTicks& t = dram_.timings();
+    const dram::CmdTimings& t = dram_.cmd_timings();
     for (const AppId app : waiting_apps_) {
       const MemRequest& r = pool_[oldest_pending_[app]];
-      const dram::CommandType need = dram_.required_command(r.loc, r.type);
-      if (!writes_eligible && r.type == AccessType::Write) {
-        const dram::Tick e =
-            dram_.earliest_issue_tick({need, r.loc, r.app, r.id}, from);
-        if (e != dram::kNoTick) best = std::min(best, e);
+      const bool is_write = r.type == AccessType::Write;
+      const std::size_t bank = bank_index(r.loc);
+      const dram::CmdClass cls = ready.class_at(bank, r.loc.row, is_write);
+      if (!writes_eligible && is_write) {
+        best = std::min(best, ready.issue_tick(bank, cls));
       }
-      if (dram::is_column_command(need)) {
+      if (dram::is_column_class(cls)) {
         const dram::Tick lat =
-            t.al + (dram::is_read_command(need) ? t.cl : t.cwl);
+            cls == dram::CmdClass::Read ? t.rd_lat : t.wr_lat;
         const dram::Tick until = bus_busy_until_[r.loc.channel];
         if (until > lat && until - lat > from) {
           best = std::min(best, until - lat);
@@ -569,12 +545,14 @@ void MemoryController::deliver_completions(dram::Tick now) {
   next_completion_ = next;
 }
 
-void MemoryController::finish_issue(std::uint32_t channel, std::size_t pos,
-                                    dram::CommandType need,
-                                    const dram::IssueResult& result) {
+void MemoryController::issue_request(std::uint32_t channel, std::size_t pos,
+                                     dram::CmdClass cls, dram::Tick now) {
   PendQueue& q = pend_[channel];
   const std::uint32_t slot = q.slot[pos];
   MemRequest& req = pool_[slot];
+  const dram::CommandType need = dram_.command_of(cls);
+  const dram::IssueResult result =
+      dram_.issue({need, req.loc, req.app, req.id}, now);
   bank_last_user_[q.bank[pos]] = req.app;
   if constexpr (obs::kEnabled) {
     if (obs_ != nullptr && obs_->enabled()) {
@@ -594,11 +572,11 @@ void MemoryController::finish_issue(std::uint32_t channel, std::size_t pos,
       --pending_reads_;
     }
     scheduler_->on_issue(req);
-    const std::uint32_t rank_idx = q.rank[pos];
     q.erase(pos);
     if (oldest_pending_[req.app] == slot) recompute_oldest(req.app);
     inflight_slots_.push_back(slot);
     next_completion_ = std::min(next_completion_, result.data_finish);
+    const std::size_t rank_idx = rank_index(req.loc);
     BWPART_ASSERT(rank_pending_[rank_idx] > 0,
                   "rank pending counter underflow");
     --rank_pending_[rank_idx];
@@ -628,60 +606,64 @@ bool MemoryController::try_issue_one(std::uint32_t channel, dram::Tick now) {
              : scan_sorted(channel, now, writes_eligible);
 }
 
+namespace {
+
+/// The vetoes both scans apply, request by request in policy order, on top
+/// of command legality:
+///  * Bus reservation: once a higher-priority column command is blocked
+///    *only* by data-bus occupancy, lower-priority column commands may not
+///    grab the bus (they would push bus-free time out forever — with tRTRS
+///    a same-rank stream can otherwise starve a rank-switching request).
+///    Non-bus commands (ACT/PRE) still flow.
+///  * Row protection: do not close a row that a *higher-priority* waiting
+///    request can still use. That request's column command is merely
+///    blocked this tick (tCCD/bus), and precharging under it would throw
+///    its activation away and churn ACT/PRE pairs. Lower-priority row hits
+///    get no such protection — the policy's order must win. Every visited
+///    row hit stamps its bank with the scan's epoch, so the check is one
+///    compare.
+struct ScanVetoes {
+  dram::ReadyTicks ready;
+  std::uint64_t* row_hit_epoch;  ///< per flat bank
+  std::uint64_t epoch;
+  dram::Tick now;
+  bool bus_reserved = false;
+
+  /// Visits the next request in policy order, whose next command has class
+  /// `cls`; true when that command issues now. The verdict is computed
+  /// without branching on the class, the ticks or the vetoes.
+  bool issues(std::size_t bank, dram::CmdClass cls) {
+    const bool hit = dram::is_column_class(cls);
+    const bool row_protected = row_hit_epoch[bank] == epoch;
+    row_hit_epoch[bank] = hit ? epoch : row_hit_epoch[bank];
+    const bool timing_ok = ready.bank_rank(bank, cls) <= now;
+    const bool bus_ok = ready.bus_at(bank, cls) <= now;  // ACT/PRE: always
+    const bool veto = (hit & bus_reserved) |
+                      ((cls == dram::CmdClass::Precharge) & row_protected);
+    bus_reserved |= hit & timing_ok & !bus_ok;
+    return timing_ok & bus_ok & !veto;
+  }
+};
+
+}  // namespace
+
 bool MemoryController::scan_sorted(std::uint32_t channel, dram::Tick now,
                                    bool writes_eligible) {
-  // The queue is already in policy order, so walk it front to back. The
-  // vetoes mirror scan_dynamic exactly; the visited_* prefix plays the role
-  // of the extracted-minima prefix there.
-  PendQueue& q = pend_[channel];
-  visited_bank_.clear();
-  visited_row_.clear();
-  bool bus_reserved = false;
+  // The queue is already in policy order, so walk it front to back.
+  const PendQueue& q = pend_[channel];
+  const bool writes_held = !writes_eligible;
+  const dram::ReadyTicks ready = dram_.ready_ticks();
+  ScanVetoes scan{ready, row_hit_epoch_.data(), ++scan_epoch_, now};
   const std::size_t n = q.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const auto ty = static_cast<AccessType>(q.type[i]);
-    if (!writes_eligible && ty == AccessType::Write) continue;
+    const bool is_write = q.type[i] == kWriteType;
+    if (is_write & writes_held) continue;
     const std::uint32_t bank = q.bank[i];
-    const std::uint64_t row = q.row[i];
-    const dram::CommandType need = dram_.required_command_at(bank, row, ty);
-    // Bus reservation: once a higher-priority column command is blocked
-    // *only* by data-bus occupancy, lower-priority column commands may not
-    // grab the bus (they would push bus-free time out forever — with tRTRS
-    // a same-rank stream can otherwise starve a rank-switching request).
-    // Non-bus commands (ACT/PRE) still flow.
-    bool veto = bus_reserved && dram::is_column_command(need);
-    // Do not close a row that a *higher-priority* waiting request can
-    // still use: that request's column command is merely blocked this tick
-    // (tCCD/bus), and precharging under it would throw its activation away
-    // and churn ACT/PRE pairs. Lower-priority row hits get no such
-    // protection — the policy's order must win.
-    if (!veto && need == dram::CommandType::Precharge) {
-      for (std::size_t k = 0; k < visited_bank_.size(); ++k) {
-        if (visited_bank_[k] == bank &&
-            dram_.is_row_hit_at(bank, visited_row_[k])) {
-          veto = true;
-          break;
-        }
-      }
+    const dram::CmdClass cls = ready.class_at(bank, q.row[i], is_write);
+    if (scan.issues(bank, cls)) {
+      issue_request(channel, i, cls, now);
+      return true;
     }
-    if (!veto) {
-      if (!dram_.can_issue_at(need, bank, q.rank[i], channel, row, now,
-                              /*check_bus=*/true)) {
-        if (dram::is_column_command(need) &&
-            dram_.can_issue_at(need, bank, q.rank[i], channel, row, now,
-                               /*check_bus=*/false)) {
-          bus_reserved = true;
-        }
-      } else {
-        MemRequest& req = pool_[q.slot[i]];
-        const dram::IssueResult result =
-            dram_.issue({need, req.loc, req.app, req.id}, now);
-        finish_issue(channel, i, need, result);
-        return true;
-      }
-    }
-    visited_bank_.push_back(bank);
-    visited_row_.push_back(row);
   }
   return false;
 }
@@ -689,17 +671,16 @@ bool MemoryController::scan_sorted(std::uint32_t channel, dram::Tick now,
 bool MemoryController::scan_dynamic(std::uint32_t channel, dram::Tick now,
                                     bool writes_eligible) {
   // Gather schedulable queue positions on this channel.
-  PendQueue& q = pend_[channel];
+  const PendQueue& q = pend_[channel];
   scratch_.clear();
   const std::size_t n = q.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (writes_eligible ||
-        static_cast<AccessType>(q.type[i]) == AccessType::Read) {
+    if (writes_eligible || q.type[i] != kWriteType) {
       scratch_.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  if (scratch_.empty()) return false;
-  bool bus_reserved = false;
+  const dram::ReadyTicks ready = dram_.ready_ticks();
+  ScanVetoes scan{ready, row_hit_epoch_.data(), ++scan_epoch_, now};
   for (std::size_t pos = 0; pos < scratch_.size(); ++pos) {
     // Top-1 selection on demand: move the policy minimum of the unexamined
     // tail to `pos`. Most ticks issue the first pick, so this does O(K)
@@ -716,36 +697,12 @@ bool MemoryController::scan_dynamic(std::uint32_t channel, dram::Tick now,
     std::swap(scratch_[pos], scratch_[min_at]);
     const std::uint32_t qi = scratch_[pos];
     const std::uint32_t bank = q.bank[qi];
-    const std::uint64_t row = q.row[qi];
-    const dram::CommandType need = dram_.required_command_at(
-        bank, row, static_cast<AccessType>(q.type[qi]));
-    // Vetoes: see scan_sorted.
-    if (bus_reserved && dram::is_column_command(need)) continue;
-    if (need == dram::CommandType::Precharge) {
-      bool protected_row = false;
-      for (std::size_t k = 0; k < pos; ++k) {
-        const std::uint32_t ei = scratch_[k];
-        if (q.bank[ei] == bank && dram_.is_row_hit_at(bank, q.row[ei])) {
-          protected_row = true;
-          break;
-        }
-      }
-      if (protected_row) continue;
+    const dram::CmdClass cls =
+        ready.class_at(bank, q.row[qi], q.type[qi] == kWriteType);
+    if (scan.issues(bank, cls)) {
+      issue_request(channel, qi, cls, now);
+      return true;
     }
-    if (!dram_.can_issue_at(need, bank, q.rank[qi], channel, row, now,
-                            /*check_bus=*/true)) {
-      if (dram::is_column_command(need) &&
-          dram_.can_issue_at(need, bank, q.rank[qi], channel, row, now,
-                             /*check_bus=*/false)) {
-        bus_reserved = true;
-      }
-      continue;
-    }
-    MemRequest& req = pool_[q.slot[qi]];
-    const dram::IssueResult result =
-        dram_.issue({need, req.loc, req.app, req.id}, now);
-    finish_issue(channel, qi, need, result);
-    return true;
   }
   return false;
 }
@@ -758,23 +715,22 @@ bool MemoryController::interfered(AppId app, const MemRequest& oldest,
   // Blocked on a resource: data bus or bank; attribute to its last user.
   // Refresh is not inter-application interference.
   const std::uint32_t ch = oldest.loc.channel;
-  const dram::CommandType need =
-      dram_.required_command(oldest.loc, oldest.type);
+  const std::size_t bank = bank_index(oldest.loc);
+  const dram::ReadyTicks ready = dram_.ready_ticks();
+  const dram::CmdClass cls = ready.class_at(
+      bank, oldest.loc.row, oldest.type == AccessType::Write);
   bool blocked_verdict = false;
   if (!dram_.refresh_blocked(ch, oldest.loc.rank)) {
-    const dram::TimingsTicks& t = dram_.timings();
+    const dram::CmdTimings& t = dram_.cmd_timings();
     const bool bus_block =
-        dram::is_column_command(need) &&
-        now + t.al + (dram::is_read_command(need) ? t.cl : t.cwl) <
+        dram::is_column_class(cls) &&
+        now + (cls == dram::CmdClass::Read ? t.rd_lat : t.wr_lat) <
             bus_busy_until_[ch];
-    const AppId holder =
-        bus_block ? bus_user_[ch] : bank_last_user_[bank_index(oldest.loc)];
+    const AppId holder = bus_block ? bus_user_[ch] : bank_last_user_[bank];
     blocked_verdict = holder != kNoApp && holder != app;
   }
   if (ready_verdict == blocked_verdict) return ready_verdict;
-  return dram_.can_issue({need, oldest.loc, app, oldest.id}, now)
-             ? ready_verdict
-             : blocked_verdict;
+  return ready.issue_tick(bank, cls) <= now ? ready_verdict : blocked_verdict;
 }
 
 void MemoryController::account_interference(dram::Tick now,
@@ -945,8 +901,7 @@ void MemoryController::restore_state(snap::Reader& r) {
     for (const std::uint32_t slot : scratch_) {
       const MemRequest& req = pool_[slot];
       q.insert(q.size(), 0.0, req, slot,
-               static_cast<std::uint32_t>(bank_index(req.loc)),
-               static_cast<std::uint32_t>(rank_index(req.loc)));
+               static_cast<std::uint32_t>(bank_index(req.loc)));
     }
   }
   restore_u32_list(r, inflight_slots_);

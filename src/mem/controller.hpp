@@ -7,8 +7,8 @@
 // Hot-path layout: requests live in a preallocated FixedPool (no queue
 // churn after construction) and each channel's pending set is mirrored
 // into a structure-of-arrays PendQueue carrying exactly the fields the
-// per-tick scheduler scan and event probes touch (policy key, flat
-// bank/rank indices, row, access type). For policies that advertise a
+// per-tick scheduler scan and event probes touch (policy key, flat bank
+// index, row, access type). For policies that advertise a
 // static sort key (SchedOrdering) the queue is kept sorted, so the scan
 // visits candidates in policy order with no virtual comparator calls;
 // dynamic policies keep the exact top-1-selection fallback over before().
@@ -224,20 +224,17 @@ class MemoryController {
     std::vector<std::uint32_t> slot;    ///< pool slot handle
     std::vector<std::uint8_t> type;     ///< AccessType
     std::vector<std::uint32_t> bank;    ///< flat global bank index
-    std::vector<std::uint32_t> rank;    ///< flat global rank index
     std::vector<std::uint64_t> row;
     std::vector<std::uint32_t> app;
 
     std::size_t size() const { return slot.size(); }
     void reserve(std::size_t n);
     void insert(std::size_t pos, double key, const MemRequest& req,
-                std::uint32_t slot_idx, std::uint32_t bank_idx,
-                std::uint32_t rank_idx);
+                std::uint32_t slot_idx, std::uint32_t bank_idx);
     void erase(std::size_t pos);
     /// First position whose (prim, arrival, id) sorts after the given key
     /// triple (insertion point that keeps the sort stable-by-id).
     std::size_t upper_bound(double key, Cycle arr, std::uint64_t rid) const;
-    std::size_t find_slot(std::uint32_t slot_idx) const;
   };
 
   void run_bus_tick(dram::Tick now);
@@ -267,17 +264,19 @@ class MemoryController {
   bool try_issue_one(std::uint32_t channel, dram::Tick now);
   /// Devirtualized scan for static-key policies: the queue is already in
   /// policy order, so this walks it front to back applying the same vetoes
-  /// (bus reservation, protected rows) the selection loop applies.
+  /// (bus reservation, protected rows) the selection loop applies. Each
+  /// request costs its command class (computed, not branched on) and a
+  /// compare of the DRAM ready ticks against `now`.
   bool scan_sorted(std::uint32_t channel, dram::Tick now,
                    bool writes_eligible);
   /// Exact fallback: top-1 selection over before(), as before the SoA
   /// rework.
   bool scan_dynamic(std::uint32_t channel, dram::Tick now,
                     bool writes_eligible);
-  /// Post-issue bookkeeping shared by both scans; `pos` is the request's
-  /// current position in its channel queue.
-  void finish_issue(std::uint32_t channel, std::size_t pos,
-                    dram::CommandType need, const dram::IssueResult& result);
+  /// Issues the class-`cls` command of the request at `pos` in its channel
+  /// queue, plus the bookkeeping shared by both scans.
+  void issue_request(std::uint32_t channel, std::size_t pos,
+                     dram::CmdClass cls, dram::Tick now);
   /// Write eligibility the next try_issue_one() will compute, without
   /// mutating the drain-hysteresis state (the update is idempotent while no
   /// request is enqueued or issued, so this is exact across a dead range).
@@ -419,15 +418,11 @@ class MemoryController {
   // Per-tick scratch storage (kept as members to avoid reallocation in the
   // bus-tick hot path).
   std::vector<std::uint32_t> scratch_;
-  std::vector<std::uint32_t> visited_bank_;  ///< sorted scan: visited banks
-  std::vector<std::uint64_t> visited_row_;   ///< parallel rows for veto
-  /// Event-probe dedup: requests sharing (bank, required command) have the
-  /// same earliest-issue tick — a column command implies the bank's one
-  /// open row, and ACT/PRE timing is row-independent — so the probe prices
-  /// each pair once. Epoch-stamped so no per-call clearing is needed.
-  mutable std::vector<std::uint64_t> probe_stamp_;  ///< per flat bank
-  mutable std::vector<std::uint8_t> probe_seen_;    ///< CommandType bitmask
-  mutable std::uint64_t probe_epoch_ = 0;
+  /// Row protection in the scans: the epoch of the last scan that visited
+  /// a row hit on each flat bank. Every scan takes a fresh epoch, so no
+  /// per-scan clearing is needed.
+  std::vector<std::uint64_t> row_hit_epoch_;
+  std::uint64_t scan_epoch_ = 0;
   std::vector<AppId> issued_scratch_;
   AppId issued_app_scratch_ = kNoApp;
 };

@@ -361,6 +361,38 @@ TEST(SpoolProtocol, ClaimIsExclusiveAndStealRequiresStaleness) {
   fs::remove_all(dir);
 }
 
+TEST(SpoolProtocol, InFlightTempFilesAreNeverListedOrClaimed) {
+  shard::Portfolio p = shard::make_portfolio("quick");
+  p.configs.resize(1);
+  p.schemes.resize(1);
+  const std::string dir = tmp_dir("temp_files");
+  fs::remove_all(dir);
+  shard::Spool spool{fs::path(dir)};
+  spool.init();
+  const shard::ShardUnit unit = shard::enumerate_units(p)[0];
+  // Partial files left by a publisher and a worker SIGKILLed mid-write.
+  const std::string stray = ".tmp.12345." + unit.key;
+  const fs::path stray_unit = fs::path(dir) / "units" / (stray + ".unit");
+  const fs::path stray_result = fs::path(dir) / "results" / (stray + ".bwrr");
+  std::ofstream(stray_unit) << "partial";
+  std::ofstream(stray_result) << "partial";
+  EXPECT_TRUE(spool.todo_keys().empty());
+  EXPECT_TRUE(spool.result_keys().empty());
+  EXPECT_FALSE(spool.claim().has_value());
+  EXPECT_TRUE(spool.claimed_keys().empty());
+
+  // The real unit publishes and claims normally next to the strays, which
+  // stay where they are.
+  EXPECT_TRUE(spool.publish(unit));
+  EXPECT_EQ(spool.todo_keys(), std::vector<std::string>{unit.key});
+  const std::optional<shard::ClaimedUnit> claimed = spool.claim();
+  ASSERT_TRUE(claimed.has_value());
+  EXPECT_EQ(claimed->unit.key, unit.key);
+  EXPECT_TRUE(fs::exists(stray_unit));
+  EXPECT_TRUE(fs::exists(stray_result));
+  fs::remove_all(dir);
+}
+
 TEST(SpoolProtocol, CompletedUnitsAreNeverRepublishedOrReclaimed) {
   shard::Portfolio p = shard::make_portfolio("quick");
   p.configs.resize(1);
@@ -473,17 +505,12 @@ TEST(SweepShard, OrchestratorSigkillMidSweepResumesWithoutRerunningUnits) {
       spawn({g_sweepd_path, "--portfolio", "table4", "--spool", dir,
              "--workers", "2", "--sim", g_sim_path, "--lease-ms", "500"});
   ASSERT_GT(orch, 0);
-  // Kill it mid-sweep: as soon as the first unit's result shard lands. A
-  // fixed delay is no proxy for that, since the whole sweep can finish
-  // within it on an idle host.
-  const auto any_result = [&] {
-    std::error_code ec;
-    for (const auto& e :
-         fs::directory_iterator(fs::path(dir) / "results", ec)) {
-      if (e.path().extension() == ".bwrr") return true;
-    }
-    return false;
-  };
+  // Kill it mid-sweep: as soon as the first unit's result shard lands
+  // (renamed into place; in-flight temp files are not listed). A fixed
+  // delay is no proxy for that, since the whole sweep can finish within it
+  // on an idle host.
+  const shard::Spool spool{fs::path(dir)};
+  const auto any_result = [&] { return !spool.result_keys().empty(); };
   for (int i = 0; i < 10'000 && !any_result(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -499,7 +526,6 @@ TEST(SweepShard, OrchestratorSigkillMidSweepResumesWithoutRerunningUnits) {
   // Record what the killed sweep completed: these units must NOT be re-run
   // by the resume (asserted via unchanged mtimes — a re-run would rename a
   // fresh shard over the file).
-  const shard::Spool spool{fs::path(dir)};
   std::map<std::string, fs::file_time_type> done_before;
   for (const std::string& key : spool.result_keys()) {
     done_before[key] =

@@ -1,10 +1,13 @@
-// The shadow DRAM protocol checker: (a) differential property — random
+// The shadow DRAM protocol checker: (a) differential properties — random
 // request streams driven through the real engine must produce zero shadow
-// violations (engine and checker re-derive the JEDEC rules independently);
-// (b) negative tests — hand-written command streams that break tFAW, tRCD,
-// tRP, tRAS and row-state ordering must each be caught and named.
+// violations (engine and checker re-derive the JEDEC rules independently),
+// and every command's earliest issue tick must be exactly the first tick
+// the shadow accepts it; (b) negative tests — hand-written command streams
+// that break tFAW, tRCD, tRP, tRAS and row-state ordering must each be
+// caught and named.
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,40 +193,91 @@ TEST(ProtocolCheckerNegative, IllegalStreamAgainstSoaFastPathIsCaught) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential property: whatever the engine issues, the shadow agrees.
+// Differential properties against the shadow: whatever the engine issues,
+// the shadow accepts; and the engine's earliest issue tick for a command is
+// exactly the first tick the shadow accepts it. The fast-forward
+// differential cannot catch a rule the engine applies too strictly (both of
+// its engines share DramSystem), so the second property is the one that
+// pins the ready-tick tables to the JEDEC rules from both sides.
 
 struct StreamCase {
   DramConfig cfg;
   std::uint64_t seed = 0;
   int ticks = 0;
+  double load = 1.0;  ///< probability of each per-tick issue attempt
 };
 
 pbt::GenFn<StreamCase> stream_case_gen() {
   return [](Rng& rng) {
     StreamCase c;
-    c.cfg = rng.next_bool(0.5) ? DramConfig::ddr2_400()
-                               : DramConfig::ddr2_800();
+    const std::vector<DramGeneration>& gens = dram_generations();
+    c.cfg = gens[rng.next_below(gens.size())].config;
     // Geometry must stay a power of two for the address map.
     c.cfg.channels = static_cast<std::uint32_t>(pbt::gen_uint(rng, 1, 2));
-    c.cfg.ranks = rng.next_bool(0.5) ? 1u : 2u;
-    c.cfg.banks_per_rank = rng.next_bool(0.5) ? 4u : 8u;
+    c.cfg.ranks = 1u << pbt::gen_uint(rng, 0, 2);
+    if (rng.next_bool(0.5)) c.cfg.banks_per_rank = 4;
     c.cfg.page_policy =
         rng.next_bool(0.5) ? PagePolicy::Open : PagePolicy::Close;
     c.cfg.enable_refresh = rng.next_bool(0.75);
+    c.cfg.enable_powerdown = rng.next_bool(0.3);
+    // Every registered set has an ideal bus (tRTRS = 0); a one-tick gap
+    // exercises the rank-switch rule too.
+    if (rng.next_bool(0.3)) {
+      c.cfg.t.trtrs = 0.5e9 / static_cast<double>(c.cfg.bus_clock.hz);
+    }
     c.seed = rng.next_u64();
     c.ticks = static_cast<int>(pbt::gen_uint(rng, 500, 1500));
+    const double loads[] = {0.02, 0.1, 0.5, 1.0};
+    c.load = loads[rng.next_below(4)];
     return c;
   };
 }
 
 std::string print_stream_case(const StreamCase& c) {
   std::ostringstream os;
-  os << "bus=" << (c.cfg.bus_clock.mhz()) << "MHz ch=" << c.cfg.channels
-     << " ranks=" << c.cfg.ranks << " banks=" << c.cfg.banks_per_rank
+  os << c.cfg.generation << " bus=" << (c.cfg.bus_clock.mhz())
+     << "MHz ch=" << c.cfg.channels << " ranks=" << c.cfg.ranks
+     << " banks=" << c.cfg.banks_per_rank
      << " page=" << (c.cfg.page_policy == PagePolicy::Open ? "open" : "close")
-     << " refresh=" << c.cfg.enable_refresh << " seed=" << c.seed
-     << " ticks=" << c.ticks;
+     << " refresh=" << c.cfg.enable_refresh
+     << " powerdown=" << c.cfg.enable_powerdown
+     << " rtrs_ticks=" << c.cfg.ticks().rtrs << " load=" << c.load
+     << " seed=" << c.seed << " ticks=" << c.ticks;
   return os.str();
+}
+
+/// A random location over few rows, so row conflicts are frequent.
+Location random_location(Rng& rng, const DramConfig& cfg) {
+  Location loc{};
+  loc.channel = static_cast<std::uint32_t>(rng.next_below(cfg.channels));
+  loc.rank = static_cast<std::uint32_t>(rng.next_below(cfg.ranks));
+  loc.bank = static_cast<std::uint32_t>(rng.next_below(cfg.banks_per_rank));
+  loc.row = rng.next_below(8);
+  loc.column = static_cast<std::uint32_t>(rng.next_below(64));
+  return loc;
+}
+
+AccessType random_access(Rng& rng) {
+  return rng.next_bool(0.3) ? AccessType::Write : AccessType::Read;
+}
+
+/// One tick of random traffic after dram.tick(now): up to two issue
+/// attempts at random locations, and now and then a pending-work notify to
+/// a random rank, which wakes it from power-down.
+void drive_random_traffic(DramSystem& dram, const StreamCase& c, Rng& rng,
+                          Tick now) {
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (!rng.next_bool(c.load)) continue;
+    const Location loc = random_location(rng, c.cfg);
+    const Command cmd{dram.required_command(loc, random_access(rng)), loc, 0,
+                      0};
+    if (dram.can_issue(cmd, now)) dram.issue(cmd, now);
+  }
+  if (rng.next_bool(0.2)) {
+    dram.notify_rank_pending(
+        static_cast<std::uint32_t>(rng.next_below(c.cfg.channels)),
+        static_cast<std::uint32_t>(rng.next_below(c.cfg.ranks)), now);
+  }
 }
 
 TEST(ProtocolCheckerProperty, EngineStreamsNeverViolateShadowRules) {
@@ -240,22 +294,7 @@ TEST(ProtocolCheckerProperty, EngineStreamsNeverViolateShadowRules) {
         Rng rng(c.seed);
         for (Tick now = 0; now < static_cast<Tick>(c.ticks); ++now) {
           dram.tick(now);
-          // A couple of issue attempts per tick at random hot locations.
-          for (int attempt = 0; attempt < 2; ++attempt) {
-            Location loc{};
-            loc.channel = static_cast<std::uint32_t>(
-                rng.next_below(c.cfg.channels));
-            loc.rank =
-                static_cast<std::uint32_t>(rng.next_below(c.cfg.ranks));
-            loc.bank = static_cast<std::uint32_t>(
-                rng.next_below(c.cfg.banks_per_rank));
-            loc.row = rng.next_below(8);  // few rows -> frequent conflicts
-            loc.column = static_cast<std::uint32_t>(rng.next_below(64));
-            const AccessType at =
-                rng.next_bool(0.3) ? AccessType::Write : AccessType::Read;
-            const Command cmd{dram.required_command(loc, at), loc, 0, 0};
-            if (dram.can_issue(cmd, now)) dram.issue(cmd, now);
-          }
+          drive_random_traffic(dram, c, rng, now);
         }
         const ProtocolChecker* pc = dram.protocol_checker();
         if (pc == nullptr) return "checker not attached";
@@ -273,6 +312,114 @@ TEST(ProtocolCheckerProperty, EngineStreamsNeverViolateShadowRules) {
   EXPECT_TRUE(r.ok) << r.report();
   EXPECT_GE(r.cases_run, 200);
   EXPECT_GT(total_checked, 0u) << "streams issued no commands at all";
+}
+
+/// Which ready-tick level sets a command's earliest issue tick `e` (for
+/// failure messages: a too-strict rule shows up as the level it lives on).
+const char* binding_level(const DramSystem& dram, const Command& cmd,
+                          Tick e) {
+  const ReadyTicks t = dram.ready_ticks();
+  const CmdClass c = class_of(cmd.type);
+  const auto ci = static_cast<std::size_t>(c);
+  const std::size_t b = dram.bank_index(cmd.loc);
+  if (t.bus_at(b, c) == e) return "data-bus ready tick";
+  if (t.rank[(b >> t.rank_shift) * kCmdClasses + ci] == e) {
+    return "rank ready tick";
+  }
+  if (t.bank[b * kCmdClasses + ci] == e) return "bank ready tick";
+  return "probe tick";
+}
+
+struct ProbeCounts {
+  std::uint64_t probes = 0;   // commands in their row state, not blocked
+  std::uint64_t future = 0;   // ... whose earliest tick lies ahead
+  std::uint64_t blocked = 0;  // blocked by power-down or a refresh drain
+};
+
+/// Checks `cmd`'s earliest issue tick at `now` against copies of the
+/// engine's shadow checker; returns a failure description, or "" when the
+/// tick is exact. `rec` must be alive (it captures the shadow's reports).
+std::string check_earliest_tick(const DramSystem& dram, const Command& cmd,
+                                Tick now, check::Recorder& rec,
+                                ProbeCounts& n) {
+  const Tick e = dram.earliest_issue_tick(cmd, now);
+  const auto fail = [&](const std::string& what) {
+    std::ostringstream os;
+    os << to_string(cmd.type) << " ch " << cmd.loc.channel << " rank "
+       << cmd.loc.rank << " bank " << cmd.loc.bank << " row " << cmd.loc.row
+       << " probed at tick " << now << ": " << what;
+    return os.str();
+  };
+  if (dram.can_issue(cmd, now) != (e == now)) {
+    return fail("can_issue disagrees with earliest_issue_tick " +
+                std::to_string(e));
+  }
+  if (dram.powered_down(cmd.loc.channel, cmd.loc.rank) ||
+      (cmd.type == CommandType::Activate &&
+       dram.refresh_blocked(cmd.loc.channel, cmd.loc.rank))) {
+    ++n.blocked;
+    return e == kNoTick ? std::string()
+                        : fail("blocked by power-down or refresh, yet "
+                               "earliest tick " + std::to_string(e));
+  }
+  ++n.probes;
+  if (e == kNoTick) return fail("no earliest tick in the right row state");
+  rec.clear();
+  ProtocolChecker at_e = *dram.protocol_checker();
+  if (at_e.observe(cmd, e) != 0) {
+    return fail("engine too lax: the shadow rejects it at its earliest "
+                "tick " + std::to_string(e) + ": " +
+                rec.violations().front().what);
+  }
+  if (e == now) return {};
+  ++n.future;
+  ProtocolChecker before = *dram.protocol_checker();
+  if (before.observe(cmd, e - 1) == 0) {
+    return fail("engine too strict: the shadow accepts it at tick " +
+                std::to_string(e - 1) + ", one before its earliest tick " +
+                std::to_string(e) + " (set by the " +
+                binding_level(dram, cmd, e) + ")");
+  }
+  return {};
+}
+
+TEST(ProtocolCheckerProperty, EarliestIssueTickIsFirstShadowLegalTick) {
+  if constexpr (!check::kEnabled) {
+    GTEST_SKIP() << "BWPART_CHECK is compiled out";
+  }
+  check::Recorder rec;
+  ProbeCounts n;
+  const pbt::Result r = pbt::for_all<StreamCase>(
+      "earliest-issue-tick-exact", stream_case_gen(),
+      [&rec, &n](const StreamCase& c) -> std::string {
+        DramSystem dram(c.cfg);
+        if (dram.protocol_checker() == nullptr) return "checker not attached";
+        Rng rng(c.seed);
+        for (Tick now = 0; now < static_cast<Tick>(c.ticks); ++now) {
+          dram.tick(now);
+          // Probe the state as tick() left it, before this tick's traffic.
+          for (int probe = 0; probe < 2; ++probe) {
+            const Location loc = random_location(rng, c.cfg);
+            Command cmd{dram.required_command(loc, random_access(rng)), loc,
+                        0, 0};
+            // An open bank also takes a precharge, row hit or not.
+            if (dram.is_row_open(loc) && rng.next_bool(0.25)) {
+              cmd.type = CommandType::Precharge;
+            }
+            std::string failure = check_earliest_tick(dram, cmd, now, rec, n);
+            if (!failure.empty()) return failure;
+          }
+          drive_random_traffic(dram, c, rng, now);
+        }
+        return {};
+      },
+      {}, nullptr, print_stream_case);
+  EXPECT_TRUE(r.ok) << r.report();
+  EXPECT_GE(r.cases_run, 200);
+  // The property has teeth only if many probes land ahead of `now` and the
+  // generator reaches power-down and refresh drains.
+  EXPECT_GT(n.future, n.probes / 4) << n.future << " of " << n.probes;
+  EXPECT_GT(n.blocked, 0u);
 }
 
 }  // namespace
