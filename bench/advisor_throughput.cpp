@@ -28,6 +28,7 @@
 #include "advisor/service.hpp"
 #include "advisor/solver.hpp"
 #include "common/arena.hpp"
+#include "common/cli.hpp"
 #include "obs/hub.hpp"
 
 namespace {
@@ -119,19 +120,12 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::size_t threads = 0;
   std::string out_path = "BENCH_advisor.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--threads N] [--out FILE]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  cli::Parser cli(argv[0]);
+  cli.flag("--quick", quick, "reduced corpora (smoke testing)");
+  cli.number("--threads", threads, 0, 1'024,
+             "throughput-pass parallelism (0: auto)");
+  cli.text("--out", out_path, "FILE", "JSON report");
+  cli.parse(argc, argv);
 
   const std::uint64_t n_throughput = quick ? 250'000 : 1'000'000;
   const std::uint64_t n_latency = quick ? 50'000 : 200'000;

@@ -1,16 +1,12 @@
-// Shared option handling for the figure/table regeneration benches.
-//
-// Every bench accepts:
-//   --quick        4x shorter windows (smoke testing)
-//   --paper-scale  the paper's 10M-cycle profile + 10M-cycle measurement
-//   --seed N       trace seed (default 42)
+// Shared option handling for the figure/table regeneration benches: every
+// bench takes --quick, --paper-scale and --seed (and --out when it writes a
+// report), declared once below.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/cli.hpp"
 #include "harness/experiment.hpp"
 
 namespace bwpart::bench {
@@ -21,25 +17,24 @@ struct Options {
   bool paper_scale = false;
 };
 
+/// Parses the shared flags; `out_path`, when given, adds --out FILE with
+/// its current value as the default.
 inline Options parse_options(int argc, char** argv,
-                             Cycle default_window = 1'500'000) {
+                             Cycle default_window = 1'500'000,
+                             std::string* out_path = nullptr) {
   Options opt;
   opt.phases.warmup_cycles = default_window / 5;
   opt.phases.profile_cycles = default_window;
   opt.phases.measure_cycles = default_window;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      opt.quick = true;
-    } else if (std::strcmp(argv[i], "--paper-scale") == 0) {
-      opt.paper_scale = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.phases.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--paper-scale] [--seed N]\n",
-                   argv[0]);
-    }
+  cli::Parser cli(argv[0]);
+  cli.flag("--quick", opt.quick, "4x shorter windows (smoke testing)");
+  cli.flag("--paper-scale", opt.paper_scale,
+           "the paper's 10M-cycle profile + 10M-cycle measurement");
+  cli.number("--seed", opt.phases.seed, 0, UINT64_MAX, "trace seed");
+  if (out_path != nullptr) {
+    cli.text("--out", *out_path, "FILE", "JSON report");
   }
+  cli.parse(argc, argv);
   if (opt.paper_scale) {
     opt.phases = harness::PhaseConfig::paper_scale();
   } else if (opt.quick) {

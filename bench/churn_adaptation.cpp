@@ -24,7 +24,6 @@
 // wall-clock never fails the run, so CI gates on the adaptation claim
 // while archiving the numbers.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -110,17 +109,7 @@ void print_side(std::FILE* f, const char* key, const Side& s,
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_churn.json";
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  bench::Options opt = bench::parse_options(static_cast<int>(rest.size()),
-                                            rest.data(), 600'000);
+  bench::Options opt = bench::parse_options(argc, argv, 600'000, &out_path);
   // The churn engine needs a measure window long enough for the static
   // side's violation tail to be unambiguous; --quick halves it instead of
   // the usual quartering (parse_options already divided by 4).

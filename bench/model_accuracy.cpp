@@ -13,10 +13,7 @@
 //
 //   model_accuracy [--quick] [--verify] [--out BENCH_accuracy.json]
 //
-//   --quick    CI-sized grid (2 generations, 1 copy, 1 controller)
-//   --verify   run the whole sweep twice in fresh spools and require the
-//              merged portfolio fingerprints to be bit-identical (the
-//              determinism gate CI archives alongside the numbers)
+// --verify is the determinism gate CI archives alongside the numbers.
 //
 // Exit codes: 0 ok, 1 verify mismatch, 2 usage/setup failure.
 #include <unistd.h>
@@ -24,13 +21,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/predict.hpp"
 #include "dram/config.hpp"
 #include "harness/differential.hpp"
@@ -225,19 +223,14 @@ void write_json(const std::string& path, const Options& opt,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      opt.quick = true;
-    } else if (std::strcmp(argv[i], "--verify") == 0) {
-      opt.verify = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--verify] [--out FILE]\n", argv[0]);
-      return 2;
-    }
-  }
+  cli::Parser cli(argv[0]);
+  cli.flag("--quick", opt.quick,
+           "CI-sized grid (2 generations, 1 copy, 1 controller)");
+  cli.flag("--verify", opt.verify,
+           "run the sweep twice in fresh spools and require bit-identical "
+           "merged fingerprints");
+  cli.text("--out", opt.out, "FILE", "JSON report");
+  cli.parse(argc, argv);
 
   const shard::Portfolio portfolio = accuracy_portfolio(opt.quick);
   const std::string spool_base =

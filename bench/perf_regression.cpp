@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -194,18 +193,8 @@ std::size_t first_divergence(const std::vector<std::uint64_t>& a,
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_perf.json";
-  // Strip --out before handing the rest to the shared option parser.
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const bench::Options opt = bench::parse_options(
-      static_cast<int>(rest.size()), rest.data(), 400'000);
+  const bench::Options opt =
+      bench::parse_options(argc, argv, 400'000, &out_path);
 
   // --quick (CI smoke): two mixes, quarter windows. Full: the complete
   // Table IV portfolio (7 homogeneous + 7 heterogeneous mixes) — the same

@@ -132,8 +132,8 @@ class Experiment {
   std::vector<RunResult> run_all(std::span<const core::Scheme> schemes,
                                  std::size_t threads = 0) const;
 
-  /// Toggles snapshot reuse for run_all(). Defaults to the compile-time
-  /// BWPART_SNAPSHOT option.
+  /// Toggles snapshot reuse for run_all(). On by default
+  /// (kSnapshotEnabled).
   void set_snapshot_reuse(bool on) { snapshot_reuse_ = on; }
   bool snapshot_reuse() const { return snapshot_reuse_; }
 

@@ -34,15 +34,10 @@ namespace bwpart::harness {
 struct SystemConfig;
 struct PhaseConfig;
 
-/// Compile-time default for Experiment's snapshot reuse (the CMake option
-/// BWPART_SNAPSHOT; ON unless configured otherwise). The snapshot code
-/// itself always compiles — OFF only flips run_all()'s default to the
-/// straight-through per-scheme path, which CI keeps tested.
-#if defined(BWPART_SNAPSHOT)
+/// Experiment's default for snapshot reuse in run_all(); the straight
+/// per-scheme path is switched on at run time
+/// (Experiment::set_snapshot_reuse), and test_golden runs both.
 inline constexpr bool kSnapshotEnabled = true;
-#else
-inline constexpr bool kSnapshotEnabled = false;
-#endif
 
 /// The one "BWPS" format version this build writes and reads; snapshot.cpp
 /// records why each older version no longer decodes.

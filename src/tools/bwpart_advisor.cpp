@@ -10,24 +10,9 @@
 // audit mode — cross-checks every Nth mix-tagged request against a forked
 // simulator measure phase.
 //
-// Options:
-//   --in FILE          read requests from FILE (default stdin)
-//   --out FILE         write JSONL answers to FILE (default stdout)
-//   --threads N        solve parallelism (default auto, 1 = serial)
-//   --batch-lines N    lines per batch (default 4096)
-//   --audit-every N    audit every Nth mix-tagged request (default off)
-//   --audit-cycles N   audit profile/measure window (default 100000)
-//   --audit-seed N     audit trace seed (default 42)
-//   --metrics-out FILE write the obs metrics registry JSON (enables obs)
-//   --churn-replay FILE replay a churn schedule (ChurnSchedule grammar)
-//                      against ONE superset request read from --in: one
-//                      JSONL line per re-solve step (initial install plus
-//                      each churn instant), shares scattered over the
-//                      superset with dormant apps pinned to zero
-//   --quiet            suppress the stderr summary
+// Every flag, its range and its default are declared once in main()'s
+// cli::Parser table; an unknown flag prints them.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -35,20 +20,10 @@
 
 #include "advisor/replay.hpp"
 #include "advisor/service.hpp"
+#include "common/cli.hpp"
 #include "obs/hub.hpp"
 
 namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--in FILE] [--out FILE] [--threads N]\n"
-               "          [--batch-lines N] [--audit-every N] "
-               "[--audit-cycles N]\n"
-               "          [--audit-seed N] [--metrics-out FILE]\n"
-               "          [--churn-replay FILE] [--quiet]\n",
-               argv0);
-  return 2;
-}
 
 /// --churn-replay mode: one superset request from `in`, the schedule from
 /// `path`, one JSONL line per re-solve step to `out`.
@@ -118,42 +93,27 @@ int main(int argc, char** argv) {
   std::uint64_t audit_cycles = 100'000;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--in") == 0) {
-      in_path = need("--in");
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = need("--out");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      cfg.threads = static_cast<std::size_t>(std::atoll(need("--threads")));
-    } else if (std::strcmp(argv[i], "--batch-lines") == 0) {
-      cfg.batch_lines =
-          static_cast<std::size_t>(std::atoll(need("--batch-lines")));
-    } else if (std::strcmp(argv[i], "--audit-every") == 0) {
-      cfg.audit_every =
-          static_cast<std::uint64_t>(std::atoll(need("--audit-every")));
-    } else if (std::strcmp(argv[i], "--audit-cycles") == 0) {
-      audit_cycles =
-          static_cast<std::uint64_t>(std::atoll(need("--audit-cycles")));
-    } else if (std::strcmp(argv[i], "--audit-seed") == 0) {
-      cfg.audit_phases.seed =
-          static_cast<std::uint64_t>(std::atoll(need("--audit-seed")));
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_path = need("--metrics-out");
-    } else if (std::strcmp(argv[i], "--churn-replay") == 0) {
-      churn_path = need("--churn-replay");
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  cli::Parser cli("bwpart_advisor");
+  cli.text("--in", in_path, "FILE", "read requests from FILE (default stdin)");
+  cli.text("--out", out_path, "FILE",
+           "write JSONL answers to FILE (default stdout)");
+  cli.number("--threads", cfg.threads, 0, 1'024,
+             "solve parallelism (0: auto, 1: serial)");
+  cli.number("--batch-lines", cfg.batch_lines, 1, 1u << 20, "lines per batch");
+  cli.number("--audit-every", cfg.audit_every, 0, UINT64_MAX,
+             "audit every Nth mix-tagged request (0: off)");
+  cli.number("--audit-cycles", audit_cycles, 10'000, 1'000'000'000'000,
+             "audit profile/measure window");
+  cli.number("--audit-seed", cfg.audit_phases.seed, 0, UINT64_MAX,
+             "audit trace seed");
+  cli.text("--metrics-out", metrics_path, "FILE",
+           "write the obs metrics registry JSON (enables obs)");
+  // Shares are scattered over the superset, dormant apps pinned to zero.
+  cli.text("--churn-replay", churn_path, "FILE",
+           "replay a churn schedule against ONE superset request from --in: "
+           "one JSONL line per re-solve step");
+  cli.flag("--quiet", quiet, "suppress the stderr summary");
+  cli.parse(argc, argv);
 
   // Audit forks run at golden-corpus scale by default: a 1/5 warmup plus
   // equal profile/measure windows.

@@ -4,58 +4,21 @@
 //   bwpart_sim --mix homo-3 --scheme all --csv
 //   bwpart_sim --benchmarks lbm,gobmk,namd,hmmer --scheme Priority_API
 //
-// Options:
-//   --mix NAME          a Table IV mix (homo-1..7, hetero-1..7)
-//   --benchmarks A,B,.. explicit benchmark list instead of a mix
-//   --scheme NAME|all   partitioning scheme (paper names) or every scheme
-//   --cycles N          profile/measure window (default 2000000)
-//   --copies N          workload replication (Fig. 4 style)
-//   --bandwidth GBPS    3.2, 6.4 or 12.8 (default 3.2); maps to the three
-//                       DDR2 grades of the paper's Fig. 4
-//   --dram-gen NAME     any registered DRAM generation (ddr2_400 ..
-//                       hbm_like; see README "DRAM generations"); overrides
-//                       --bandwidth, unknown names fail loudly listing the
-//                       registered set
-//   --seed N            trace seed
-//   --oracle            ground-truth standalone profiling
-//   --csv               machine-readable output
-//   --metrics-out FILE  write metrics registry + epoch series JSON
-//   --trace-out FILE    write Chrome-trace JSON (chrome://tracing, Perfetto)
-//   --epochs-out FILE   write the epoch series alone as JSONL (streaming)
-//   --epoch-cycles N    time-series sampling epoch (default 100000)
-//   --snapshot-out FILE save the post-profile checkpoint ("BWPS" container)
-//   --resume FILE       fork the measure phases from a saved checkpoint
-//                       instead of re-running warmup+profile; results are
-//                       bit-identical and the file is rejected loudly if it
-//                       was captured under any other config/workload/seed
-//   --controllers N     independent memory controllers (apps round-robin)
-//   --shard-worker DIR  run as a sweep shard worker against spool DIR
-//                       (claim units, measure, ship result shards) and exit;
-//                       all other workload/machine flags are ignored — the
-//                       unit specs in the spool carry the configuration
-//   --lease-ms N        shard lease staleness threshold (default 5000)
-//   --churn FILE        replay a churn schedule (see src/harness/churn.hpp
-//                       for the grammar) over the measure window with online
-//                       re-profiling + share re-solves per scheme
-//   --churn-reprofile N re-profiling window after each churn event
-//                       (default 50000 cycles)
-//   --churn-epoch N     objective-evaluation epoch (default 25000 cycles)
-//   --churn-static      freeze the initial allocation (static-once
-//                       baseline; events still toggle liveness/phases)
-//   --qos I=T[,I=T...]  guarantee app index I an IPC of T (Eq. 11); the
-//                       --scheme partitions the best-effort remainder.
-//                       Applies to churn runs.
+// Every flag, its range and its default are declared once in main()'s
+// cli::Parser table; an unknown flag prints them.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "harness/churn.hpp"
 #include "harness/experiment.hpp"
@@ -67,13 +30,6 @@ namespace {
 
 using namespace bwpart;
 
-std::optional<core::Scheme> parse_scheme(const std::string& name) {
-  for (core::Scheme s : core::kAllSchemes) {
-    if (core::to_string(s) == name) return s;
-  }
-  return std::nullopt;
-}
-
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
   std::stringstream ss(s);
@@ -82,44 +38,57 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--mix NAME | --benchmarks A,B,...] "
-               "[--scheme NAME|all] [--cycles N]\n"
-               "       [--copies N] [--bandwidth 3.2|6.4|12.8] "
-               "[--dram-gen NAME] [--seed N] [--oracle] [--csv]\n"
-               "       [--metrics-out FILE] [--trace-out FILE] "
-               "[--epochs-out FILE] [--epoch-cycles N]\n"
-               "       [--snapshot-out FILE] [--resume FILE] "
-               "[--controllers N]\n"
-               "       [--shard-worker SPOOL_DIR] [--lease-ms N]\n"
-               "       [--churn FILE] [--churn-reprofile N] "
-               "[--churn-epoch N] [--churn-static]\n"
-               "       [--qos IDX=TARGET[,IDX=TARGET...]]\n",
-               argv0);
-  return 2;
+/// "3=0.6,1=0.2" -> Eq. 11 requirements on apps [0, napps) into `reqs`;
+/// returns "" or the problem.
+std::string parse_qos(const std::string& spec, std::size_t napps,
+                      std::vector<core::QosRequirement>& reqs) {
+  for (const std::string& item : split_csv(spec)) {
+    const std::size_t eq = std::min(item.find('='), item.size());
+    std::uint64_t app = 0;
+    double ipc = 0.0;
+    std::string problem = cli::parse_number<std::uint64_t>(
+        item.substr(0, eq), 0, napps - 1, app);
+    if (problem.empty()) {
+      problem = cli::parse_number<double>(
+          item.substr(std::min(eq + 1, item.size())),
+          std::numeric_limits<double>::min(),
+          std::numeric_limits<double>::max(), ipc);
+    }
+    if (!problem.empty()) return "'" + item + "': " + problem;
+    reqs.push_back({static_cast<std::uint32_t>(app), ipc});
+  }
+  return {};
 }
 
-/// "3=0.6,1=0.2" -> Eq. 11 requirements; nullopt on malformed input.
-std::optional<std::vector<core::QosRequirement>> parse_qos(
-    const std::string& spec) {
-  std::vector<core::QosRequirement> reqs;
-  for (const std::string& item : split_csv(spec)) {
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
-      return std::nullopt;
+/// Writes each observability document whose path is set: the metrics
+/// registry, the Chrome trace and the epoch series. Returns the exit
+/// status: 1 when a file cannot be opened.
+int write_obs_outputs(const obs::Hub& hub, const std::string& metrics_out,
+                      const std::string& trace_out,
+                      const std::string& epochs_out) {
+  const auto write = [](const std::string& path, const auto& emit) {
+    if (path.empty()) return true;
+    std::ofstream os(path);
+    if (!os) {
+      std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+      return false;
     }
-    char* end = nullptr;
-    core::QosRequirement r;
-    r.app_index = static_cast<std::uint32_t>(
-        std::strtoul(item.c_str(), &end, 10));
-    if (end != item.c_str() + eq) return std::nullopt;
-    r.ipc_target = std::strtod(item.c_str() + eq + 1, &end);
-    if (*end != '\0' || r.ipc_target <= 0.0) return std::nullopt;
-    reqs.push_back(r);
-  }
-  return reqs.empty() ? std::nullopt : std::make_optional(reqs);
+    emit(os);
+    return true;
+  };
+  const bool ok =
+      write(metrics_out,
+            [&](std::ostream& o) { hub.write_metrics_json(o); o << '\n'; }) &&
+      write(trace_out,
+            [&](std::ostream& o) { hub.trace().write_json(o); o << '\n'; }) &&
+      write(epochs_out, [&](std::ostream& o) { hub.series().write_jsonl(o); });
+  return ok ? 0 : 1;
 }
+
+constexpr Cycle kMinCycles = 10'000;  // shorter windows can profile no access
+constexpr Cycle kMaxCycles = 1'000'000'000'000;
+constexpr std::uint64_t kMaxApps = 1'024;
+constexpr std::uint64_t kMaxLeaseMs = 86'400'000;  // one day
 
 }  // namespace
 
@@ -142,82 +111,68 @@ int main(int argc, char** argv) {
   std::string resume_path;
   std::size_t controllers = 1;
   std::string shard_spool;
-  long lease_ms = 5'000;
+  std::uint64_t lease_ms = 5'000;
   std::string churn_path;
   Cycle churn_reprofile = 50'000;
   Cycle churn_epoch = 25'000;
   bool churn_static = false;
   std::string qos_spec;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--mix") {
-      if (const char* v = next()) mix_name = v; else return usage(argv[0]);
-    } else if (arg == "--benchmarks") {
-      if (const char* v = next()) bench_list = v; else return usage(argv[0]);
-    } else if (arg == "--scheme") {
-      if (const char* v = next()) scheme_name = v; else return usage(argv[0]);
-    } else if (arg == "--cycles") {
-      if (const char* v = next()) cycles = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
-    } else if (arg == "--copies") {
-      if (const char* v = next())
-        copies = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-      else return usage(argv[0]);
-    } else if (arg == "--bandwidth") {
-      if (const char* v = next()) bandwidth = std::strtod(v, nullptr);
-      else return usage(argv[0]);
-    } else if (arg == "--dram-gen") {
-      if (const char* v = next()) dram_gen = v; else return usage(argv[0]);
-    } else if (arg == "--seed") {
-      if (const char* v = next()) seed = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
-    } else if (arg == "--oracle") {
-      oracle = true;
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--metrics-out") {
-      if (const char* v = next()) metrics_out = v; else return usage(argv[0]);
-    } else if (arg == "--trace-out") {
-      if (const char* v = next()) trace_out = v; else return usage(argv[0]);
-    } else if (arg == "--epochs-out") {
-      if (const char* v = next()) epochs_out = v; else return usage(argv[0]);
-    } else if (arg == "--epoch-cycles") {
-      if (const char* v = next()) epoch_cycles = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
-    } else if (arg == "--snapshot-out") {
-      if (const char* v = next()) snapshot_out = v; else return usage(argv[0]);
-    } else if (arg == "--resume") {
-      if (const char* v = next()) resume_path = v; else return usage(argv[0]);
-    } else if (arg == "--controllers") {
-      if (const char* v = next())
-        controllers = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-      else return usage(argv[0]);
-    } else if (arg == "--shard-worker") {
-      if (const char* v = next()) shard_spool = v; else return usage(argv[0]);
-    } else if (arg == "--lease-ms") {
-      if (const char* v = next()) lease_ms = std::strtol(v, nullptr, 10);
-      else return usage(argv[0]);
-    } else if (arg == "--churn") {
-      if (const char* v = next()) churn_path = v; else return usage(argv[0]);
-    } else if (arg == "--churn-reprofile") {
-      if (const char* v = next())
-        churn_reprofile = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
-    } else if (arg == "--churn-epoch") {
-      if (const char* v = next()) churn_epoch = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
-    } else if (arg == "--churn-static") {
-      churn_static = true;
-    } else if (arg == "--qos") {
-      if (const char* v = next()) qos_spec = v; else return usage(argv[0]);
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  cli::Parser cli("bwpart_sim");
+  cli.text("--mix", mix_name, "NAME", "Table IV mix (homo-1..7, hetero-1..7)");
+  cli.text("--benchmarks", bench_list, "A,B,...",
+           "explicit benchmark list instead of a mix");
+  cli.text("--scheme", scheme_name, "NAME|all",
+           "partitioning scheme (paper names) or every scheme");
+  cli.number("--cycles", cycles, kMinCycles, kMaxCycles,
+             "profile and measure window (warm-up: a fifth of it)");
+  cli.number("--copies", copies, 1, kMaxApps, "workload replication (Fig. 4)");
+  cli.number("--bandwidth", bandwidth, 0.1, 100.0,
+             "picks the Fig. 4 DDR2 grade: >= 12 DDR2-1600, >= 6 DDR2-800, "
+             "else DDR2-400",
+             "GBPS");
+  cli.text("--dram-gen", dram_gen, "NAME",
+           "any registered DRAM generation (README \"DRAM generations\"); "
+           "overrides --bandwidth");
+  cli.number("--seed", seed, 0, UINT64_MAX, "trace seed");
+  cli.flag("--oracle", oracle, "ground-truth standalone profiling");
+  cli.flag("--csv", csv, "machine-readable output");
+  cli.text("--metrics-out", metrics_out, "FILE",
+           "write metrics registry + epoch series JSON");
+  cli.text("--trace-out", trace_out, "FILE",
+           "write Chrome-trace JSON (chrome://tracing, Perfetto)");
+  cli.text("--epochs-out", epochs_out, "FILE",
+           "write the epoch series alone as JSONL (streaming)");
+  cli.number("--epoch-cycles", epoch_cycles, 0, kMaxCycles,
+             "time-series sampling epoch (0: none)");
+  cli.text("--snapshot-out", snapshot_out, "FILE",
+           "save the post-profile checkpoint (\"BWPS\" container)");
+  // Results are bit-identical to a straight run; a file captured under any
+  // other config/workload/seed is rejected loudly.
+  cli.text("--resume", resume_path, "FILE",
+           "fork the measure phases from a saved checkpoint instead of "
+           "re-running warm-up + profile");
+  cli.number("--controllers", controllers, 1, kMaxApps,
+             "independent memory controllers (apps round-robin)");
+  // The unit specs in the spool carry the configuration, so every
+  // workload/machine flag is ignored in this mode.
+  cli.text("--shard-worker", shard_spool, "DIR",
+           "run as a sweep shard worker against spool DIR, then exit");
+  cli.number("--lease-ms", lease_ms, 1, kMaxLeaseMs,
+             "shard lease staleness threshold");
+  cli.text("--churn", churn_path, "FILE",
+           "replay a churn schedule (grammar: src/harness/churn.hpp) with "
+           "online re-profiling + re-solves per scheme");
+  cli.number("--churn-reprofile", churn_reprofile, 1, kMaxCycles,
+             "re-profiling window after each churn event");
+  cli.number("--churn-epoch", churn_epoch, 1, kMaxCycles,
+             "objective-evaluation epoch");
+  cli.flag("--churn-static", churn_static,
+           "freeze the initial allocation (static-once baseline)");
+  cli.text("--qos", qos_spec, "I=T[,I=T...]",
+           "guarantee app I an IPC of T (Eq. 11) in churn runs; --scheme "
+           "partitions the rest");
+  cli.parse(argc, argv);
 
   // Shard-worker mode: drain the spool's work-stealing queue and exit.
   if (!shard_spool.empty()) {
@@ -240,6 +195,13 @@ int main(int argc, char** argv) {
   std::vector<workload::BenchmarkSpec> apps;
   if (!bench_list.empty()) {
     const std::vector<std::string> names = split_csv(bench_list);
+    for (const std::string& name : names) {
+      const auto table = workload::spec2006_table();
+      if (std::none_of(table.begin(), table.end(),
+                       [&](const auto& b) { return b.name == name; })) {
+        cli.fail("--benchmarks: unknown benchmark '" + name + "'");
+      }
+    }
     for (std::uint32_t c = 0; c < copies; ++c) {
       for (const std::string& name : names) {
         apps.push_back(workload::find_benchmark(name));
@@ -250,13 +212,9 @@ int main(int argc, char** argv) {
     for (const auto& m : workload::paper_mixes()) {
       if (m.name == mix_name) mix = &m;
     }
-    if (mix == nullptr) {
-      std::fprintf(stderr, "unknown mix '%s'\n", mix_name.c_str());
-      return usage(argv[0]);
-    }
+    if (mix == nullptr) cli.fail("--mix: unknown mix '" + mix_name + "'");
     apps = workload::resolve_mix(*mix, copies);
   }
-  if (apps.empty()) return usage(argv[0]);
 
   // Machine. --dram-gen picks any registered generation by name and wins
   // over the Fig. 4 --bandwidth -> DDR2-grade mapping.
@@ -265,8 +223,7 @@ int main(int argc, char** argv) {
     try {
       machine.dram = dram::dram_config_for_generation(dram_gen);
     } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "bwpart_sim: --dram-gen: %s\n", e.what());
-      return 2;
+      cli.fail(std::string("--dram-gen: ") + e.what());
     }
   } else if (bandwidth >= 12.0) {
     machine.dram = dram::DramConfig::ddr2_1600();
@@ -275,9 +232,9 @@ int main(int argc, char** argv) {
   } else {
     machine.dram = dram::DramConfig::ddr2_400();
   }
-  if (controllers == 0 || controllers > apps.size()) {
-    std::fprintf(stderr, "--controllers must be in [1, %zu]\n", apps.size());
-    return usage(argv[0]);
+  if (controllers > apps.size()) {
+    cli.fail("--controllers: " + std::to_string(controllers) +
+             " exceeds the " + std::to_string(apps.size()) + " apps");
   }
   machine.num_controllers = controllers;
 
@@ -301,18 +258,16 @@ int main(int argc, char** argv) {
   }
 
   std::vector<core::Scheme> schemes;
-  if (scheme_name == "all") {
-    schemes.assign(std::begin(core::kAllSchemes),
-                   std::end(core::kAllSchemes));
-  } else if (auto parsed = parse_scheme(scheme_name)) {
-    schemes.push_back(*parsed);
-  } else {
-    std::fprintf(stderr, "unknown scheme '%s'; valid:", scheme_name.c_str());
-    for (core::Scheme s : core::kAllSchemes) {
-      std::fprintf(stderr, " %s", core::to_string(s).c_str());
+  std::string valid;
+  for (core::Scheme s : core::kAllSchemes) {
+    if (scheme_name == "all" || core::to_string(s) == scheme_name) {
+      schemes.push_back(s);
     }
-    std::fprintf(stderr, " all\n");
-    return usage(argv[0]);
+    valid += core::to_string(s) + " ";
+  }
+  if (schemes.empty()) {
+    cli.fail("--scheme: unknown scheme '" + scheme_name + "'; valid: " +
+             valid + "all");
   }
 
   // Profile checkpointing: --resume forks every measure phase from a saved
@@ -368,20 +323,8 @@ int main(int argc, char** argv) {
     }
     std::vector<core::QosRequirement> qos;
     if (!qos_spec.empty()) {
-      const auto parsed = parse_qos(qos_spec);
-      if (!parsed) {
-        std::fprintf(stderr, "bwpart_sim: --qos: malformed spec '%s'\n",
-                     qos_spec.c_str());
-        return usage(argv[0]);
-      }
-      qos = *parsed;
-      for (const core::QosRequirement& r : qos) {
-        if (r.app_index >= apps.size()) {
-          std::fprintf(stderr, "bwpart_sim: --qos: app %u out of range\n",
-                       r.app_index);
-          return 1;
-        }
-      }
+      const std::string problem = parse_qos(qos_spec, apps.size(), qos);
+      if (!problem.empty()) cli.fail("--qos: " + problem);
     }
     if (csv) {
       std::printf("scheme,hsp,wsp,qos_violation_cycles,"
@@ -437,33 +380,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(schedule.fingerprint()));
       table.print(std::cout);
     }
-    if (!metrics_out.empty()) {
-      std::ofstream os(metrics_out);
-      if (!os) {
-        std::fprintf(stderr, "cannot open '%s'\n", metrics_out.c_str());
-        return 1;
-      }
-      hub.write_metrics_json(os);
-      os << '\n';
-    }
-    if (!epochs_out.empty()) {
-      std::ofstream os(epochs_out);
-      if (!os) {
-        std::fprintf(stderr, "cannot open '%s'\n", epochs_out.c_str());
-        return 1;
-      }
-      hub.series().write_jsonl(os);
-    }
-    if (!trace_out.empty()) {
-      std::ofstream os(trace_out);
-      if (!os) {
-        std::fprintf(stderr, "cannot open '%s'\n", trace_out.c_str());
-        return 1;
-      }
-      hub.trace().write_json(os);
-      os << '\n';
-    }
-    return 0;
+    return write_obs_outputs(hub, metrics_out, trace_out, epochs_out);
   }
 
   if (csv) {
@@ -499,31 +416,5 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  if (!metrics_out.empty()) {
-    std::ofstream os(metrics_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_out.c_str());
-      return 1;
-    }
-    hub.write_metrics_json(os);
-    os << '\n';
-  }
-  if (!trace_out.empty()) {
-    std::ofstream os(trace_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n", trace_out.c_str());
-      return 1;
-    }
-    hub.trace().write_json(os);
-    os << '\n';
-  }
-  if (!epochs_out.empty()) {
-    std::ofstream os(epochs_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n", epochs_out.c_str());
-      return 1;
-    }
-    hub.series().write_jsonl(os);
-  }
-  return 0;
+  return write_obs_outputs(hub, metrics_out, trace_out, epochs_out);
 }

@@ -10,21 +10,8 @@
 //   bwpart_sweepd --portfolio table4 --spool spool
 //       --scaling 1,2,4,8 --bench-out BENCH_sweep.json  (one line)
 //
-// Options:
-//   --portfolio NAME   quick | quick@<dram-generation> | table4 |
-//                      portfolio64 (quick@GEN pins the quick portfolio to a
-//                      registered DRAM generation, e.g. quick@ddr4_2400)
-//   --spool DIR        spool directory (created; reusable for resume)
-//   --workers N        worker processes (default 2)
-//   --scaling W,...    one full round per worker count, each in its own
-//                      sub-spool (<spool>/w<N>), reporting scaling
-//                      efficiency t1/(W*tW) over the measure phase
-//   --sim PATH         worker binary (default: bwpart_sim next to this one)
-//   --lease-ms N       lease staleness threshold handed to workers
-//   --verify           also run the portfolio in-process (run_all) and
-//                      require bit-identical fingerprints per unit
-//   --report FILE      merged portfolio JSON
-//   --bench-out FILE   BENCH_sweep.json (schema 1)
+// Every flag, its range and its default are declared once in main()'s
+// cli::Parser table; an unknown flag prints them.
 //
 // Resume: re-running with the same --spool never re-runs completed units —
 // publishing skips keys that already have result shards, and workers retire
@@ -45,11 +32,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "harness/differential.hpp"
 #include "harness/shard.hpp"
 
@@ -64,17 +51,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --portfolio quick|quick@GEN|table4|portfolio64 "
-               "--spool DIR\n"
-               "       [--workers N] [--scaling W1,W2,...] [--sim PATH]\n"
-               "       [--lease-ms N] [--verify] [--report FILE] "
-               "[--bench-out FILE]\n",
-               argv0);
-  return 2;
-}
-
 /// Directory holding this executable (workers default to a sibling binary).
 fs::path self_dir() {
   char buf[4096];
@@ -85,7 +61,7 @@ fs::path self_dir() {
 }
 
 pid_t spawn_worker(const std::string& sim, const std::string& spool,
-                   long lease_ms, std::size_t thread_cap) {
+                   std::uint64_t lease_ms, std::size_t thread_cap) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     // overwrite=0: a BWPART_SWEEP_THREADS set by the user overrides the
@@ -117,7 +93,7 @@ struct RoundStats {
 shard::MergedPortfolio run_round(const shard::Portfolio& portfolio,
                                  const fs::path& spool_dir,
                                  std::size_t workers, const std::string& sim,
-                                 long lease_ms, RoundStats& stats) {
+                                 std::uint64_t lease_ms, RoundStats& stats) {
   const Clock::time_point round0 = Clock::now();
   stats.workers = workers;
 
@@ -268,69 +244,48 @@ void write_bench(const std::string& path, const shard::Portfolio& portfolio,
      << "}\n}\n";
 }
 
+constexpr std::uint64_t kMaxWorkers = 1'024;
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string portfolio_name;
   std::string spool_dir;
   std::size_t workers = 2;
-  std::vector<std::size_t> scaling;
+  std::vector<std::uint64_t> scaling;
   std::string sim;
-  long lease_ms = 5'000;
+  std::uint64_t lease_ms = 5'000;
   bool verify = false;
   std::string report_path;
   std::string bench_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--portfolio") {
-      if (const char* v = next()) portfolio_name = v;
-      else return usage(argv[0]);
-    } else if (arg == "--spool") {
-      if (const char* v = next()) spool_dir = v; else return usage(argv[0]);
-    } else if (arg == "--workers") {
-      if (const char* v = next())
-        workers = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-      else return usage(argv[0]);
-    } else if (arg == "--scaling") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      std::stringstream ss(v);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        scaling.push_back(
-            static_cast<std::size_t>(std::strtoul(item.c_str(), nullptr,
-                                                  10)));
-      }
-    } else if (arg == "--sim") {
-      if (const char* v = next()) sim = v; else return usage(argv[0]);
-    } else if (arg == "--lease-ms") {
-      if (const char* v = next()) lease_ms = std::strtol(v, nullptr, 10);
-      else return usage(argv[0]);
-    } else if (arg == "--verify") {
-      verify = true;
-    } else if (arg == "--report") {
-      if (const char* v = next()) report_path = v; else return usage(argv[0]);
-    } else if (arg == "--bench-out") {
-      if (const char* v = next()) bench_path = v; else return usage(argv[0]);
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (portfolio_name.empty() || spool_dir.empty() || workers == 0) {
-    return usage(argv[0]);
-  }
+  cli::Parser cli("bwpart_sweepd");
+  cli.text("--portfolio", portfolio_name, "NAME",
+           "required: quick | quick@<dram-generation> | table4 | portfolio64");
+  cli.text("--spool", spool_dir, "DIR",
+           "required: spool directory (created; reusable for resume)");
+  cli.number("--workers", workers, 1, kMaxWorkers, "worker processes");
+  cli.uint_list("--scaling", scaling, 1, kMaxWorkers, "W1,W2,...",
+                "one full round per worker count");
+  cli.text("--sim", sim, "PATH",
+           "worker binary (default: bwpart_sim next to this one)");
+  cli.number("--lease-ms", lease_ms, 1, 86'400'000,
+             "lease staleness threshold handed to workers");
+  cli.flag("--verify", verify,
+           "also run the portfolio in-process (run_all) and require "
+           "bit-identical fingerprints per unit");
+  cli.text("--report", report_path, "FILE", "merged portfolio JSON");
+  cli.text("--bench-out", bench_path, "FILE", "BENCH_sweep.json (schema 1)");
+  cli.parse(argc, argv);
+  if (portfolio_name.empty()) cli.fail("--portfolio: required");
+  if (spool_dir.empty()) cli.fail("--spool: required");
   if (sim.empty()) sim = (self_dir() / "bwpart_sim").string();
 
   shard::Portfolio portfolio;
   try {
     portfolio = shard::make_portfolio(portfolio_name);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return usage(argv[0]);
+    cli.fail(std::string("--portfolio: ") + e.what());
   }
   const std::size_t unit_count =
       portfolio.configs.size() * portfolio.schemes.size();
@@ -345,8 +300,7 @@ int main(int argc, char** argv) {
     } else {
       // One independent round per worker count, each in its own sub-spool
       // so every round repeats the full measure fan-out.
-      for (const std::size_t w : scaling) {
-        if (w == 0) continue;
+      for (const std::uint64_t w : scaling) {
         RoundStats stats;
         std::string sub = "w";
         sub += std::to_string(w);

@@ -4,7 +4,8 @@
 // response accounting checked exactly (one response per request, errors
 // line-numbered, nothing silently dropped), and the --metrics-out document
 // verified to carry the advisor.* instruments. This is the same validation
-// the CI advisor-smoke job runs.
+// the CI advisor-smoke job runs. Malformed flag values must exit 2 naming
+// the flag.
 //
 // The binary under test is passed as argv[1] by ctest
 // ($<TARGET_FILE:bwpart_advisor>), so the suite needs a custom main.
@@ -31,8 +32,16 @@ std::string tmp_path(const std::string& name) {
   return testing::TempDir() + "advisor_cli_" + name;
 }
 
-int run_cmd(const std::string& cmd) {
-  const int status = std::system((cmd + " 2> /dev/null").c_str());
+/// Runs `cmd`; returns its exit code, with the first line of its stderr in
+/// `err_line` when given.
+int run_cmd(const std::string& cmd, std::string* err_line = nullptr) {
+  const std::string errors = tmp_path("stderr.txt");
+  const int status = std::system((cmd + " 2> " + errors).c_str());
+  if (err_line != nullptr) {
+    std::ifstream in(errors);
+    std::getline(in, *err_line);
+  }
+  std::remove(errors.c_str());
   if (status == -1) return -1;
   return WEXITSTATUS(status);
 }
@@ -234,6 +243,33 @@ TEST(AdvisorCli, AuditModeSamplesAndReportsErrors) {
 
   std::remove(reqs.c_str());
   std::remove(resp.c_str());
+}
+
+// Malformed counts exit 2 with a first stderr line naming the flag. They
+// used to be misread through atoll: "--batch-lines -1" became SIZE_MAX (a
+// std::length_error abort), "--threads -1" one solver shard per thread up
+// to SIZE_MAX (a run that never finishes; hence the timeout), and
+// "--threads abc" silently meant auto.
+TEST(AdvisorCli, MalformedFlagValuesExitTwoNamingTheFlag) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {" --batch-lines -1", "--batch-lines"},
+      {" --threads -1", "--threads"},
+      {" --threads abc", "--threads"},
+  };
+  for (const auto& c : cases) {
+    std::string line;
+    EXPECT_EQ(run_cmd("timeout 20 " + g_advisor_path + c.args +
+                          " < /dev/null > /dev/null",
+                      &line),
+              2)
+        << c.args;
+    EXPECT_EQ(line.rfind(std::string("bwpart_advisor: ") + c.flag + ": ", 0),
+              0u)
+        << c.args << " -> " << line;
+  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // --epoch-cycles) and the snapshot checkpointing flags (--snapshot-out /
 // --resume) as a user would: real process invocations, outputs validated
 // with the in-tree JSON parser, resumed results compared byte-for-byte
-// against straight runs, and corrupt/mismatched snapshots rejected with a
-// nonzero exit.
+// against straight runs, corrupt/mismatched snapshots rejected with a
+// nonzero exit, and malformed flag values rejected before any simulation.
 //
 // The binary under test is passed as argv[1] by ctest
 // ($<TARGET_FILE:bwpart_sim>), so the suite needs a custom main.
@@ -29,19 +29,27 @@ std::string tmp_path(const std::string& name) {
   return testing::TempDir() + "cli_smoke_" + name;
 }
 
-/// Runs `cmd` with stdout redirected to a temp file; returns the process
-/// exit code and fills `out` with the captured stdout.
-int run_cmd(const std::string& cmd, std::string* out = nullptr) {
+/// Runs `cmd` with stdout and stderr redirected to temp files; returns the
+/// process exit code and fills `out` with the captured stdout and
+/// `err_line` with the first line of stderr.
+int run_cmd(const std::string& cmd, std::string* out = nullptr,
+            std::string* err_line = nullptr) {
   const std::string capture = tmp_path("stdout.txt");
+  const std::string errors = tmp_path("stderr.txt");
   const int status =
-      std::system((cmd + " > " + capture + " 2> /dev/null").c_str());
+      std::system((cmd + " > " + capture + " 2> " + errors).c_str());
   if (out != nullptr) {
     std::ifstream in(capture);
     std::stringstream buf;
     buf << in.rdbuf();
     *out = buf.str();
   }
+  if (err_line != nullptr) {
+    std::ifstream in(errors);
+    std::getline(in, *err_line);
+  }
   std::remove(capture.c_str());
+  std::remove(errors.c_str());
   if (status == -1) return -1;
   return WEXITSTATUS(status);
 }
@@ -198,6 +206,31 @@ TEST(CliSmoke, UnknownDramGenerationIsRejectedLoudly) {
   EXPECT_NE(err.find("ddr4_2400"), std::string::npos)
       << "error should list the registered generations: " << err;
   std::remove(errfile.c_str());
+}
+
+// A malformed, signed or missing flag value exits 2 before any simulation,
+// with a first stderr line naming the flag (the usage follows). These
+// values used to be misread: "10k" cycles as 10 (then an assert abort),
+// "abc" copies as 0 (an abort), "x" GB/s as 0 (a silent DDR2-400 run).
+TEST(CliSmoke, MalformedFlagValuesExitTwoNamingTheFlag) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {" --cycles 10k", "--cycles"},
+      {" --copies abc", "--copies"},
+      {" --bandwidth x", "--bandwidth"},
+      {" --epochs-out", "--epochs-out"},
+  };
+  for (const auto& c : cases) {
+    std::string line;
+    EXPECT_EQ(run_cmd(g_sim_path + kBaseArgs + " --scheme Equal" + c.args,
+                      nullptr, &line),
+              2)
+        << c.args;
+    EXPECT_EQ(line.rfind(std::string("bwpart_sim: ") + c.flag + ": ", 0), 0u)
+        << c.args << " -> " << line;
+  }
 }
 
 }  // namespace

@@ -51,17 +51,26 @@ std::string tmp_dir(const std::string& name) {
   return testing::TempDir() + "sweep_shard_" + name;
 }
 
-int run_cmd(const std::string& cmd, std::string* out = nullptr) {
+/// Runs `cmd`; returns its exit code, with its stdout in `out` and the
+/// first line of its stderr in `err_line` when given.
+int run_cmd(const std::string& cmd, std::string* out = nullptr,
+            std::string* err_line = nullptr) {
   const std::string capture = tmp_dir("stdout.txt");
+  const std::string errors = tmp_dir("stderr.txt");
   const int status =
-      std::system((cmd + " > " + capture + " 2> /dev/null").c_str());
+      std::system((cmd + " > " + capture + " 2> " + errors).c_str());
   if (out != nullptr) {
     std::ifstream in(capture);
     std::stringstream buf;
     buf << in.rdbuf();
     *out = buf.str();
   }
+  if (err_line != nullptr) {
+    std::ifstream in(errors);
+    std::getline(in, *err_line);
+  }
   std::remove(capture.c_str());
+  std::remove(errors.c_str());
   if (status == -1) return -1;
   return WEXITSTATUS(status);
 }
@@ -543,6 +552,33 @@ TEST(SweepShard, OrchestratorSigkillMidSweepResumesWithoutRerunningUnits) {
         << "completed unit " << key << " was re-run on resume";
   }
   expect_bit_identical(spool, shard::make_portfolio("table4"));
+  fs::remove_all(dir);
+}
+
+// Malformed worker counts exit 2 with a first stderr line naming the flag.
+// "--scaling 0" used to skip every round and then segfault on the empty
+// round list; "--workers abc" read as 0 and printed only the usage.
+TEST(SweepShard, MalformedFlagValuesExitTwoNamingTheFlag) {
+  const std::string dir = tmp_dir("bad_flags");
+  fs::remove_all(dir);
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {" --scaling 0", "--scaling"},
+      {" --workers abc", "--workers"},
+  };
+  for (const auto& c : cases) {
+    std::string line;
+    EXPECT_EQ(run_cmd(g_sweepd_path + " --portfolio quick --spool " + dir +
+                          " --sim " + g_sim_path + c.args,
+                      nullptr, &line),
+              2)
+        << c.args;
+    EXPECT_EQ(line.rfind(std::string("bwpart_sweepd: ") + c.flag + ": ", 0),
+              0u)
+        << c.args << " -> " << line;
+  }
   fs::remove_all(dir);
 }
 

@@ -35,14 +35,15 @@
 //
 //   test_golden --file tests/golden/fingerprints.json [--update]
 //
-// Every sweep is computed through Experiment::run_all — under the default
-// BWPART_SNAPSHOT=ON build that exercises the snapshot/fork path, and the
-// CI job configured with -DBWPART_SNAPSHOT=OFF replays the identical corpus
-// through straight per-scheme runs. Both builds compare against the same
-// committed file, which makes the corpus a cross-path bit-identity proof on
-// top of a regression tripwire: any change to the simulator, the scheduler
-// stack or the snapshot engine that shifts even one double by one ULP shows
-// up as a fingerprint diff.
+// Every section except churn is a sweep through Experiment::run_all, and
+// each is computed twice in this one binary: through the snapshot/fork path
+// (profile once, fork every scheme's measure phase) and through straight
+// per-scheme runs (Experiment::set_snapshot_reuse(false)). Both compare
+// against the same committed file, which makes the corpus a cross-path
+// bit-identity proof on top of a regression tripwire: any change to the
+// simulator, the scheduler stack or the snapshot engine that shifts even
+// one double by one ULP shows up as a fingerprint diff. --update writes the
+// corpus only when the two paths agree.
 //
 // The fingerprints are toolchain-specific (std::pow in the 2/3-power scheme
 // is not correctly rounded across libm versions), so a mismatch after a
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "../obs/mini_json.hpp"
+#include "common/cli.hpp"
 #include "common/parallel.hpp"
 #include "dram/config.hpp"
 #include "harness/churn.hpp"
@@ -181,25 +183,23 @@ std::map<std::string, std::string> scheme_row(
   return row;
 }
 
-Corpus compute_corpus() {
+Corpus compute_corpus(bool reuse) {
   const auto mixes = workload::paper_mixes();
   const harness::SystemConfig machine;
   const harness::PhaseConfig phases = golden_phases();
   Corpus corpus(mixes.size());
-  // Mixes in parallel, the scheme sweep serial inside each (run_all forks
-  // all seven measure phases from one profile snapshot when the build
-  // defaults to snapshot reuse, and runs straight through otherwise — the
-  // committed corpus must match either way).
+  // Mixes in parallel, the scheme sweep serial inside each.
   parallel_for(mixes.size(), [&](std::size_t i) {
     const auto apps = workload::resolve_mix(mixes[i]);
-    const harness::Experiment experiment(machine, apps, phases);
+    harness::Experiment experiment(machine, apps, phases);
+    experiment.set_snapshot_reuse(reuse);
     corpus[i] = {std::string(mixes[i].name),
                  scheme_row(experiment.run_all(core::kAllSchemes, 1))};
   });
   return corpus;
 }
 
-GenCorpus compute_generation_corpus() {
+GenCorpus compute_generation_corpus(bool reuse) {
   const harness::PhaseConfig phases = golden_phases();
   constexpr std::size_t n_gens = std::size(kGoldenGenerations);
   constexpr std::size_t n_mixes = std::size(kGoldenGenerationMixes);
@@ -215,7 +215,8 @@ GenCorpus compute_generation_corpus() {
     machine.dram = dram::dram_config_for_generation(kGoldenGenerations[g]);
     const char* mix = kGoldenGenerationMixes[m];
     const auto apps = workload::resolve_mix(golden_mix_by_name(mix));
-    const harness::Experiment experiment(machine, apps, phases);
+    harness::Experiment experiment(machine, apps, phases);
+    experiment.set_snapshot_reuse(reuse);
     corpus[g].second[m] = {mix,
                            scheme_row(experiment.run_all(core::kAllSchemes, 1))};
   });
@@ -228,8 +229,8 @@ Corpus compute_churn_corpus() {
   const harness::PhaseConfig phases = golden_phases();
   Corpus corpus(n);
   // Scenarios in parallel, schemes serial inside each. run_churn profiles
-  // and measures on a fresh system per scheme, so the section is
-  // snapshot-path-neutral: both CI builds compute it the same way.
+  // and measures on a fresh system per scheme, so the section has no
+  // snapshot path and is computed once.
   parallel_for(n, [&](std::size_t i) {
     const ChurnScenario& sc = kGoldenChurnScenarios[i];
     const auto schedule = harness::ChurnSchedule::parse(sc.schedule);
@@ -249,17 +250,18 @@ Corpus compute_churn_corpus() {
 
 /// The schema-4 "controllers" section: portfolio64's one config, whose
 /// phases and seed are the golden ones.
-Corpus compute_controller_corpus() {
+Corpus compute_controller_corpus(bool reuse) {
   const harness::shard::ShardConfig cfg =
       harness::shard::make_portfolio("portfolio64").configs.front();
-  const harness::Experiment experiment = harness::shard::make_experiment(cfg);
-  // The schemes fork in parallel here: the config is large and alone.
+  harness::Experiment experiment = harness::shard::make_experiment(cfg);
+  experiment.set_snapshot_reuse(reuse);
+  // The schemes run in parallel here: the config is large and alone.
   return {{"portfolio64", scheme_row(experiment.run_all(core::kAllSchemes))}};
 }
 
 /// The schema-5 "reprofile" section: golden phases plus a rolling
 /// re-profiler in every measure phase.
-Corpus compute_reprofile_corpus() {
+Corpus compute_reprofile_corpus(bool reuse) {
   constexpr std::size_t n = std::size(kGoldenReprofileMixes);
   const harness::SystemConfig machine;
   harness::PhaseConfig phases = golden_phases();
@@ -268,10 +270,28 @@ Corpus compute_reprofile_corpus() {
   parallel_for(n, [&](std::size_t i) {
     const char* mix = kGoldenReprofileMixes[i];
     const auto apps = workload::resolve_mix(golden_mix_by_name(mix));
-    const harness::Experiment experiment(machine, apps, phases);
+    harness::Experiment experiment(machine, apps, phases);
+    experiment.set_snapshot_reuse(reuse);
     corpus[i] = {mix, scheme_row(experiment.run_all(core::kAllSchemes, 1))};
   });
   return corpus;
+}
+
+/// The sections computed through Experiment::run_all.
+struct RunAllSections {
+  Corpus mixes;
+  GenCorpus generations;
+  Corpus controllers;
+  Corpus reprofile;
+
+  bool operator==(const RunAllSections&) const = default;
+};
+
+/// Every run_all section through one path: snapshot forks (`reuse`) or
+/// straight per-scheme runs.
+RunAllSections compute_run_all_sections(bool reuse) {
+  return {compute_corpus(reuse), compute_generation_corpus(reuse),
+          compute_controller_corpus(reuse), compute_reprofile_corpus(reuse)};
 }
 
 void write_rows(std::ofstream& os, const Corpus& corpus,
@@ -287,10 +307,9 @@ void write_rows(std::ofstream& os, const Corpus& corpus,
   }
 }
 
-void write_corpus(const std::string& path, const Corpus& corpus,
-                  const GenCorpus& gen_corpus, const Corpus& churn_corpus,
-                  const Corpus& controller_corpus,
-                  const Corpus& reprofile_corpus) {
+void write_corpus(const std::string& path, const RunAllSections& sections,
+                  const Corpus& churn_corpus) {
+  const GenCorpus& gen_corpus = sections.generations;
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
@@ -301,7 +320,7 @@ void write_corpus(const std::string& path, const Corpus& corpus,
      << "  \"phases\": {\"warmup\": " << ph.warmup_cycles
      << ", \"profile\": " << ph.profile_cycles
      << ", \"measure\": " << ph.measure_cycles << "},\n  \"mixes\": {\n";
-  write_rows(os, corpus, "    ");
+  write_rows(os, sections.mixes, "    ");
   os << "  },\n  \"generations\": {\n";
   for (std::size_t g = 0; g < gen_corpus.size(); ++g) {
     os << "    \"" << gen_corpus[g].first << "\": {\n";
@@ -314,10 +333,10 @@ void write_corpus(const std::string& path, const Corpus& corpus,
      << ", \"epoch\": " << cc.eval_epoch << "},\n  \"churn\": {\n";
   write_rows(os, churn_corpus, "    ");
   os << "  },\n  \"controllers\": {\n";
-  write_rows(os, controller_corpus, "    ");
+  write_rows(os, sections.controllers, "    ");
   os << "  },\n  \"reprofile_settings\": {\"period\": "
      << kGoldenReprofilePeriod << "},\n  \"reprofile\": {\n";
-  write_rows(os, reprofile_corpus, "    ");
+  write_rows(os, sections.reprofile, "    ");
   os << "  }\n}\n";
 }
 
@@ -351,45 +370,78 @@ void check_rows(const testjson::Value& node, const Corpus& expected,
   }
 }
 
+/// Checks a section `name` of `doc` with check_rows, counting a missing
+/// section as one mismatch.
+void check_section(const testjson::Value& doc, const char* name,
+                   const Corpus& expected, const std::string& where,
+                   std::size_t& checked, std::size_t& mismatches) {
+  if (!doc.has(name)) {
+    std::fprintf(stderr, "golden corpus has no \"%s\" section\n", name);
+    ++mismatches;
+    return;
+  }
+  check_rows(doc.at(name), expected, where, checked, mismatches);
+}
+
+/// Checks every run_all section; `path` ("" or "straight / ") prefixes
+/// the messages.
+void check_run_all_sections(const testjson::Value& doc,
+                            const RunAllSections& sections,
+                            const std::string& path, std::size_t& checked,
+                            std::size_t& mismatches) {
+  check_section(doc, "mixes", sections.mixes, path, checked, mismatches);
+  for (const auto& [gen_name, gen_rows] : sections.generations) {
+    if (!doc.has("generations") || !doc.at("generations").has(gen_name)) {
+      std::fprintf(stderr, "golden corpus is missing generation '%s'\n",
+                   gen_name.c_str());
+      ++mismatches;
+      continue;
+    }
+    check_rows(doc.at("generations").at(gen_name), gen_rows,
+               path + gen_name + " / ", checked, mismatches);
+  }
+  check_section(doc, "controllers", sections.controllers,
+                path + "controllers / ", checked, mismatches);
+  check_section(doc, "reprofile", sections.reprofile, path + "reprofile / ",
+                checked, mismatches);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string path;
   bool update = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--file") == 0 && i + 1 < argc) {
-      path = argv[++i];
-    } else if (std::strcmp(argv[i], "--update") == 0) {
-      update = true;
-    } else {
-      std::fprintf(stderr, "usage: %s --file fingerprints.json [--update]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (path.empty()) {
-    std::fprintf(stderr, "usage: %s --file fingerprints.json [--update]\n",
-                 argv[0]);
-    return 2;
-  }
+  cli::Parser cli("test_golden");
+  cli.text("--file", path, "FILE", "required: the committed corpus");
+  cli.flag("--update", update,
+           "rewrite FILE from this build (both paths must agree)");
+  cli.parse(argc, argv);
+  if (path.empty()) cli.fail("--file: required");
 
-  const Corpus corpus = compute_corpus();
-  const GenCorpus gen_corpus = compute_generation_corpus();
+  const RunAllSections forked = compute_run_all_sections(true);
+  const RunAllSections straight = compute_run_all_sections(false);
   const Corpus churn_corpus = compute_churn_corpus();
-  const Corpus controller_corpus = compute_controller_corpus();
-  const Corpus reprofile_corpus = compute_reprofile_corpus();
   if (update) {
-    write_corpus(path, corpus, gen_corpus, churn_corpus, controller_corpus,
-                 reprofile_corpus);
+    if (!(forked == straight)) {
+      std::fprintf(stderr,
+                   "snapshot forks and straight runs disagree; not writing "
+                   "'%s'\n",
+                   path.c_str());
+      return 1;
+    }
+    write_corpus(path, forked, churn_corpus);
     std::printf(
         "wrote %zu mixes x %zu schemes plus %zu generations x %zu mixes "
         "plus %zu churn scenarios plus %zu multi-controller configs plus "
         "%zu re-profiling mixes to %s\n",
-        corpus.size(), corpus.empty() ? 0 : corpus.front().second.size(),
-        gen_corpus.size(),
-        gen_corpus.empty() ? 0 : gen_corpus.front().second.size(),
-        churn_corpus.size(), controller_corpus.size(),
-        reprofile_corpus.size(), path.c_str());
+        forked.mixes.size(),
+        forked.mixes.empty() ? 0 : forked.mixes.front().second.size(),
+        forked.generations.size(),
+        forked.generations.empty()
+            ? 0
+            : forked.generations.front().second.size(),
+        churn_corpus.size(), forked.controllers.size(),
+        forked.reprofile.size(), path.c_str());
     return 0;
   }
 
@@ -436,61 +488,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const testjson::Value& mixes = doc->at("mixes");
   std::size_t checked = 0, mismatches = 0;
-  check_rows(mixes, corpus, "", checked, mismatches);
-  if (!doc->has("generations")) {
-    std::fprintf(stderr,
-                 "golden corpus '%s' has no \"generations\" section — "
-                 "regenerate with --update\n",
-                 path.c_str());
-    ++mismatches;
-  } else {
-    const testjson::Value& gens = doc->at("generations");
-    for (const auto& [gen_name, gen_rows] : gen_corpus) {
-      if (!gens.has(gen_name)) {
-        std::fprintf(stderr,
-                     "golden corpus is missing generation '%s'\n",
-                     gen_name.c_str());
-        ++mismatches;
-        continue;
-      }
-      check_rows(gens.at(gen_name), gen_rows, gen_name + " / ", checked,
-                 mismatches);
-    }
-  }
-  if (!doc->has("churn")) {
-    std::fprintf(stderr,
-                 "golden corpus '%s' has no \"churn\" section — regenerate "
-                 "with --update\n",
-                 path.c_str());
-    ++mismatches;
-  } else {
-    check_rows(doc->at("churn"), churn_corpus, "churn / ", checked,
-               mismatches);
-  }
-  if (!doc->has("controllers")) {
-    std::fprintf(stderr,
-                 "golden corpus '%s' has no \"controllers\" section — "
-                 "regenerate with --update\n",
-                 path.c_str());
-    ++mismatches;
-  } else {
-    check_rows(doc->at("controllers"), controller_corpus, "controllers / ",
-               checked, mismatches);
-  }
-  if (!doc->has("reprofile") || !doc->has("reprofile_settings") ||
+  check_run_all_sections(*doc, forked, "", checked, mismatches);
+  check_run_all_sections(*doc, straight, "straight / ", checked, mismatches);
+  check_section(*doc, "churn", churn_corpus, "churn / ", checked, mismatches);
+  if (!doc->has("reprofile_settings") ||
       static_cast<Cycle>(doc->at("reprofile_settings").at("period").num) !=
           kGoldenReprofilePeriod) {
     std::fprintf(stderr,
-                 "golden corpus '%s' has no \"reprofile\" section for period "
-                 "%llu — regenerate with --update\n",
+                 "golden corpus '%s' was not generated for re-profiling "
+                 "period %llu — regenerate with --update\n",
                  path.c_str(),
                  static_cast<unsigned long long>(kGoldenReprofilePeriod));
     ++mismatches;
-  } else {
-    check_rows(doc->at("reprofile"), reprofile_corpus, "reprofile / ",
-               checked, mismatches);
   }
   if (mismatches != 0) {
     std::fprintf(

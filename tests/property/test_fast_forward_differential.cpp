@@ -8,6 +8,10 @@
 // controller is built over every global app id, but only its round-robin
 // apps ever enqueue on it), with interference attribution on or off in
 // each phase (off, dead ranges are not cut at attribution flip ticks).
+//
+// Busy systems cut almost every controller skip to one bus tick, so the
+// controller's own dead-range skip is also driven directly, the way the
+// system loop drives it, by bursty enqueue streams with long idle gaps.
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
@@ -22,6 +26,7 @@
 #include "harness/generators.hpp"
 #include "harness/system.hpp"
 #include "mem/controller.hpp"
+#include "profile/interference.hpp"
 #include "workload/mixes.hpp"
 
 namespace bwpart::harness {
@@ -259,6 +264,234 @@ TEST(FastForwardDifferential, AllSevenSchemesMatchReference) {
     const RunResult ref = ref_exp.run(s);
     EXPECT_EQ(fingerprint(fast), fingerprint(ref)) << core::to_string(s);
   }
+}
+
+/// One enqueue of the controller-level stream.
+struct CtrlEnqueue {
+  Cycle cycle = 0;
+  AppId app = 0;
+  Addr addr = 0;
+  AccessType type = AccessType::Read;
+};
+
+struct CtrlCase {
+  dram::DramConfig dram;
+  std::uint32_t apps = 2;
+  core::Scheme scheme = core::Scheme::NoPartitioning;
+  std::vector<core::AppParams> params;
+  double row_hit_window = 0.0;
+  std::size_t per_app_capacity = 32;
+  mem::WriteDrainConfig write_drain{};
+  mem::AdmissionMode admission = mem::AdmissionMode::Shared;
+  bool observer = false;
+  std::vector<CtrlEnqueue> stream;  ///< non-decreasing cycles
+  Cycle end = 0;                    ///< both controllers run [0, end)
+};
+
+pbt::GenFn<CtrlCase> ctrl_case_gen() {
+  return [](Rng& rng) {
+    CtrlCase c;
+    const std::vector<dram::DramGeneration>& gens = dram::dram_generations();
+    c.dram = gens[static_cast<std::size_t>(
+                      pbt::gen_uint(rng, 0, gens.size() - 1))]
+                 .config;
+    c.dram.ranks = 1u << pbt::gen_uint(rng, 0, 2);
+    c.dram.enable_refresh = rng.next_bool(0.5);
+    c.dram.enable_powerdown = rng.next_bool(0.3);
+    c.apps = static_cast<std::uint32_t>(pbt::gen_uint(rng, 2, 4));
+    c.scheme = gen::scheme(rng);
+    c.params = gen::workload(rng, c.apps, c.apps);
+    c.row_hit_window = rng.next_bool(0.3) ? 4.0 : 0.0;
+    c.per_app_capacity = static_cast<std::size_t>(pbt::gen_uint(rng, 8, 32));
+    if (rng.next_bool(0.35)) {
+      c.write_drain.enabled = true;
+      c.write_drain.high_watermark = pbt::gen_uint(rng, 6, 24);
+      c.write_drain.low_watermark =
+          pbt::gen_uint(rng, 1, c.write_drain.high_watermark - 1);
+    }
+    c.admission = rng.next_bool(0.5) ? mem::AdmissionMode::PerApp
+                                     : mem::AdmissionMode::Shared;
+    c.observer = rng.next_bool(0.5);
+    // Bursts of back-to-back enqueues (row-local runs and random lines)
+    // separated by idle gaps of 10^3..10^5 CPU cycles, log-uniform.
+    std::vector<Addr> next_line(c.apps);
+    for (Addr& line : next_line) line = rng.next_below(1u << 18);
+    Cycle now = pbt::gen_uint(rng, 0, 500);
+    const std::uint64_t bursts = pbt::gen_uint(rng, 2, 5);
+    for (std::uint64_t b = 0; b < bursts; ++b) {
+      const std::uint64_t n = pbt::gen_uint(rng, 1, 48);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        CtrlEnqueue e;
+        e.cycle = now;
+        e.app = static_cast<AppId>(rng.next_below(c.apps));
+        Addr& line = next_line[e.app];
+        line = rng.next_bool(0.6) ? line + 1 : rng.next_below(1u << 18);
+        e.addr = (static_cast<Addr>(e.app) << 24) + line * 64;
+        e.type = rng.next_bool(0.3) ? AccessType::Write
+                                    : AccessType::Read;
+        c.stream.push_back(e);
+        now += pbt::gen_uint(rng, 0, 30);
+      }
+      now += static_cast<Cycle>(pbt::gen_log_double(rng, 1e3, 1e5));
+    }
+    // Usually drain the last burst; sometimes stop mid-flight.
+    c.end = c.stream.back().cycle + pbt::gen_uint(rng, 1, 40'000);
+    return c;
+  };
+}
+
+std::string print_ctrl_case(const CtrlCase& c) {
+  std::ostringstream os;
+  os << "gen=" << c.dram.generation << " ranks=" << c.dram.ranks
+     << " refresh=" << c.dram.enable_refresh
+     << " pd=" << c.dram.enable_powerdown << " apps=" << c.apps
+     << " scheme=" << core::to_string(c.scheme)
+     << " window=" << c.row_hit_window << " cap=" << c.per_app_capacity
+     << " wdrain=" << c.write_drain.enabled << "/"
+     << c.write_drain.high_watermark << "/" << c.write_drain.low_watermark
+     << " perapp=" << (c.admission == mem::AdmissionMode::PerApp)
+     << " observer=" << c.observer << " enqueues=" << c.stream.size()
+     << " end=" << c.end;
+  return os.str();
+}
+
+/// One controller of a CtrlCase plus everything it reports.
+struct CtrlRun {
+  explicit CtrlRun(const CtrlCase& c, bool fast)
+      : counters(c.apps),
+        mc(c.dram, SystemConfig{}.cpu_clock, c.apps,
+           make_scheduler(c.scheme, c.apps, c.params, c.row_hit_window),
+           c.per_app_capacity, dram::MapScheme::ChanRowColBankRank,
+           2 * c.per_app_capacity, c.admission) {
+    mc.set_fast_forward(fast);
+    if (c.write_drain.enabled) mc.set_write_drain(c.write_drain);
+    if (c.observer) mc.set_interference_observer(&counters);
+    mc.set_completion_callback([this](const mem::MemRequest& r, Cycle at) {
+      completions.emplace_back(r.id, at);
+    });
+  }
+  // The controller holds this object's address (callback, observer).
+  CtrlRun(const CtrlRun&) = delete;
+  CtrlRun& operator=(const CtrlRun&) = delete;
+
+  /// Enqueues every stream entry at `cycle` from `next` on, dropping the
+  /// ones backpressure refuses; returns the first entry past `cycle`.
+  std::size_t enqueue_at(const CtrlCase& c, std::size_t next, Cycle cycle) {
+    for (; next < c.stream.size() && c.stream[next].cycle == cycle; ++next) {
+      const CtrlEnqueue& e = c.stream[next];
+      if (mc.can_accept(e.app)) mc.enqueue(e.app, e.addr, e.type, cycle);
+    }
+    return next;
+  }
+
+  profile::InterferenceCounters counters;
+  mem::MemoryController mc;
+  std::vector<std::pair<std::uint64_t, Cycle>> completions;
+};
+
+/// Field-by-field comparison of two controllers' results; "" when equal.
+std::string compare_controllers(const CtrlCase& c, const CtrlRun& fast,
+                                const CtrlRun& ref) {
+  std::ostringstream os;
+  if (fast.completions != ref.completions) {
+    std::size_t i = 0;
+    while (i < fast.completions.size() && i < ref.completions.size() &&
+           fast.completions[i] == ref.completions[i]) {
+      ++i;
+    }
+    os << "completion " << i << " of " << fast.completions.size() << "/"
+       << ref.completions.size() << " diverges";
+    if (i < fast.completions.size() && i < ref.completions.size()) {
+      os << ": id " << fast.completions[i].first << "/"
+         << ref.completions[i].first << " at cycle "
+         << fast.completions[i].second << "/" << ref.completions[i].second;
+    }
+    return os.str();
+  }
+  for (AppId a = 0; a < c.apps; ++a) {
+    const mem::AppMemStats& f = fast.mc.app_stats(a);
+    const mem::AppMemStats& r = ref.mc.app_stats(a);
+    if (f.enqueued != r.enqueued || f.served_reads != r.served_reads ||
+        f.served_writes != r.served_writes ||
+        f.sum_queue_cycles != r.sum_queue_cycles) {
+      os << "AppMemStats diverge for app " << a;
+      return os.str();
+    }
+    if (fast.counters.interference_cycles(a) !=
+        ref.counters.interference_cycles(a)) {
+      os << "interference cycles diverge for app " << a << ": "
+         << fast.counters.interference_cycles(a) << "/"
+         << ref.counters.interference_cycles(a);
+      return os.str();
+    }
+  }
+  const dram::DramStats& fd = fast.mc.dram().stats();
+  const dram::DramStats& rd = ref.mc.dram().stats();
+  if (fd.activates != rd.activates || fd.reads != rd.reads ||
+      fd.writes != rd.writes || fd.precharges != rd.precharges ||
+      fd.refreshes != rd.refreshes ||
+      fd.data_bus_busy_ticks != rd.data_bus_busy_ticks ||
+      fd.ticks != rd.ticks ||
+      fd.powerdown_rank_ticks != rd.powerdown_rank_ticks) {
+    os << "DramStats diverge: act " << fd.activates << "/" << rd.activates
+       << " ref " << fd.refreshes << "/" << rd.refreshes << " ticks "
+       << fd.ticks << "/" << rd.ticks << " pd-ticks "
+       << fd.powerdown_rank_ticks << "/" << rd.powerdown_rank_ticks;
+    return os.str();
+  }
+  return {};
+}
+
+// The controller's dead-range skip against its reference loop, driven as
+// the system loop drives it: the reference controller ticks every CPU
+// cycle; the fast one only at enqueue cycles (catch up to c - 1, enqueue,
+// tick c) and at its own next_event_cpu_cycle(). Bursty streams with long
+// idle gaps give the skip long ranges over refresh, power-down entry and
+// exit, write drain and the attribution horizon.
+TEST(FastForwardDifferential, ControllerSkipMatchesReferenceOverIdleGaps) {
+  check::Recorder rec;
+  const pbt::Result r = pbt::for_all<CtrlCase>(
+      "controller-skip-differential", ctrl_case_gen(),
+      [&rec](const CtrlCase& c) -> std::string {
+        rec.clear();
+        CtrlRun ref(c, false);
+        std::size_t next = 0;
+        for (Cycle cycle = 0; cycle < c.end; ++cycle) {
+          next = ref.enqueue_at(c, next, cycle);
+          ref.mc.tick(cycle);
+        }
+
+        CtrlRun fast(c, true);
+        next = 0;
+        Cycle last = 0;  // the last cycle fast.mc was ticked at
+        bool ticked = false;
+        while (true) {
+          const Cycle enq =
+              next < c.stream.size() ? c.stream[next].cycle : kNoCycle;
+          Cycle cycle = fast.mc.next_event_cpu_cycle();
+          if (ticked && cycle <= last) cycle = last + 1;
+          cycle = std::min(cycle, enq);
+          if (cycle >= c.end) break;
+          if (cycle == enq) {
+            if (cycle > 0) fast.mc.tick(cycle - 1);
+            next = fast.enqueue_at(c, next, cycle);
+          }
+          fast.mc.tick(cycle);
+          last = cycle;
+          ticked = true;
+        }
+        fast.mc.tick(c.end - 1);
+
+        const std::string diff = compare_controllers(c, fast, ref);
+        if (!diff.empty()) return diff;
+        if (rec.count() != 0) {
+          return "invariant violation: " + rec.violations().front().what;
+        }
+        return {};
+      },
+      {}, nullptr, print_ctrl_case);
+  EXPECT_TRUE(r.ok) << r.report();
+  EXPECT_GE(r.cases_run, 200);
 }
 
 }  // namespace

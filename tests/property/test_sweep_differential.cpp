@@ -134,8 +134,7 @@ TEST(SweepDifferential, RunAllMatchesPerSchemeRuns) {
 // Determinism under parallelism and across the snapshot switch: the sweep's
 // fingerprints are identical for 1, 2 and 8 worker threads, and identical
 // again with snapshot reuse disabled (every fork replaced by a straight
-// run). Under a -DBWPART_SNAPSHOT=OFF build both arms take the straight
-// path and the comparison degenerates to a parallelism-determinism check.
+// run).
 TEST(SweepDifferential, RunAllDeterministicAcrossThreadsAndSnapshotMode) {
   Rng rng(pbt::case_seed(pbt::base_seed(), 9002));
   const std::vector<workload::BenchmarkSpec> mix = gen::mix(rng, 3, 4);
