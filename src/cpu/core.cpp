@@ -54,8 +54,7 @@ struct FbOrbit {
   }
 
   /// Step index whose budget value is bit-identical to `fb`, or kNpos when
-  /// `fb` is off-orbit (possible after fast_forward_idle, which accumulates
-  /// the budget without flooring).
+  /// `fb` is off-orbit: past the table, after kSteps steps with no reset.
   std::uint32_t find(double fb) const {
     const auto it = pos.find(std::bit_cast<std::uint64_t>(fb));
     return it == pos.end() ? kNpos : it->second;
@@ -74,6 +73,24 @@ std::shared_ptr<const FbOrbit> acquire_orbit(double ipc) {
   auto& slot = registry[std::bit_cast<std::uint64_t>(ipc)];
   if (!slot) slot = std::make_shared<const FbOrbit>(ipc);
   return slot;
+}
+
+/// Where one cycle's fetch of non-memory instructions stopped.
+enum class FetchStop : std::uint8_t { kBudget, kWindowFull, kMemOp };
+
+/// The fetch step of do_fetch() and of every det-window mirror: stop at a
+/// full window (`fs == rob_lim`), then at the next memory operation
+/// (`mem_seq`), else advance `fs` by min(budget, room, distance).
+inline FetchStop fetch_nonmem(std::uint64_t& fs, std::uint64_t& bud,
+                              std::uint64_t rob_lim, std::uint64_t mem_seq) {
+  while (bud > 0) {
+    if (fs == rob_lim) return FetchStop::kWindowFull;
+    if (fs >= mem_seq) return FetchStop::kMemOp;
+    const std::uint64_t adv = std::min({bud, rob_lim - fs, mem_seq - fs});
+    fs += adv;
+    bud -= adv;
+  }
+  return FetchStop::kBudget;
 }
 
 }  // namespace
@@ -126,41 +143,9 @@ Cycle OoOCore::next_wake(Cycle now) const {
   return kNoCycle;
 }
 
-Cycle OoOCore::next_fetch_wake(Cycle now) const {
-  // Only an empty window is provably inert: with unretired instructions,
-  // retirement could progress (or flag a memory stall) every cycle. At
-  // nonmem_ipc >= 1 the very next budget add crosses 1.
-  if (retire_seq_ != fetch_seq_ || cfg_.nonmem_ipc >= 1.0) return now + 1;
-  // Replay the reference accumulation exactly — the crossing cycle of the
-  // rounded sequential sums, not of the analytic division.
-  double b = fetch_budget_;
-  Cycle j = 0;
-  do {
-    b += cfg_.nonmem_ipc;
-    ++j;
-  } while (b < 1.0);
-  return now + j;
-}
-
-void OoOCore::fast_forward_idle(Cycle n) {
-  if (n == 0) return;
-  stats_.cycles += n;
-  // No retirement: the retire budget resets every cycle; the window is
-  // empty, so there is no load to flag a memory stall. The fetch budget
-  // stays below 1 throughout (precondition), so the while-loop in
-  // do_fetch() never runs — no instruction, no stall flag, and the budget
-  // is never zeroed.
-  retire_budget_ = 0.0;
-  for (Cycle i = 0; i < n; ++i) fetch_budget_ += cfg_.nonmem_ipc;
-}
-
 WakeProof OoOCore::prove_sleep(Cycle now) const {
   const Cycle w = next_wake(now);
   if (w == now + 1) {
-    if (retire_seq_ == fetch_seq_ && cfg_.nonmem_ipc < 1.0) {
-      const Cycle wi = next_fetch_wake(now);
-      if (wi > w) return {wi, SleepFlavor::kIdle};
-    }
     const Cycle wd = next_det_wake(now);
     if (wd > w) return {wd, SleepFlavor::kDet};
     return {w, SleepFlavor::kStallOwn};  // not sleeping; flavor unused
@@ -197,40 +182,43 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
   double rb_p = rb, fb_p = fb;
   std::uint64_t rs_p = rs, fs_p = fs;
   auto it_p = it;
-  std::uint64_t ms_p = 0, rbs_p = 0;
+  std::uint64_t ms_p = 0;
   const Cycle cap =
       offchip_loads_inflight_ == 0 ? kDetLookahead : kDetShortLookahead;
   Cycle prefix = cap;
   Cycle wake = now + cap + 1;  // clean cap unless proven otherwise
   bool frozen = false;
-  Cycle j = 1;
-  for (; j <= cap && it != loads_end; ++j) {
-    // A window that cannot move — retirement blocked on a load whose
-    // completion has not been delivered, fetch blocked on the full window —
-    // stays that way until a completion arrives; the remaining cycles
-    // follow the fast_forward_stall() closed form exactly.
-    if (fs - rs == rob && it->seq == rs && it->done_at == kNoCycle) {
-      prefix = j - 1;
-      wake = kNoCycle;
-      frozen = true;
-      break;
-    }
-    // Retirement blocked on a load whose completion is not yet known: the
-    // retire cursor cannot move again within this proof (loads_ is
-    // immutable here), so each remaining cycle is one memory stall plus
-    // the fetch accumulator, until the ROB fills (frozen), fetch reaches
-    // the next memory op (touch), or the cap. Collapsing the stretch skips
-    // the retire mirror and the per-cycle rollback snapshots; every FP op
-    // matches the generic body below bit-for-bit.
-    if (it->seq == rs && it->done_at == kNoCycle) {
+  // Load-free collapse preconditions: integer issue width, per-cycle fetch
+  // bounded by the retire budget, and ROB headroom above the largest
+  // single-cycle fetch. Under these, once no load is left and the
+  // un-retired tail fits in one retire budget, the mirror reaches a fixed
+  // point (each cycle retires exactly the previous cycle's fetch, the ROB
+  // never fills) and the remaining cycles reduce to the fractional fetch
+  // accumulator alone. The FP ops replicate the per-cycle mirror
+  // operation-for-operation, so the collapse is bit-exact, not a closed
+  // form.
+  const auto bud_max = static_cast<std::uint64_t>(ipc) + 1;
+  const auto width_u = static_cast<std::uint64_t>(width);
+  const bool collapsible = width >= 1.0 && width == std::floor(width) &&
+                           static_cast<double>(bud_max) <= width &&
+                           rob > bud_max;
+  for (Cycle j = 1; j <= cap; ++j) {
+    if (it != loads_end && it->seq == rs && it->done_at == kNoCycle) {
+      // Retirement blocked on a load whose completion is not yet known: the
+      // retire cursor cannot move again within this proof (loads_ is
+      // immutable here), so each remaining cycle is one memory stall plus
+      // the fetch accumulator, until the ROB fills (frozen: the remaining
+      // cycles follow the fast_forward_stall() closed form exactly), fetch
+      // reaches the next memory op (touch), or the cap. Collapsing the
+      // stretch skips the retire mirror and the per-cycle rollback
+      // snapshots; every FP op matches the generic body below bit-for-bit.
       const std::uint64_t rob_lim = rs + rob;
       // Orbit collapse: locate the budget on the tabulated orbit, then the
       // whole stretch reduces to one binary search over the prefix sums —
       // the first cycle whose cumulative fetch passes the next memory op
       // (touch) or fills the window (freeze). End states read straight off
       // the table, so every FP value matches the per-cycle loop below
-      // bit-for-bit. Off-orbit budgets (possible after fast_forward_idle)
-      // fall back to the loop.
+      // bit-for-bit. Off-orbit budgets fall back to the loop.
       const std::uint32_t p0 = orbit.find(fb);
       const std::uint64_t room = cap - j + 1;
       if (p0 != FbOrbit::kNpos && p0 + room <= FbOrbit::kSteps) {
@@ -249,12 +237,10 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
               std::upper_bound(first, last, base + (mem_seq - fs));
           if (hit != last) {
             stalls = static_cast<std::uint64_t>(hit - first) - 1;
-            j += stalls;
-            prefix = j - 1;
-            wake = now + j;
+            prefix = j + stalls - 1;
+            wake = now + j + stalls;
           } else {
             stalls = room;
-            j = cap + 1;
           }
           fs += orbit.cum[p0 + stalls] - base;
           fb = orbit.fbl[p0 + stalls];
@@ -271,14 +257,12 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
           if (hit != last && m_r < room) {
             stalls = m_r;
             fs = rob_lim;
-            j += m_r;
-            prefix = j - 1;
+            prefix = j + m_r - 1;
             wake = kNoCycle;
             frozen = true;
           } else {
             stalls = room;
             fs += std::min(orbit.cum[p0 + room] - base, dist_rob);
-            j = cap + 1;
           }
           if (leftover) {
             ++rob_stalls;
@@ -291,53 +275,88 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
         if (stalls > 0) rb = 0.0;
         break;
       }
-      double fbl = fb;
-      std::uint64_t stalls = 0;
-      std::uint64_t rstalls = 0;
-      bool touched = false;
       for (; j <= cap; ++j) {
-        if (fs - rs == rob) {
+        if (fs == rob_lim) {
           prefix = j - 1;
           wake = kNoCycle;
           frozen = true;
           break;
         }
-        const double nfb = fbl + ipc;
-        auto bud = static_cast<std::uint64_t>(nfb);
-        double next_fb = nfb - static_cast<double>(bud);
+        const double nfb = fb + ipc;
+        const auto granted = static_cast<std::uint64_t>(nfb);
+        std::uint64_t bud = granted;
         const std::uint64_t fs_top = fs;
-        bool rstall = false;
-        while (bud > 0) {
-          const std::uint64_t rob_space = rob_lim - fs;
-          if (rob_space == 0) {
-            rstall = true;
-            break;
-          }
-          if (fs >= mem_seq) {
-            touched = true;
-            break;
-          }
-          const std::uint64_t adv = std::min({bud, rob_space, mem_seq - fs});
-          fs += adv;
-          bud -= adv;
-        }
-        if (touched) {
+        const FetchStop stop = fetch_nonmem(fs, bud, rob_lim, mem_seq);
+        if (stop == FetchStop::kMemOp) {
           prefix = j - 1;
           wake = now + j;
           fs = fs_top;
           break;
         }
-        ++stalls;
-        if (rstall) {
-          ++rstalls;
-          next_fb = 0.0;
+        ++mem_stalls;
+        rb = 0.0;  // nothing retired
+        if (stop == FetchStop::kWindowFull) {
+          ++rob_stalls;
+          fb = 0.0;
+        } else {
+          fb = nfb - static_cast<double>(granted);
         }
-        fbl = next_fb;
       }
-      fb = fbl;
-      mem_stalls += stalls;
-      rob_stalls += rstalls;
-      if (stalls > 0) rb = 0.0;  // first completed cycle zeroed the budget
+      break;
+    }
+    // With no load left and rb exactly zero (guaranteed in practice: an
+    // integer width leaves retire_budget_ at 0.0 forever) the retire
+    // mirror is pure integer bookkeeping: each cycle drains exactly the
+    // previous fetch.
+    if (it == loads_end && collapsible && fs - rs <= width_u && rb == 0.0) {
+      // Orbit collapse: the accumulator loop below walks the tabulated
+      // orbit one step per cycle, so the touch cycle is one binary search
+      // over the prefix sums and the end state reads straight off the
+      // table (same construction as the stuck-stretch collapse above).
+      // Off-orbit budgets fall back to the loop.
+      const std::uint32_t p0 = orbit.find(fb);
+      const std::uint64_t room = cap - j + 1;
+      if (p0 != FbOrbit::kNpos && p0 + room <= FbOrbit::kSteps) {
+        const auto first = orbit.cum.begin() + p0;
+        const auto last = first + static_cast<std::ptrdiff_t>(room) + 1;
+        const std::uint64_t base = orbit.cum[p0];
+        const auto hit = std::upper_bound(first, last, base + (mem_seq - fs));
+        const std::uint64_t done =
+            hit != last ? static_cast<std::uint64_t>(hit - first) - 1 : room;
+        // Un-retired tail after the stretch = the last granted budget
+        // (each cycle retires exactly the previous cycle's fetch).
+        const std::uint64_t tail =
+            done > 0 ? orbit.cum[p0 + done] - orbit.cum[p0 + done - 1]
+                     : fs - rs;
+        fs += orbit.cum[p0 + done] - base;
+        rs = fs - tail;
+        fb = orbit.fbl[p0 + done];
+        if (hit != last) {
+          prefix = j + done - 1;
+          wake = now + j + done;
+        }
+        break;
+      }
+      std::uint64_t delta = fs - rs;  // un-retired tail = last fetch
+      std::uint64_t acc = 0;          // instructions fetched in this loop
+      const std::uint64_t needed = mem_seq - fs;
+      for (; j <= cap; ++j) {
+        const double nfb = fb + ipc;
+        const auto bud = static_cast<std::uint64_t>(nfb);
+        if (acc + bud > needed) {
+          // This cycle's fetch would reach mem_seq with budget left: the
+          // memory touch. State stays as of the previous cycle, exactly
+          // like the snapshot rollback in the generic mirror.
+          prefix = j - 1;
+          wake = now + j;
+          break;
+        }
+        acc += bud;
+        fb = nfb - static_cast<double>(bud);
+        delta = bud;
+      }
+      fs += acc;
+      rs = fs - delta;
       break;
     }
     rb_p = rb;
@@ -346,19 +365,23 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
     fs_p = fs;
     it_p = it;
     ms_p = mem_stalls;
-    rbs_p = rob_stalls;
-    // Mirror of do_retire(): drain completed loads, block on pending ones.
+    // Mirror of do_retire(): drain completed loads, block on pending ones;
+    // with no load left, one bulk advance.
     rb += width;
     auto rbud = static_cast<std::uint64_t>(rb);
     rb -= static_cast<double>(rbud);
     const std::uint64_t start_rs = rs;
-    while (rbud > 0 && rs < fs) {
-      if (it != loads_end && it->seq == rs) {
-        if (it->done_at == kNoCycle || it->done_at > now + j) break;
-        ++it;
+    if (it == loads_end) {
+      rs += std::min(rbud, fs - rs);
+    } else {
+      while (rbud > 0 && rs < fs) {
+        if (it != loads_end && it->seq == rs) {
+          if (it->done_at == kNoCycle || it->done_at > now + j) break;
+          ++it;
+        }
+        ++rs;
+        --rbud;
       }
-      ++rs;
-      --rbud;
     }
     if (rs == start_rs) {
       if (it != loads_end && it->seq == rs) ++mem_stalls;
@@ -368,168 +391,23 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
     fb += ipc;
     auto bud = static_cast<std::uint64_t>(fb);
     fb -= static_cast<double>(bud);
-    bool touches_memory = false;
-    bool stalled_on_rob = false;
-    while (bud > 0) {
-      const std::uint64_t rob_space = rs + rob - fs;
-      if (rob_space == 0) {
-        stalled_on_rob = true;
-        break;
-      }
-      if (fs >= mem_seq) {  // tick at now+j touches memory
-        touches_memory = true;
-        break;
-      }
-      const std::uint64_t adv = std::min({bud, rob_space, mem_seq - fs});
-      fs += adv;
-      bud -= adv;
-    }
-    if (touches_memory) {
+    const FetchStop stop = fetch_nonmem(fs, bud, rs + rob, mem_seq);
+    if (stop == FetchStop::kMemOp) {
+      // The tick at now + j touches memory: the clean range ends one cycle
+      // earlier, its end state the snapshot taken before this iteration.
       prefix = j - 1;
       wake = now + j;
-      // The clean range ends one cycle earlier; its end state is the
-      // snapshot taken before this iteration.
       rb = rb_p;
       fb = fb_p;
       rs = rs_p;
       fs = fs_p;
       it = it_p;
       mem_stalls = ms_p;
-      rob_stalls = rbs_p;
       break;
     }
-    if (stalled_on_rob) {
+    if (stop == FetchStop::kWindowFull) {
       ++rob_stalls;
       fb = 0.0;
-    }
-  }
-  // Load-free phase: fetch inside the range only adds non-memory
-  // instructions, so once the last window load retires no later cycle can
-  // see one — no frozen state, no memory stalls, and the retire mirror
-  // collapses to a bulk advance.
-  if (!frozen && wake == now + cap + 1) {
-    // Steady-state collapse preconditions, checked once per proof: integer
-    // issue width, per-cycle fetch bounded by the retire budget, and ROB
-    // headroom above the largest single-cycle fetch. Under these, once the
-    // un-retired tail fits in one retire budget the mirror reaches a fixed
-    // point (each cycle retires exactly the previous cycle's fetch, the ROB
-    // never fills) and the remaining cycles reduce to the fractional fetch
-    // accumulator alone. The FP ops below replicate the per-cycle mirror
-    // operation-for-operation, so the collapse is bit-exact, not a closed
-    // form.
-    const auto bud_max = static_cast<std::uint64_t>(ipc) + 1;
-    const auto width_u = static_cast<std::uint64_t>(width);
-    const bool collapsible = width >= 1.0 && width == std::floor(width) &&
-                             static_cast<double>(bud_max) <= width &&
-                             rob > bud_max;
-    for (; j <= cap; ++j) {
-      // With rb exactly zero (guaranteed in practice: an integer width
-      // leaves retire_budget_ at 0.0 forever) the retire mirror is pure
-      // integer bookkeeping: each cycle drains exactly the previous fetch.
-      if (collapsible && fs - rs <= width_u && rb == 0.0) {
-        // Orbit collapse: the accumulator loop below walks the tabulated
-        // orbit one step per cycle, so the touch cycle is one binary
-        // search over the prefix sums and the end state reads straight off
-        // the table (same construction as the stuck-stretch collapse in
-        // phase 1). Off-orbit budgets fall back to the loop.
-        const std::uint32_t p0 = orbit.find(fb);
-        const std::uint64_t room = cap - j + 1;
-        if (p0 != FbOrbit::kNpos && p0 + room <= FbOrbit::kSteps) {
-          const auto first = orbit.cum.begin() + p0;
-          const auto last = first + static_cast<std::ptrdiff_t>(room) + 1;
-          const std::uint64_t base = orbit.cum[p0];
-          const auto hit =
-              std::upper_bound(first, last, base + (mem_seq - fs));
-          const std::uint64_t done =
-              hit != last ? static_cast<std::uint64_t>(hit - first) - 1
-                          : room;
-          // Un-retired tail after the stretch = the last granted budget
-          // (each cycle retires exactly the previous cycle's fetch).
-          const std::uint64_t tail =
-              done > 0 ? orbit.cum[p0 + done] - orbit.cum[p0 + done - 1]
-                       : fs - rs;
-          fs += orbit.cum[p0 + done] - base;
-          rs = fs - tail;
-          fb = orbit.fbl[p0 + done];
-          j += done;
-          if (hit != last) {
-            prefix = j - 1;
-            wake = now + j;
-          } else {
-            j = cap + 1;
-          }
-          break;
-        }
-        std::uint64_t delta = fs - rs;  // un-retired tail = last fetch
-        std::uint64_t acc = 0;          // instructions fetched in this loop
-        const std::uint64_t needed = mem_seq - fs;
-        double fbl = fb;
-        bool touched = false;
-        for (; j <= cap; ++j) {
-          const double nfb = fbl + ipc;
-          const auto bud = static_cast<std::uint64_t>(nfb);
-          if (acc + bud > needed) {
-            // This cycle's fetch would reach mem_seq with budget left: the
-            // memory touch. State stays as of the previous cycle, exactly
-            // like the snapshot rollback in the generic mirror.
-            touched = true;
-            break;
-          }
-          acc += bud;
-          fbl = nfb - static_cast<double>(bud);
-          delta = bud;
-        }
-        fs += acc;
-        rs = fs - delta;
-        fb = fbl;
-        if (touched) {
-          prefix = j - 1;
-          wake = now + j;
-        }
-        break;
-      }
-      rb_p = rb;
-      fb_p = fb;
-      rs_p = rs;
-      fs_p = fs;
-      rb += width;
-      auto rbud = static_cast<std::uint64_t>(rb);
-      rb -= static_cast<double>(rbud);
-      const std::uint64_t ret = std::min(rbud, fs - rs);
-      rs += ret;
-      if (ret == 0) rb = 0.0;
-      fb += ipc;
-      auto bud = static_cast<std::uint64_t>(fb);
-      fb -= static_cast<double>(bud);
-      bool touches_memory = false;
-      bool stalled_on_rob = false;
-      while (bud > 0) {
-        const std::uint64_t rob_space = rs + rob - fs;
-        if (rob_space == 0) {
-          stalled_on_rob = true;
-          break;
-        }
-        if (fs >= mem_seq) {
-          touches_memory = true;
-          break;
-        }
-        const std::uint64_t adv = std::min({bud, rob_space, mem_seq - fs});
-        fs += adv;
-        bud -= adv;
-      }
-      if (touches_memory) {
-        prefix = j - 1;
-        wake = now + j;
-        rb = rb_p;
-        fb = fb_p;
-        rs = rs_p;
-        fs = fs_p;
-        break;
-      }
-      if (stalled_on_rob) {
-        ++rob_stalls;
-        fb = 0.0;
-      }
     }
   }
   det_proof_ = DetProof{
@@ -547,9 +425,8 @@ void OoOCore::fast_forward_det(Cycle start, Cycle n) {
   if (n == 0) return;
   // Common case: the range being replayed starts exactly where the proof
   // simulated, so its memoized end state applies directly; a frozen proof
-  // covers any longer range via the stall closed form. The mirror loop
-  // below is the fallback for ranges truncated early (a read completion or
-  // the run-window edge).
+  // covers any longer range via the stall closed form. A range cut short
+  // (a read completion or the run-window edge) replays through tick().
   const DetProof& p = det_proof_;
   if (p.valid && (p.cycles == n || (p.frozen && p.cycles <= n)) &&
       p.start_fetch_seq == fetch_seq_ && p.start_retire_seq == retire_seq_ &&
@@ -570,50 +447,12 @@ void OoOCore::fast_forward_det(Cycle start, Cycle n) {
     if (tail > 0) fast_forward_stall(tail);
     return;
   }
-  stats_.cycles += n;
-  for (Cycle i = 0; i < n; ++i) {
-    retire_budget_ += cfg_.issue_width;
-    auto rbud = static_cast<std::uint64_t>(retire_budget_);
-    retire_budget_ -= static_cast<double>(rbud);
-    const std::uint64_t start_rs = retire_seq_;
-    while (rbud > 0 && retire_seq_ < fetch_seq_) {
-      if (!loads_.empty() && loads_.front().seq == retire_seq_) {
-        const Load& head = loads_.front();
-        if (head.done_at == kNoCycle || head.done_at > start + i) break;
-        loads_.pop_front();
-      }
-      ++retire_seq_;
-      --rbud;
-    }
-    stats_.instructions += retire_seq_ - start_rs;
-    if (retire_seq_ == start_rs) {
-      if (!loads_.empty() && loads_.front().seq == retire_seq_) {
-        ++stats_.mem_stall_cycles;
-      }
-      retire_budget_ = 0.0;
-    }
-    fetch_budget_ += cfg_.nonmem_ipc;
-    auto bud = static_cast<std::uint64_t>(fetch_budget_);
-    fetch_budget_ -= static_cast<double>(bud);
-    bool stalled_on_rob = false;
-    while (bud > 0) {
-      const std::uint64_t rob_space = retire_seq_ + cfg_.rob_size - fetch_seq_;
-      if (rob_space == 0) {
-        stalled_on_rob = true;
-        break;
-      }
-      BWPART_ASSERT(fetch_seq_ < next_mem_seq_,
-                    "deterministic replay reached a memory operation");
-      const std::uint64_t adv =
-          std::min({bud, rob_space, next_mem_seq_ - fetch_seq_});
-      fetch_seq_ += adv;
-      bud -= adv;
-    }
-    if (stalled_on_rob) {
-      ++stats_.rob_stall_cycles;
-      fetch_budget_ = 0.0;
-    }
-  }
+  const std::uint64_t mem_seq = next_mem_seq_;
+  const std::uint64_t queue_stalls = stats_.queue_stall_cycles;
+  for (Cycle i = 0; i < n; ++i) tick(start + i);
+  BWPART_ASSERT(next_mem_seq_ == mem_seq &&
+                    stats_.queue_stall_cycles == queue_stalls,
+                "deterministic replay reached a memory operation");
 }
 
 void OoOCore::fast_forward_stall(Cycle n) {
@@ -681,35 +520,27 @@ void OoOCore::do_fetch(Cycle now) {
   auto budget = static_cast<std::uint64_t>(fetch_budget_);
   fetch_budget_ -= static_cast<double>(budget);
 
-  bool stalled_on_queue = false;
-  bool stalled_on_rob = false;
-  while (budget > 0) {
-    const std::uint64_t rob_space = retire_seq_ + cfg_.rob_size - fetch_seq_;
-    if (rob_space == 0) {
-      stalled_on_rob = true;
-      break;
-    }
-    if (fetch_seq_ < next_mem_seq_) {
-      // Bulk-advance the non-memory run.
-      const std::uint64_t k = std::min(
-          {budget, rob_space, next_mem_seq_ - fetch_seq_});
-      fetch_seq_ += k;
-      budget -= k;
-      continue;
+  const std::uint64_t rob_lim = retire_seq_ + cfg_.rob_size;
+  for (;;) {
+    const FetchStop stop =
+        fetch_nonmem(fetch_seq_, budget, rob_lim, next_mem_seq_);
+    if (stop == FetchStop::kBudget) return;
+    // Fetch bandwidth is not banked across stall cycles.
+    if (stop == FetchStop::kWindowFull) {
+      ++stats_.rob_stall_cycles;
+      fetch_budget_ = 0.0;
+      return;
     }
     // The fetch head is the pending memory operation.
     if (!execute_mem_op(now)) {
-      stalled_on_queue = true;
-      break;
+      ++stats_.queue_stall_cycles;
+      fetch_budget_ = 0.0;
+      return;
     }
     ++fetch_seq_;
     --budget;
     advance_trace();
   }
-  if (stalled_on_rob) ++stats_.rob_stall_cycles;
-  if (stalled_on_queue) ++stats_.queue_stall_cycles;
-  // Fetch bandwidth is not banked across stall cycles either.
-  if (stalled_on_rob || stalled_on_queue) fetch_budget_ = 0.0;
 }
 
 bool OoOCore::mem_op_would_stall() const {
@@ -733,26 +564,14 @@ bool OoOCore::mem_op_would_stall() const {
 }
 
 bool OoOCore::execute_mem_op(Cycle now) {
-  Addr addr = current_op_.addr;
-  AccessType type = current_op_.type;
-
-  // A dependent load's address is produced by an earlier load still in
-  // flight; it cannot issue until the memory level is quiet again.
-  if (current_op_.dependent && type == AccessType::Read &&
-      offchip_loads_inflight_ > 0) {
-    return false;
-  }
+  if (mem_op_would_stall()) return false;
+  const Addr addr = current_op_.addr;
+  const AccessType type = current_op_.type;
 
   if (cfg_.model_caches) {
-    // Reserve worst-case resources up front (demand miss + dirty L2
+    // The stall rule reserved the worst case (demand miss + dirty L2
     // victim): the cache lookups below mutate replacement/dirty state, so
     // the operation must not abort halfway and retry.
-    const bool may_need_load = type == AccessType::Read;
-    if ((may_need_load && offchip_loads_inflight_ >= cfg_.mshrs) ||
-        stores_inflight_ + 1 >= cfg_.store_buffer ||
-        !controller_.can_accept_n(app_, 2)) {
-      return false;
-    }
     const Cache::Outcome o1 = l1_.access(addr, type);
     if (o1.hit) {
       if (type == AccessType::Read) {
@@ -772,12 +591,8 @@ bool OoOCore::execute_mem_op(Cycle now) {
       return true;
     }
     // Off-chip: the L2 miss fetches the line; a dirty L2 victim is written
-    // back through the store path below.
+    // back through the store path.
     if (o2.writeback) {
-      if (stores_inflight_ >= cfg_.store_buffer ||
-          !controller_.can_accept(app_)) {
-        return false;  // retry next cycle; cache state change is benign
-      }
       controller_.enqueue(app_, o2.writeback_addr, AccessType::Write, now);
       ++stores_inflight_;
       ++stats_.offchip_writes;
@@ -787,17 +602,11 @@ bool OoOCore::execute_mem_op(Cycle now) {
   }
 
   if (type == AccessType::Read) {
-    if (offchip_loads_inflight_ >= cfg_.mshrs || !controller_.can_accept(app_)) {
-      return false;
-    }
     const std::uint64_t id = controller_.enqueue(app_, addr, type, now);
     loads_.push_back(Load{fetch_seq_, id, kNoCycle, true});
     ++offchip_loads_inflight_;
     ++stats_.offchip_reads;
   } else {
-    if (stores_inflight_ >= cfg_.store_buffer || !controller_.can_accept(app_)) {
-      return false;
-    }
     controller_.enqueue(app_, addr, type, now);
     ++stores_inflight_;
     ++stats_.offchip_writes;

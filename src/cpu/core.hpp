@@ -79,16 +79,14 @@ struct CoreStats {
 
 /// How a sleeping core's deferred cycles must be replayed, and which events
 /// can invalidate the sleep proof early. Stall flavors lean on external
-/// state a completion can free; the idle replay reads nothing outside the
-/// core, so its proof survives completions untouched. The deterministic-
-/// window replay reads the load queue, so the owner must replay its range
-/// *before* delivering one of this application's read completions (which
-/// mutate load state) and wake the core there.
+/// state a completion can free. The deterministic-window replay reads the
+/// load queue, so the owner must replay its range *before* delivering one
+/// of this application's read completions (which mutate load state) and
+/// wake the core there; write completions leave it untouched.
 enum class SleepFlavor : std::uint8_t {
   kStallOwn = 0,     ///< blocked; only this app's completions can unblock
   kStallShared = 1,  ///< blocked on shared queue space; any completion can
-  kIdle = 2,         ///< empty window accumulating sub-1 fetch budget
-  kDet = 3,          ///< deterministic window run; own read completions wake
+  kDet = 2,          ///< deterministic window run; own read completions wake
 };
 
 /// Result of OoOCore::prove_sleep(): the first cycle the core must tick
@@ -134,21 +132,6 @@ class OoOCore {
   /// fast_forward_stall() call.
   Cycle next_wake(Cycle now) const;
 
-  /// Earliest cycle > `now` at which the fetch budget can reach one whole
-  /// instruction. Refines next_wake()'s "not provably stalled" answer for a
-  /// core with an empty window and a sub-1 fetch rate: until the fractional
-  /// budget crosses 1, a tick changes nothing but the budget, so the owner
-  /// may replace those cycles with one fast_forward_idle() call. Returns
-  /// now + 1 when no such proof holds.
-  Cycle next_fetch_wake(Cycle now) const;
-
-  /// Replays `n` consecutive budget-accumulation cycles: cycle counters
-  /// advance and the fetch budget accumulates add-for-add (bit-identical to
-  /// n tick() calls), with no instruction and no stall flag. Precondition:
-  /// next_fetch_wake() proved the window empty and every intermediate
-  /// budget value below 1.
-  void fast_forward_idle(Cycle n);
-
   /// Earliest cycle > `now` at which tick() would attempt to execute a
   /// memory operation. Between memory-op attempts the core's evolution is
   /// fully deterministic given the loads already in the window (their
@@ -168,18 +151,19 @@ class OoOCore {
   /// Replays the `n` consecutive cycles [start, start + n) of a
   /// deterministic window run: retire/fetch sequence numbers, retired
   /// loads, instruction and stall counters, and both fractional budgets
-  /// advance bit-identically to n tick() calls (`start` anchors the
-  /// load-completion comparisons). Precondition: next_det_wake() proved no
-  /// memory-op attempt within the range and no read completion was
-  /// delivered inside it.
+  /// advance bit-identically to n tick() calls. The proved range applies
+  /// from the det-proof memo in O(1); a range cut short (a read completion
+  /// or the run-window edge) runs tick(start + i) per cycle. Precondition:
+  /// next_det_wake() proved no memory-op attempt within the range and no
+  /// read completion was delivered inside it.
   void fast_forward_det(Cycle start, Cycle n);
 
-  /// One-shot sleep proof combining next_wake() with the idle and
-  /// deterministic-window refinements, plus the completion-sensitivity
-  /// classification: a stalled
-  /// core blocked on the shared transaction queue can be freed by any
-  /// application's completion, while MSHR, store-buffer, per-app-queue and
-  /// dependent-load blocks clear only on this application's completions.
+  /// One-shot sleep proof combining next_wake() with the deterministic-
+  /// window refinement, plus the completion-sensitivity classification: a
+  /// stalled core blocked on the shared transaction queue can be freed by
+  /// any application's completion, while MSHR, store-buffer, per-app-queue
+  /// and dependent-load blocks clear only on this application's
+  /// completions.
   WakeProof prove_sleep(Cycle now) const;
 
   /// Replays `n` consecutive provably-stalled cycles in closed form:
@@ -213,7 +197,7 @@ class OoOCore {
   /// wiring is restored by the controller's own hook), in-flight counters,
   /// stats and both private caches. The det-proof memo is deliberately not
   /// serialized: restore invalidates it, and a missing memo only makes the
-  /// next fast_forward_det() fall back to the bit-identical replay path.
+  /// next fast_forward_det() replay through tick().
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
@@ -230,13 +214,13 @@ class OoOCore {
 
   void do_retire(Cycle now);
   void do_fetch(Cycle now);
-  /// Executes the memory op at the fetch head. Returns false if it must
-  /// stall (MSHR/store-buffer/controller backpressure).
+  /// Executes the memory op at the fetch head. Returns false, changing
+  /// nothing, when mem_op_would_stall().
   bool execute_mem_op(Cycle now);
-  /// Side-effect-free mirror of execute_mem_op's stall decision: true iff
-  /// calling it now would return false. With model_caches the up-front
-  /// worst-case resource reservation is the only abort point, so the check
-  /// never needs to touch cache state.
+  /// The memory-op stall rule (dependent load, MSHRs, store buffer,
+  /// controller backpressure), shared by execute_mem_op() and the sleep
+  /// proofs. With model_caches it reserves the worst case up front (demand
+  /// miss plus dirty L2 victim), so no cache lookup can stall halfway.
   bool mem_op_would_stall() const;
   void advance_trace();
 
@@ -264,7 +248,7 @@ class OoOCore {
   /// of the proved range and fast_forward_det() applies it in O(1) instead
   /// of replaying the same cycles a second time. Keyed on the full start
   /// state; any mismatch (e.g. a replay truncated early by a completion or
-  /// the run-window edge) falls back to the cycle-by-cycle replay. When
+  /// the run-window edge) falls back to one tick() per cycle. When
   /// `frozen` is set the proved prefix ends in a state that cannot make
   /// progress, and cycles past it replay via fast_forward_stall().
   struct DetProof {

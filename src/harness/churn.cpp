@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/assert.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "harness/differential.hpp"
 
 namespace bwpart::harness {
@@ -70,24 +71,29 @@ std::vector<std::string> split_tokens(std::string_view line) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& s, std::size_t line_no,
-                        const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno != 0) {
-    parse_fail(line_no, std::string("bad ") + what + " '" + s + "'");
-  }
-  return static_cast<std::uint64_t>(v);
+// Field ranges. Event cycles stay far from wrapping `measure start + at`;
+// the knob bounds keep SyntheticTraceGenerator::next()'s float-to-integer
+// casts and its cluster-period product in range.
+constexpr Cycle kMaxEventCycle = 1'000'000'000'000'000'000;
+constexpr double kMinApi = 1e-9;
+constexpr double kMaxMeanCluster = 1e6;
+constexpr std::uint64_t kMaxKnobCount = 1'000'000'000;
+
+/// `text` as a number in [lo, hi]; otherwise a parse failure naming the
+/// field and the token.
+template <typename T>
+T parse_field(std::string_view text, std::type_identity_t<T> lo,
+              std::type_identity_t<T> hi, std::size_t line_no,
+              const std::string& what) {
+  T v{};
+  const std::string problem = cli::parse_number<T>(text, lo, hi, v);
+  if (!problem.empty()) parse_fail(line_no, what + " " + problem);
+  return v;
 }
 
-double parse_f64(const std::string& s, std::size_t line_no, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    parse_fail(line_no, std::string("bad ") + what + " '" + s + "'");
-  }
-  return v;
+AppId parse_app(std::string_view text, std::size_t line_no) {
+  return parse_field<AppId>(text, 0, std::numeric_limits<AppId>::max(),
+                            line_no, "app id");
 }
 
 void parse_knob(const std::string& tok, PhaseKnobs& knobs,
@@ -97,19 +103,23 @@ void parse_knob(const std::string& tok, PhaseKnobs& knobs,
     parse_fail(line_no, "phase knob '" + tok + "' is not key=value");
   }
   const std::string key = tok.substr(0, eq);
-  const std::string val = tok.substr(eq + 1);
+  const std::string_view val = std::string_view(tok).substr(eq + 1);
   if (key == "api") {
-    knobs.api = parse_f64(val, line_no, "api");
+    knobs.api = parse_field<double>(val, kMinApi, 1.0, line_no, key);
   } else if (key == "mean_cluster") {
-    knobs.mean_cluster = parse_f64(val, line_no, "mean_cluster");
+    knobs.mean_cluster =
+        parse_field<double>(val, 1.0, kMaxMeanCluster, line_no, key);
   } else if (key == "write_fraction") {
-    knobs.write_fraction = parse_f64(val, line_no, "write_fraction");
+    knobs.write_fraction = parse_field<double>(val, 0.0, 1.0, line_no, key);
   } else if (key == "dependent_fraction") {
-    knobs.dependent_fraction = parse_f64(val, line_no, "dependent_fraction");
+    knobs.dependent_fraction =
+        parse_field<double>(val, 0.0, 1.0, line_no, key);
   } else if (key == "seq_run_lines") {
-    knobs.seq_run_lines = parse_u64(val, line_no, "seq_run_lines");
+    knobs.seq_run_lines =
+        parse_field<std::uint64_t>(val, 1, kMaxKnobCount, line_no, key);
   } else if (key == "intra_cluster_gap") {
-    knobs.intra_cluster_gap = parse_u64(val, line_no, "intra_cluster_gap");
+    knobs.intra_cluster_gap =
+        parse_field<std::uint64_t>(val, 0, kMaxKnobCount, line_no, key);
   } else {
     parse_fail(line_no, "unknown phase knob '" + key + "'");
   }
@@ -158,8 +168,7 @@ ChurnSchedule ChurnSchedule::parse(std::string_view text) {
         const std::string item =
             list.substr(p, comma == std::string::npos ? comma : comma - p);
         if (item.empty()) parse_fail(line_no, "empty app id in dormant list");
-        s.initially_dormant.push_back(
-            static_cast<AppId>(parse_u64(item, line_no, "app id")));
+        s.initially_dormant.push_back(parse_app(item, line_no));
         p = comma == std::string::npos ? list.size() : comma + 1;
       }
       continue;
@@ -172,8 +181,9 @@ ChurnSchedule ChurnSchedule::parse(std::string_view text) {
       parse_fail(line_no, "expected '@<cycle> <verb> <app> ...'");
     }
     ChurnEvent ev;
-    ev.at = parse_u64(tokens[0].substr(1), line_no, "cycle");
-    ev.app = static_cast<AppId>(parse_u64(tokens[2], line_no, "app id"));
+    ev.at = parse_field<Cycle>(std::string_view(tokens[0]).substr(1), 0,
+                               kMaxEventCycle, line_no, "cycle");
+    ev.app = parse_app(tokens[2], line_no);
     const std::string& verb = tokens[1];
     if (verb == "arrive") {
       ev.kind = ChurnKind::kArrive;
@@ -294,11 +304,12 @@ void ChurnSchedule::validate(std::size_t num_apps) const {
           fail("phase change at cycle " + std::to_string(ev.at) +
                " sets no knob");
         }
-        if (k.api >= 0.0 && (k.api <= 0.0 || k.api >= 1.0)) {
-          fail("phase api must be in (0, 1)");
+        if (k.api >= 0.0 && (k.api < kMinApi || k.api >= 1.0)) {
+          fail("phase api must be in [1e-9, 1)");
         }
-        if (k.mean_cluster >= 0.0 && k.mean_cluster < 1.0) {
-          fail("phase mean_cluster must be >= 1");
+        if (k.mean_cluster >= 0.0 &&
+            !(k.mean_cluster >= 1.0 && k.mean_cluster <= kMaxMeanCluster)) {
+          fail("phase mean_cluster must be in [1, 1e6]");
         }
         if (k.write_fraction > 1.0 || k.dependent_fraction > 1.0) {
           fail("phase fractions must be <= 1");

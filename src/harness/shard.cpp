@@ -15,6 +15,7 @@
 #include <string_view>
 #include <thread>
 
+#include "common/cli.hpp"
 #include "dram/config.hpp"
 #include "harness/churn.hpp"
 #include "harness/differential.hpp"
@@ -40,16 +41,6 @@ core::Scheme parse_scheme(const std::string& name) {
     if (core::to_string(s) == name) return s;
   }
   throw snap::SnapshotError("unit spec names unknown scheme '" + name + "'");
-}
-
-std::uint64_t parse_u64(const std::string& text, const char* field) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    throw snap::SnapshotError(std::string("unit spec field '") + field +
-                              "' is not an unsigned integer: '" + text + "'");
-  }
-  return v;
 }
 
 std::uint64_t parse_hex64(const std::string& text, const char* field) {
@@ -304,18 +295,25 @@ ShardUnit parse_unit_spec(const std::string& text) {
     }
     return it->second;
   };
+  auto number = [&](const char* key, std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t v = 0;
+    const std::string problem = cli::parse_number(want(key), lo, hi, v);
+    if (!problem.empty()) {
+      throw snap::SnapshotError(std::string("unit spec field '") + key +
+                                "': " + problem);
+    }
+    return v;
+  };
 
   ShardUnit u;
   u.cfg.mix = want("mix");
-  u.cfg.copies = static_cast<std::uint32_t>(parse_u64(want("copies"),
-                                                      "copies"));
+  u.cfg.copies = static_cast<std::uint32_t>(number("copies", 1, kMaxApps));
   u.cfg.dram = want("dram");
-  u.cfg.controllers =
-      static_cast<std::size_t>(parse_u64(want("controllers"), "controllers"));
-  u.cfg.warmup_cycles = parse_u64(want("warmup"), "warmup");
-  u.cfg.profile_cycles = parse_u64(want("profile"), "profile");
-  u.cfg.measure_cycles = parse_u64(want("measure"), "measure");
-  u.cfg.seed = parse_u64(want("seed"), "seed");
+  u.cfg.controllers = number("controllers", 1, kMaxApps);
+  u.cfg.warmup_cycles = number("warmup", 0, UINT64_MAX);
+  u.cfg.profile_cycles = number("profile", 0, UINT64_MAX);
+  u.cfg.measure_cycles = number("measure", 0, UINT64_MAX);
+  u.cfg.seed = number("seed", 0, UINT64_MAX);
   u.scheme = parse_scheme(want("scheme"));
   u.config_fp = parse_hex64(want("config_fp"), "config_fp");
   if (const auto it = fields.find("churn"); it != fields.end()) {

@@ -42,6 +42,10 @@
 
 namespace bwpart::harness::shard {
 
+/// Upper bound on ShardConfig::copies and ::controllers, shared by the
+/// command line and the unit spec parser.
+inline constexpr std::uint64_t kMaxApps = 1'024;
+
 /// One machine + workload + phase configuration of a sweep portfolio. The
 /// DRAM grade travels by name so the on-disk unit spec round-trips exactly
 /// (no floating-point text parsing anywhere in the protocol).

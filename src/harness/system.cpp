@@ -125,9 +125,8 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
         // dependent load) and any core stall-sleeping on shared queue
         // space, so those sleep proofs are void past this cycle; a read
         // completion additionally invalidates its own core's
-        // deterministic-window proof. Idle proofs (and det proofs under
-        // write completions) read nothing the completion touched and stay
-        // valid.
+        // deterministic-window proof. Det proofs under write completions
+        // read nothing the completion touched and stay valid.
         wake_sleepers(req.app, read);
       };
   for (auto& mc : controllers_) mc->set_completion_callback(on_complete);
@@ -193,16 +192,10 @@ void CmpSystem::wake_sleepers(AppId app, bool read) {
 void CmpSystem::flush_deferred_stalls(std::size_t i, Cycle upto) {
   if (slept_from_[i] < upto) {
     const Cycle owed = upto - slept_from_[i];
-    switch (sleep_kind_[i]) {
-      case cpu::SleepFlavor::kIdle:
-        cores_[i]->fast_forward_idle(owed);
-        break;
-      case cpu::SleepFlavor::kDet:
-        cores_[i]->fast_forward_det(slept_from_[i], owed);
-        break;
-      default:
-        cores_[i]->fast_forward_stall(owed);
-        break;
+    if (sleep_kind_[i] == cpu::SleepFlavor::kDet) {
+      cores_[i]->fast_forward_det(slept_from_[i], owed);
+    } else {
+      cores_[i]->fast_forward_stall(owed);
     }
     slept_from_[i] = upto;
   }

@@ -242,8 +242,7 @@ class CmpSystem {
   /// deterministic-window sleep when the completion is a read (`read`),
   /// plus every core stall-sleeping on shared queue space (a delivered
   /// completion is the only event that can unblock a core earlier than its
-  /// own prove_sleep() proof; idle proofs — and det proofs under write
-  /// completions — are completion-immune).
+  /// own prove_sleep() proof; det proofs are immune to write completions).
   void wake_sleepers(AppId app, bool read);
   /// Replays core `i`'s deferred cycles up to (excluding) `upto` using the
   /// closed form recorded for its sleep flavor.

@@ -87,7 +87,6 @@ int write_obs_outputs(const obs::Hub& hub, const std::string& metrics_out,
 
 constexpr Cycle kMinCycles = 10'000;  // shorter windows can profile no access
 constexpr Cycle kMaxCycles = 1'000'000'000'000;
-constexpr std::uint64_t kMaxApps = 1'024;
 constexpr std::uint64_t kMaxLeaseMs = 86'400'000;  // one day
 
 }  // namespace
@@ -126,7 +125,8 @@ int main(int argc, char** argv) {
            "partitioning scheme (paper names) or every scheme");
   cli.number("--cycles", cycles, kMinCycles, kMaxCycles,
              "profile and measure window (warm-up: a fifth of it)");
-  cli.number("--copies", copies, 1, kMaxApps, "workload replication (Fig. 4)");
+  cli.number("--copies", copies, 1, harness::shard::kMaxApps,
+             "workload replication (Fig. 4)");
   cli.number("--bandwidth", bandwidth, 0.1, 100.0,
              "picks the Fig. 4 DDR2 grade: >= 12 DDR2-1600, >= 6 DDR2-800, "
              "else DDR2-400",
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   cli.text("--resume", resume_path, "FILE",
            "fork the measure phases from a saved checkpoint instead of "
            "re-running warm-up + profile");
-  cli.number("--controllers", controllers, 1, kMaxApps,
+  cli.number("--controllers", controllers, 1, harness::shard::kMaxApps,
              "independent memory controllers (apps round-robin)");
   // The unit specs in the spool carry the configuration, so every
   // workload/machine flag is ignored in this mode.

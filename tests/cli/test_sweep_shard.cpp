@@ -189,6 +189,19 @@ TEST(SpoolProtocol, UnitSpecRoundTrips) {
     EXPECT_EQ(back.scheme, u.scheme);
     EXPECT_EQ(back.config_fp, u.config_fp);
   }
+  // Decimal fields are strict and take the command line's ranges.
+  const std::string spec =
+      shard::encode_unit_spec(shard::enumerate_units(p).front());
+  for (const std::string line :
+       {"copies 0", "controllers 1025", "seed -1", "measure 2e6"}) {
+    const std::string key = "\n" + line.substr(0, line.find(' ') + 1);
+    std::string bad = spec;
+    const std::size_t at = bad.find(key) + 1;
+    ASSERT_NE(at, 0u) << line;
+    bad.replace(at, bad.find('\n', at) - at, line);
+    EXPECT_THROW((void)shard::parse_unit_spec(bad), snap::SnapshotError)
+        << line;
+  }
 }
 
 // Churned units: the compact schedule rides in the unit spec (omitted when

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -259,6 +260,31 @@ TEST(OoOCore, DirtyL2EvictionsProduceWritebacks) {
   // Each streamed line eventually evicts a dirty victim: writes ~2x reads
   // (demand write-allocates count as writes too through the store path).
   EXPECT_GT(rig.core->stats().offchip_writes, 1000u);
+}
+
+TEST(OoOCore, CacheModeKeepsStoresWithinTheStoreBuffer) {
+  // Writes cycling over more lines than tiny caches hold: a demand miss can
+  // also write back a dirty L2 victim, so the stall rule reserves both
+  // store-buffer slots before the cache lookups change any state.
+  std::vector<TraceOp> ops;
+  for (int i = 0; i < 256; ++i) {
+    ops.push_back(TraceOp{10, static_cast<Addr>(i) * 64, AccessType::Write,
+                          false});
+  }
+  ScriptedTrace trace(ops);
+  CoreConfig cfg;
+  cfg.model_caches = true;
+  cfg.store_buffer = 4;
+  cfg.l1 = {1024, 64, 2};
+  cfg.l2 = {4096, 64, 2};
+  Rig rig = make_rig(cfg, trace);
+  std::uint64_t most_in_flight = 0;
+  for (Cycle t = 0; t < 200'000; ++t) {
+    rig.run(1, t);
+    const mem::AppMemStats& s = rig.mc->app_stats(0);
+    most_in_flight = std::max(most_in_flight, s.enqueued - s.served_writes);
+  }
+  EXPECT_EQ(most_in_flight, cfg.store_buffer);
 }
 
 TEST(OoOCore, ResetStatsKeepsArchitecturalState) {

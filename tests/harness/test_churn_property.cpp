@@ -6,8 +6,10 @@
 // uninterrupted run.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -389,6 +391,30 @@ TEST(ChurnProperties, GrammarRejectsMalformedSchedulesLoudly) {
   EXPECT_THROW(s3.validate(3), std::runtime_error);  // no live app left
   ChurnSchedule s4 = ChurnSchedule::parse("@9 depart 1\n@5 depart 2");
   EXPECT_THROW(s4.validate(4), std::runtime_error);  // out of order
+  // Numbers outside their field's range fail, naming the token, where a
+  // wrapping or lenient parse would run something else than was written.
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"dormant 1;@-5 arrive 1", "'-5'"},            // wraps: never fires
+      {"@100 depart 4294967297", "'4294967297'"},    // truncates to app 1
+      {"@100 phase 0 write_fraction=-0.5 api=0.02", "'-0.5'"},  // dropped
+      {"@100 phase 0 seq_run_lines=-1 api=0.02", "'-1'"},  // wraps to keep
+      {"@100 phase 0 api=nan", "'nan'"},             // read as "no knob"
+      {"@1000 phase 0 mean_cluster=inf", "'inf'"},   // no integer holds it
+  };
+  for (const auto& [text, token] : out_of_range) {
+    try {
+      ChurnSchedule::parse(text).validate(4);
+      ADD_FAILURE() << text << ": accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  // A built schedule meets the same knob ranges in validate().
+  PhaseKnobs inf_cluster;
+  inf_cluster.mean_cluster = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ChurnSchedule{}.phase(5, 0, inf_cluster).validate(4),
+               std::runtime_error);
   // Compact and multi-line forms parse identically.
   const ChurnSchedule a =
       ChurnSchedule::parse("dormant 1\n@5 arrive 1\n@9 phase 0 api=0.01");

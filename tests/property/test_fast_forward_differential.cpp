@@ -12,20 +12,27 @@
 // Busy systems cut almost every controller skip to one bus tick, so the
 // controller's own dead-range skip is also driven directly, the way the
 // system loop drives it, by bursty enqueue streams with long idle gaps.
+// Likewise the core's det-window replay is checked against tick() proof by
+// proof, on core configurations the system-level cases never draw.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "common/pbt.hpp"
+#include "common/snapshot_io.hpp"
+#include "cpu/core.hpp"
 #include "harness/differential.hpp"
 #include "harness/experiment.hpp"
 #include "harness/generators.hpp"
 #include "harness/system.hpp"
 #include "mem/controller.hpp"
+#include "mem/scheduler.hpp"
 #include "profile/interference.hpp"
 #include "workload/mixes.hpp"
 
@@ -264,6 +271,167 @@ TEST(FastForwardDifferential, AllSevenSchemesMatchReference) {
     const RunResult ref = ref_exp.run(s);
     EXPECT_EQ(fingerprint(fast), fingerprint(ref)) << core::to_string(s);
   }
+}
+
+/// A det-window replay case: one core, varied in window size, issue width,
+/// fetch rate and cache modelling, on its own controller, fed a random mix
+/// of L1 hits, L2 hits and misses, and how often its run is sampled.
+struct DetCase {
+  SystemConfig machine;  ///< DRAM and clock
+  cpu::CoreConfig core;
+  std::uint64_t seed = 0;
+  std::uint64_t max_gap = 0;    ///< non-memory instructions between ops
+  double dependent_share = 0.0;  ///< of reads
+  Cycle cycles = 0;
+  Cycle stride = 0;
+};
+
+pbt::GenFn<DetCase> det_case_gen() {
+  return [](Rng& rng) {
+    DetCase c;
+    c.machine = gen::system_config(rng);
+    // A fractional width leaves retire budget between cycles, and cache hits
+    // put loads with known future completion cycles in the window.
+    c.core.issue_width = rng.next_bool(0.5) ? 8.0 : 8.5;
+    c.core.nonmem_ipc = pbt::gen_double(rng, 0.3, 3.0);
+    c.core.mshrs = rng.next_bool(0.5) ? 4 : 16;
+    c.core.model_caches = rng.next_bool(0.7);
+    c.core.l1 = {4 * 1024, 64, 2};
+    c.core.l2 = {32 * 1024, 64, 4};
+    c.seed = rng.next_u64();
+    if (rng.next_bool(0.5)) {
+      // Sparse: a large window and no dependent reads keep fetch stall-free
+      // past FbOrbit's table, so the per-cycle fallbacks run.
+      c.core.rob_size = 1024;
+      c.max_gap = 3'000;
+      c.cycles = static_cast<Cycle>(pbt::gen_uint(rng, 40'000, 60'000));
+      c.stride = static_cast<Cycle>(pbt::gen_uint(rng, 32, 128));
+    } else {
+      c.core.rob_size = rng.next_bool(0.5) ? 64 : 192;
+      const std::uint64_t gaps[] = {2, 30, 300};
+      c.max_gap = gaps[rng.next_below(3)];
+      c.dependent_share = 0.1;
+      c.cycles = static_cast<Cycle>(pbt::gen_uint(rng, 8'000, 16'000));
+      c.stride = static_cast<Cycle>(pbt::gen_uint(rng, 8, 32));
+    }
+    return c;
+  };
+}
+
+std::string print_det_case(const DetCase& c) {
+  std::ostringstream os;
+  os << "seed=" << c.seed << " cycles=" << c.cycles << " stride=" << c.stride
+     << " max_gap=" << c.max_gap << " dependent=" << c.dependent_share
+     << " width=" << c.core.issue_width << " ipc=" << c.core.nonmem_ipc
+     << " rob=" << c.core.rob_size << " mshrs=" << c.core.mshrs
+     << " caches=" << c.core.model_caches;
+  return os.str();
+}
+
+/// Random memory ops: half to 8 hot lines (L1 hits once cached), a third of
+/// the rest to 256 warm lines (L2 hits), the remainder to cold lines.
+class MixedTrace final : public cpu::TraceSource {
+ public:
+  explicit MixedTrace(const DetCase& c)
+      : rng_(c.seed), max_gap_(c.max_gap), dependent_(c.dependent_share) {}
+  cpu::TraceOp next() override {
+    cpu::TraceOp op;
+    op.gap_nonmem = rng_.next_below(max_gap_ + 1);
+    const double u = rng_.next_double();
+    const std::uint64_t line = u < 0.5    ? rng_.next_below(8)
+                               : u < 0.67 ? 64 + rng_.next_below(256)
+                                          : 4'096 + rng_.next_below(1u << 24);
+    op.addr = line * 64;
+    op.type = rng_.next_bool(0.2) ? AccessType::Write : AccessType::Read;
+    op.dependent = op.type == AccessType::Read && rng_.next_bool(dependent_);
+    return op;
+  }
+
+ private:
+  Rng rng_;
+  std::uint64_t max_gap_;
+  double dependent_;
+};
+
+/// Trace stub for core clones: a det-window replay never reaches a memory
+/// operation, so the ops it would hand out are never read.
+struct NoTrace : cpu::TraceSource {
+  cpu::TraceOp next() override { return {}; }
+};
+
+// fast_forward_det() against tick(), proof by proof. One core runs with its
+// controller cycle by cycle; every `stride` cycles it is cloned, and a clone
+// that proves a deterministic window replays it through the memo (the full
+// proved range, or past a frozen window's end) and through tick() (a range
+// cut short). Both must reach the state the same number of tick() calls
+// reach. Clones use a controller of their own, so a faulty proof cannot
+// touch the run they were taken from.
+TEST(FastForwardDifferential, DetReplayMatchesTicksAtEveryProof) {
+  const pbt::Result r = pbt::for_all<DetCase>(
+      "fast-forward-det-replay", det_case_gen(),
+      [](const DetCase& c) -> std::string {
+        const auto controller = [&c] {
+          return std::make_unique<mem::MemoryController>(
+              c.machine.dram, c.machine.cpu_clock, 1,
+              std::make_unique<mem::FcfsScheduler>());
+        };
+        const std::unique_ptr<mem::MemoryController> mc = controller();
+        const std::unique_ptr<mem::MemoryController> sandbox = controller();
+        MixedTrace trace(c);
+        cpu::OoOCore core(0, c.core, trace, *mc);
+        mc->set_completion_callback(
+            [&core](const mem::MemRequest& req, Cycle done) {
+              core.on_mem_complete(req, done);
+            });
+        NoTrace no_trace;
+        Rng pick(c.seed);
+        const auto state = [](const cpu::OoOCore& k) {
+          snap::Writer w;
+          k.save_state(w);
+          return w.bytes();
+        };
+        for (Cycle t = 0; t < c.cycles; ++t) {
+          core.tick(t);
+          if (t % c.stride == 0) {
+            const std::vector<std::uint8_t> saved = state(core);
+            const auto clone = [&] {
+              auto k = std::make_unique<cpu::OoOCore>(0, c.core, no_trace,
+                                                      *sandbox);
+              snap::Reader in(saved);
+              k->restore_state(in);
+              return k;
+            };
+            const std::unique_ptr<cpu::OoOCore> memo = clone();
+            const cpu::WakeProof p = memo->prove_sleep(t);
+            if (p.flavor == cpu::SleepFlavor::kDet) {
+              const Cycle n = p.wake == kNoCycle ? 256 : p.wake - t - 1;
+              const Cycle cut = pbt::gen_uint(pick, 1, n);
+              const std::unique_ptr<cpu::OoOCore> cut_short = clone();
+              (void)cut_short->prove_sleep(t);
+              const std::unique_ptr<cpu::OoOCore> ticked = clone();
+              memo->fast_forward_det(t + 1, n);
+              cut_short->fast_forward_det(t + 1, cut);
+              for (Cycle i = 1; i <= n; ++i) {
+                ticked->tick(t + i);
+                if (i == cut && state(*cut_short) != state(*ticked)) {
+                  return "after cycle " + std::to_string(t) + ": " +
+                         std::to_string(cut) +
+                         "-cycle replay differs from tick()";
+                }
+              }
+              if (state(*memo) != state(*ticked)) {
+                return "after cycle " + std::to_string(t) + ": memoized " +
+                       std::to_string(n) + "-cycle replay differs from tick()";
+              }
+            }
+          }
+          mc->tick(t);
+        }
+        return {};
+      },
+      {.cases = 40}, nullptr, print_det_case);
+  EXPECT_TRUE(r.ok) << r.report();
+  EXPECT_EQ(r.cases_run, 40);
 }
 
 /// One enqueue of the controller-level stream.
