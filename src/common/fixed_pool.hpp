@@ -59,33 +59,25 @@ class FixedPool {
     return items_[slot];
   }
 
-  /// Serializes the used prefix verbatim (free slots included — their stale
-  /// contents are a deterministic function of history) followed by the free
-  /// list, via a per-entry writer callable.
-  template <typename SaveEntry>
-  void save(snap::Writer& w, SaveEntry&& save_entry) const {
-    w.u64(high_water_);
-    for (std::size_t i = 0; i < high_water_; ++i) save_entry(w, items_[i]);
-    w.u64(free_.size());
-    for (const std::uint32_t s : free_) w.u32(s);
-  }
-
-  /// Mirror of save(); fails loudly when the snapshot needs more slots than
-  /// this pool was sized for.
-  template <typename RestoreEntry>
-  void restore(snap::Reader& r, RestoreEntry&& restore_entry) {
-    const std::uint64_t n = r.u64();
+  /// Snapshot hook: the used prefix verbatim (free slots included — their
+  /// stale contents are a deterministic function of history) through a
+  /// per-entry callable, then the free list. A restore fails loudly when
+  /// the snapshot needs more slots than this pool was sized for.
+  template <typename Entry>
+  void transfer(snap::Io& io, Entry&& entry) {
+    std::uint64_t n = high_water_;
+    io.u64(n);
     snap::require(n <= items_.size(),
                   "pool high-water mark exceeds this pool's capacity");
-    high_water_ = static_cast<std::size_t>(n);
-    for (std::size_t i = 0; i < high_water_; ++i) restore_entry(r, items_[i]);
-    const std::uint64_t nfree = r.u64();
+    if (io.reading()) high_water_ = static_cast<std::size_t>(n);
+    for (std::size_t i = 0; i < high_water_; ++i) entry(items_[i]);
+    std::uint64_t nfree = free_.size();
+    io.u64(nfree);
     snap::require(nfree <= high_water_, "pool free list larger than pool");
-    free_.clear();
-    for (std::uint64_t i = 0; i < nfree; ++i) {
-      const std::uint32_t s = r.u32();
+    if (io.reading()) free_.resize(static_cast<std::size_t>(nfree));
+    for (std::uint32_t& s : free_) {
+      io.u32(s);
       snap::require(s < high_water_, "pool free slot out of range");
-      free_.push_back(s);
     }
   }
 

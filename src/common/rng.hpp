@@ -64,13 +64,10 @@ class Rng {
   /// Used for inter-arrival gaps in the trace generators.
   std::uint64_t next_geometric(double p);
 
-  /// Snapshot hooks: the full xoshiro256** state, so a restored stream
+  /// Snapshot hook: the full xoshiro256** state, so a restored stream
   /// continues bit-identically to the uninterrupted one.
-  void save_state(snap::Writer& w) const {
-    for (const std::uint64_t word : state_) w.u64(word);
-  }
-  void restore_state(snap::Reader& r) {
-    for (std::uint64_t& word : state_) word = r.u64();
+  void transfer(snap::Io& io) {
+    for (std::uint64_t& word : state_) io.u64(word);
   }
 
  private:

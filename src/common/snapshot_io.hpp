@@ -7,14 +7,23 @@
 // loudly instead of silently restoring garbage state.
 //
 // The encoding is deliberately dumb: no varints, no alignment, no schema.
-// Each component writes its mutable fields in declaration order inside a
-// 4-byte section tag, and restore_state() reads them back in the same
-// order. Doubles are serialized via bit_cast so a round trip is bit-exact
-// (the snapshot/fork engine's bit-identity contract depends on this).
+// Each component names its mutable fields once, in declaration order inside
+// a 4-byte section tag, in one transfer(Io&) method: Io built over a Writer
+// writes every field it is handed, and built over a Reader reads each one
+// back in place and checks it. A save and a restore cannot drift apart,
+// because there is only one field list. Doubles are serialized via
+// bit_cast so a round trip is bit-exact (the snapshot/fork engine's
+// bit-identity contract depends on this).
+//
+// Every stored count is checked before it sizes anything: a count of a
+// configuration-sized vector must equal that size (Io::arity, Io::fixed),
+// and the count of a variable-length list must fit in the bytes left at the
+// element's smallest encoding (Io::list), so a forged count fails as a
+// SnapshotError instead of an absurd allocation.
 //
 // Lives in common/ because every layer (cpu, mem, dram, workload, profile)
-// implements save_state/restore_state hooks against it; the snapshot file
-// format and the Experiment-level fork API live in harness/snapshot.
+// implements its transfer() against it; the snapshot file format and the
+// Experiment-level fork API live in harness/snapshot.
 #pragma once
 
 #include <bit>
@@ -168,6 +177,7 @@ class Reader {
 
   bool at_end() const { return pos_ == bytes_.size(); }
   std::size_t position() const { return pos_; }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   void need(std::uint64_t n, const char* what) {
@@ -182,5 +192,109 @@ class Reader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
+
+/// One field list, two directions. Built over a Writer, each method writes
+/// the field it is handed and never stores into it; built over a Reader, it
+/// reads the field into the reference and checks it. Components keep one
+/// `void transfer(snap::Io&)` and branch on reading() only for work that
+/// restore alone does (resizing, rebuilding derived state), so saving
+/// through it leaves the record untouched.
+class Io {
+ public:
+  explicit Io(Writer& w) : w_(&w) {}
+  explicit Io(Reader& r) : r_(&r) {}
+
+  bool reading() const { return r_ != nullptr; }
+
+  void u8(std::uint8_t& v) { r_ ? void(v = r_->u8()) : w_->u8(v); }
+  void u32(std::uint32_t& v) { r_ ? void(v = r_->u32()) : w_->u32(v); }
+  void u64(std::uint64_t& v) { r_ ? void(v = r_->u64()) : w_->u64(v); }
+  void f64(double& v) { r_ ? void(v = r_->f64()) : w_->f64(v); }
+  void b(bool& v) { r_ ? void(v = r_->b()) : w_->b(v); }
+  void sz(std::size_t& v) { r_ ? void(v = r_->sz()) : w_->sz(v); }
+  void str(std::string& s) { r_ ? void(s = r_->str()) : w_->str(s); }
+  void tag(const char (&t)[5]) { r_ ? r_->expect_tag(t) : w_->tag(t); }
+
+  /// A length-prefixed byte string, copied in bulk.
+  void bytes(std::vector<std::uint8_t>& v) {
+    if (r_ == nullptr) {
+      w_->u64(v.size());
+      w_->blob(v);
+      return;
+    }
+    const std::span<const std::uint8_t> s = r_->blob(r_->u64());
+    v.assign(s.begin(), s.end());
+  }
+
+  /// An enum stored as one byte; a read above `max` throws `what`.
+  template <typename E>
+  void enum8(E& e, E max, const char* what) {
+    auto v = static_cast<std::uint8_t>(e);
+    u8(v);
+    if (r_ == nullptr) return;
+    require(v <= static_cast<std::uint8_t>(max), what);
+    e = static_cast<E>(v);
+  }
+
+  /// A stored u64 that must equal `n`, this build's configured size.
+  void arity(std::size_t n, const char* what) {
+    std::uint64_t stored = n;
+    u64(stored);
+    require(stored == n, what);
+  }
+
+  /// A configuration-sized container: its count, then each element.
+  template <typename C, typename Field>
+  void fixed(C& v, const char* what, Field&& field) {
+    arity(v.size(), what);
+    for (auto& x : v) field(x);
+  }
+  void fixed(std::vector<std::uint32_t>& v, const char* what) {
+    fixed(v, what, [this](std::uint32_t& x) { u32(x); });
+  }
+  void fixed(std::vector<std::uint64_t>& v, const char* what) {
+    fixed(v, what, [this](std::uint64_t& x) { u64(x); });
+  }
+  void fixed(std::vector<double>& v, const char* what) {
+    fixed(v, what, [this](double& x) { f64(x); });
+  }
+
+  /// A variable-length list (any resizable container) of elements that
+  /// take at least `min_bytes` each: its count, then each element. A read
+  /// count must fit in the bytes left, checked before anything is resized.
+  template <typename C, typename Field>
+  void list(C& v, std::size_t min_bytes, Field&& field) {
+    std::uint64_t n = v.size();
+    u64(n);
+    if (r_ != nullptr) {
+      require(n <= r_->remaining() / min_bytes,
+              "element count exceeds the bytes left in the stream");
+      v.resize(static_cast<std::size_t>(n));
+    }
+    for (auto& x : v) field(x);
+  }
+  void list(std::vector<double>& v) {
+    list(v, 8, [this](double& x) { f64(x); });
+  }
+
+ private:
+  Writer* w_ = nullptr;
+  Reader* r_ = nullptr;
+};
+
+/// Writes `rec` through its transfer(). A writing Io only reads the fields
+/// it is handed, so the record is not modified.
+template <typename T>
+void save(const T& rec, Writer& w) {
+  Io io(w);
+  const_cast<T&>(rec).transfer(io);
+}
+
+/// Reads `rec` back through the same transfer().
+template <typename T>
+void restore(T& rec, Reader& r) {
+  Io io(r);
+  rec.transfer(io);
+}
 
 }  // namespace bwpart::snap

@@ -67,36 +67,23 @@ bool Cache::probe(Addr addr) const {
 
 void Cache::invalidate_all() { lines_.clear(); }
 
-void Cache::save_state(snap::Writer& w) const {
-  w.tag("CACH");
-  w.u64(lines_.size());
-  for (const Line& line : lines_) {
-    w.u64(line.tag);
-    w.u64(line.lru_stamp);
-    w.b(line.valid);
-    w.b(line.dirty);
-  }
-  w.u64(stamp_);
-  w.u64(hits_);
-  w.u64(misses_);
-}
-
-void Cache::restore_state(snap::Reader& r) {
-  r.expect_tag("CACH");
-  const std::uint64_t n = r.u64();
+void Cache::transfer(snap::Io& io) {
+  io.tag("CACH");
+  std::uint64_t n = lines_.size();
+  io.u64(n);
   snap::require(n == 0 || n == line_count(),
                 "cache snapshot holds neither zero lines nor sets x ways "
                 "lines (geometry differs from the snapshot's)");
-  lines_.resize(static_cast<std::size_t>(n));
+  if (io.reading()) lines_.resize(static_cast<std::size_t>(n));
   for (Line& line : lines_) {
-    line.tag = r.u64();
-    line.lru_stamp = r.u64();
-    line.valid = r.b();
-    line.dirty = r.b();
+    io.u64(line.tag);
+    io.u64(line.lru_stamp);
+    io.b(line.valid);
+    io.b(line.dirty);
   }
-  stamp_ = r.u64();
-  hits_ = r.u64();
-  misses_ = r.u64();
+  io.u64(stamp_);
+  io.u64(hits_);
+  io.u64(misses_);
 }
 
 }  // namespace bwpart::cpu

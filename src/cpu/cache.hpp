@@ -58,13 +58,13 @@ class Cache {
   }
   void reset_stats() { hits_ = misses_ = 0; }
 
-  /// Snapshot hooks: every line (tags, LRU stamps, dirty bits), the LRU
+  /// Snapshot hook: every line (tags, LRU stamps, dirty bits), the LRU
   /// clock and the hit/miss counters. A cache that was never accessed saves
   /// zero lines. Geometry is configuration: restore accepts exactly zero
   /// lines (leaving the cache as if freshly built) or sets x ways lines,
-  /// and throws snap::SnapshotError on any other count.
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  /// and throws snap::SnapshotError on any other count before it changes
+  /// anything.
+  void transfer(snap::Io& io);
 
  private:
   struct Line {

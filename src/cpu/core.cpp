@@ -634,72 +634,38 @@ void OoOCore::on_mem_complete(const mem::MemRequest& req, Cycle done_cpu) {
 
 void OoOCore::reset_stats() { stats_ = CoreStats{}; }
 
-void OoOCore::save_state(snap::Writer& w) const {
-  w.tag("CORE");
-  w.u64(fetch_seq_);
-  w.u64(retire_seq_);
-  w.f64(fetch_budget_);
-  w.f64(retire_budget_);
-  w.u64(current_op_.gap_nonmem);
-  w.u64(current_op_.addr);
-  w.u8(static_cast<std::uint8_t>(current_op_.type));
-  w.b(current_op_.dependent);
-  w.u64(next_mem_seq_);
-  w.u64(loads_.size());
-  for (const Load& ld : loads_) {
-    w.u64(ld.seq);
-    w.u64(ld.req_id);
-    w.u64(ld.done_at);
-    w.b(ld.offchip);
-  }
-  w.u32(offchip_loads_inflight_);
-  w.u32(stores_inflight_);
-  w.u64(stats_.cycles);
-  w.u64(stats_.instructions);
-  w.u64(stats_.offchip_reads);
-  w.u64(stats_.offchip_writes);
-  w.u64(stats_.rob_stall_cycles);
-  w.u64(stats_.mem_stall_cycles);
-  w.u64(stats_.queue_stall_cycles);
-  l1_.save_state(w);
-  l2_.save_state(w);
-}
-
-void OoOCore::restore_state(snap::Reader& r) {
-  r.expect_tag("CORE");
-  fetch_seq_ = r.u64();
-  retire_seq_ = r.u64();
-  fetch_budget_ = r.f64();
-  retire_budget_ = r.f64();
-  current_op_.gap_nonmem = r.u64();
-  current_op_.addr = r.u64();
-  const std::uint8_t op_type = r.u8();
-  snap::require(op_type <= 1, "trace-op access type byte out of range");
-  current_op_.type = static_cast<AccessType>(op_type);
-  current_op_.dependent = r.b();
-  next_mem_seq_ = r.u64();
-  const std::uint64_t n_loads = r.u64();
-  loads_.clear();
-  for (std::uint64_t i = 0; i < n_loads; ++i) {
-    Load ld;
-    ld.seq = r.u64();
-    ld.req_id = r.u64();
-    ld.done_at = r.u64();
-    ld.offchip = r.b();
-    loads_.push_back(ld);
-  }
-  offchip_loads_inflight_ = r.u32();
-  stores_inflight_ = r.u32();
-  stats_.cycles = r.u64();
-  stats_.instructions = r.u64();
-  stats_.offchip_reads = r.u64();
-  stats_.offchip_writes = r.u64();
-  stats_.rob_stall_cycles = r.u64();
-  stats_.mem_stall_cycles = r.u64();
-  stats_.queue_stall_cycles = r.u64();
-  l1_.restore_state(r);
-  l2_.restore_state(r);
-  det_proof_ = DetProof{};  // stale memo; rebuilt (or fallen back) on demand
+void OoOCore::transfer(snap::Io& io) {
+  io.tag("CORE");
+  io.u64(fetch_seq_);
+  io.u64(retire_seq_);
+  io.f64(fetch_budget_);
+  io.f64(retire_budget_);
+  io.u64(current_op_.gap_nonmem);
+  io.u64(current_op_.addr);
+  io.enum8(current_op_.type, AccessType::Write,
+           "trace-op access type byte out of range");
+  io.b(current_op_.dependent);
+  io.u64(next_mem_seq_);
+  // A load: sequence number, request id, completion cycle, off-chip flag.
+  io.list(loads_, 8 + 8 + 8 + 1, [&io](Load& ld) {
+    io.u64(ld.seq);
+    io.u64(ld.req_id);
+    io.u64(ld.done_at);
+    io.b(ld.offchip);
+  });
+  io.u32(offchip_loads_inflight_);
+  io.u32(stores_inflight_);
+  io.u64(stats_.cycles);
+  io.u64(stats_.instructions);
+  io.u64(stats_.offchip_reads);
+  io.u64(stats_.offchip_writes);
+  io.u64(stats_.rob_stall_cycles);
+  io.u64(stats_.mem_stall_cycles);
+  io.u64(stats_.queue_stall_cycles);
+  l1_.transfer(io);
+  l2_.transfer(io);
+  // The memo is stale after a restore; rebuilt (or fallen back) on demand.
+  if (io.reading()) det_proof_ = DetProof{};
 }
 
 }  // namespace bwpart::cpu

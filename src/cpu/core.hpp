@@ -192,14 +192,13 @@ class OoOCore {
   /// microarchitectural state (ROB, caches, in-flight requests).
   void reset_stats();
 
-  /// Snapshot hooks: window sequence numbers, fractional budgets, the
+  /// Snapshot hook: window sequence numbers, fractional budgets, the
   /// current trace op, the load queue (with controller request ids — slot
   /// wiring is restored by the controller's own hook), in-flight counters,
   /// stats and both private caches. The det-proof memo is deliberately not
   /// serialized: restore invalidates it, and a missing memo only makes the
   /// next fast_forward_det() replay through tick().
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void transfer(snap::Io& io);
 
   const Cache& l1() const { return l1_; }
   const Cache& l2() const { return l2_; }

@@ -114,19 +114,18 @@ class BankArray {
     r[kAct] = std::max(r[kAct], now + t.rfc);
   }
 
-  /// Serializes one bank's fields (same order the scalar layout used, so
-  /// the stream stays a per-bank record sequence).
-  void save_one(std::size_t i, snap::Writer& w) const {
-    w.b(row_open(i));
-    w.u64(row_[i]);
-    for (const std::size_t c : {kAct, kRd, kWr, kPre}) w.u64(ticks(i)[c]);
-  }
-  void restore_one(std::size_t i, snap::Reader& r) {
-    const bool open = r.b();
-    row_[i] = r.u64();
-    snap::require(row_[i] != kNoRow, "bank row out of range");
-    open_row_[i] = open ? row_[i] : kNoRow;
-    for (const std::size_t c : {kAct, kRd, kWr, kPre}) ticks(i)[c] = r.u64();
+  /// Snapshot hook: the bank count, then each bank's fields as one record
+  /// (the order the scalar layout used).
+  void transfer(snap::Io& io) {
+    io.arity(size(), "DRAM bank count differs from the snapshot's");
+    for (std::size_t i = 0; i < size(); ++i) {
+      bool open = row_open(i);
+      io.b(open);
+      io.u64(row_[i]);
+      snap::require(row_[i] != kNoRow, "bank row out of range");
+      if (io.reading()) open_row_[i] = open ? row_[i] : kNoRow;
+      for (const std::size_t c : {kAct, kRd, kWr, kPre}) io.u64(ticks(i)[c]);
+    }
   }
 
  private:

@@ -385,119 +385,72 @@ IssueResult DramSystem::issue(const Command& cmd, Tick now) {
   return result;
 }
 
-void DramSystem::save_state(snap::Writer& w) const {
-  w.tag("DRAM");
-  w.u64(banks_.size());
-  for (std::size_t i = 0; i < banks_.size(); ++i) banks_.save_one(i, w);
-  w.u64(ranks_.size());
-  for (const RankState& rk : ranks_) {
-    w.u64(rk.last_act);
-    w.b(rk.any_act);
-    for (const Tick t : rk.act_window) w.u64(t);
-    w.u32(rk.act_count);
-    w.u64(rk.last_col);
-    w.b(rk.any_col);
-    w.u64(rk.write_data_end);
-    w.b(rk.any_write);
-    w.u64(rk.next_refresh_due);
-    w.b(rk.refresh_pending);
-    w.u64(rk.last_activity);
-    w.b(rk.pd);
-    w.b(rk.waking);
-    w.u64(rk.wake_ready);
-  }
-  w.u64(chans_.size());
-  for (const ChannelState& ch : chans_) {
-    w.u64(ch.bus_free_at);
-    w.u32(ch.bus_last_rank);
-    w.b(ch.bus_has_last);
-  }
-  w.u64(stats_.activates);
-  w.u64(stats_.reads);
-  w.u64(stats_.writes);
-  w.u64(stats_.precharges);
-  w.u64(stats_.refreshes);
-  w.u64(stats_.data_bus_busy_ticks);
-  w.u64(stats_.ticks);
-  w.u64(stats_.powerdown_rank_ticks);
-  w.u32(stats_.channels);
-  w.u64(stats_.channel_busy_ticks.size());
-  for (const std::uint64_t t : stats_.channel_busy_ticks) w.u64(t);
-  w.u64(last_tick_);
-  w.b(ticked_);
+void DramSystem::transfer(snap::Io& io) {
+  io.tag("DRAM");
+  banks_.transfer(io);
+  io.fixed(ranks_, "DRAM rank count differs from the snapshot's",
+           [&io](RankState& rk) {
+             io.u64(rk.last_act);
+             io.b(rk.any_act);
+             for (Tick& t : rk.act_window) io.u64(t);
+             io.u32(rk.act_count);
+             io.u64(rk.last_col);
+             io.b(rk.any_col);
+             io.u64(rk.write_data_end);
+             io.b(rk.any_write);
+             io.u64(rk.next_refresh_due);
+             io.b(rk.refresh_pending);
+             io.u64(rk.last_activity);
+             io.b(rk.pd);
+             io.b(rk.waking);
+             io.u64(rk.wake_ready);
+           });
+  io.fixed(chans_, "DRAM channel count differs from the snapshot's",
+           [&io](ChannelState& ch) {
+             io.u64(ch.bus_free_at);
+             io.u32(ch.bus_last_rank);
+             io.b(ch.bus_has_last);
+           });
+  io.u64(stats_.activates);
+  io.u64(stats_.reads);
+  io.u64(stats_.writes);
+  io.u64(stats_.precharges);
+  io.u64(stats_.refreshes);
+  io.u64(stats_.data_bus_busy_ticks);
+  io.u64(stats_.ticks);
+  io.u64(stats_.powerdown_rank_ticks);
+  io.u32(stats_.channels);
+  io.fixed(stats_.channel_busy_ticks,
+           "per-channel stats arity differs from the snapshot's");
+  io.u64(last_tick_);
+  io.b(ticked_);
   // Optional shadow-checker section, length-prefixed so a checker-less
   // build (BWPART_CHECK=OFF) can skip it wholesale.
-  w.b(checker_ != nullptr);
-  if (checker_ != nullptr) {
-    snap::Writer sub;
-    checker_->save_state(sub);
-    w.u64(sub.bytes().size());
-    for (const std::uint8_t byte : sub.bytes()) w.u8(byte);
-  }
-}
-
-void DramSystem::restore_state(snap::Reader& r) {
-  r.expect_tag("DRAM");
-  snap::require(r.u64() == banks_.size(),
-                "DRAM bank count differs from the snapshot's");
-  for (std::size_t i = 0; i < banks_.size(); ++i) banks_.restore_one(i, r);
-  snap::require(r.u64() == ranks_.size(),
-                "DRAM rank count differs from the snapshot's");
-  for (RankState& rk : ranks_) {
-    rk.last_act = r.u64();
-    rk.any_act = r.b();
-    for (Tick& t : rk.act_window) t = r.u64();
-    rk.act_count = r.u32();
-    rk.last_col = r.u64();
-    rk.any_col = r.b();
-    rk.write_data_end = r.u64();
-    rk.any_write = r.b();
-    rk.next_refresh_due = r.u64();
-    rk.refresh_pending = r.b();
-    rk.last_activity = r.u64();
-    rk.pd = r.b();
-    rk.waking = r.b();
-    rk.wake_ready = r.u64();
-  }
-  rebuild_refresh_cache();  // derived hot-path cache, never serialized
-  snap::require(r.u64() == chans_.size(),
-                "DRAM channel count differs from the snapshot's");
-  for (ChannelState& ch : chans_) {
-    ch.bus_free_at = r.u64();
-    ch.bus_last_rank = r.u32();
-    ch.bus_has_last = r.b();
-  }
-  rebuild_ready_ticks();  // derived, never serialized
-  stats_.activates = r.u64();
-  stats_.reads = r.u64();
-  stats_.writes = r.u64();
-  stats_.precharges = r.u64();
-  stats_.refreshes = r.u64();
-  stats_.data_bus_busy_ticks = r.u64();
-  stats_.ticks = r.u64();
-  stats_.powerdown_rank_ticks = r.u64();
-  stats_.channels = r.u32();
-  snap::require(r.u64() == stats_.channel_busy_ticks.size(),
-                "per-channel stats arity differs from the snapshot's");
-  for (std::uint64_t& t : stats_.channel_busy_ticks) t = r.u64();
-  last_tick_ = r.u64();
-  ticked_ = r.b();
-  const bool snap_has_checker = r.b();
-  if (snap_has_checker) {
-    const std::uint64_t len = r.u64();
-    if (checker_ != nullptr) {
-      const std::size_t before = r.position();
-      checker_->restore_state(r);
-      snap::require(r.position() - before == len,
-                    "protocol-checker section length mismatch");
-    } else {
-      r.skip(len);  // this build validates nothing; drop the shadow state
+  bool has_checker = checker_ != nullptr;
+  io.b(has_checker);
+  if (has_checker) {
+    std::vector<std::uint8_t> section;
+    if (!io.reading()) {
+      snap::Writer sub;
+      snap::save(*checker_, sub);
+      section = sub.take();
+    }
+    io.bytes(section);
+    // A checker-less build validates nothing and drops the shadow state.
+    if (io.reading() && checker_ != nullptr) {
+      snap::Reader sub(section);
+      snap::restore(*checker_, sub);
+      snap::require(sub.at_end(), "protocol-checker section length mismatch");
     }
   } else {
     snap::require(checker_ == nullptr,
                   "snapshot lacks the protocol-checker state this "
                   "BWPART_CHECK build needs (was it written by a "
                   "BWPART_CHECK=OFF build?)");
+  }
+  if (io.reading()) {
+    rebuild_refresh_cache();  // derived hot-path caches, never serialized
+    rebuild_ready_ticks();
   }
 }
 

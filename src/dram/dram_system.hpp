@@ -241,7 +241,7 @@ class DramSystem {
   /// nullptr when the build was configured with BWPART_CHECK=OFF.
   const ProtocolChecker* protocol_checker() const { return checker_.get(); }
 
-  /// Snapshot hooks: every bank/rank/channel state machine, the stats block
+  /// Snapshot hook: every bank/rank/channel state machine, the stats block
   /// and the tick cursor. Derived hot-path caches (the refresh-deadline
   /// minimum, the pending-refresh count and the rank and bus ready ticks)
   /// are rebuilt from the restored rank and channel state, not serialized.
@@ -250,8 +250,7 @@ class DramSystem {
   /// section, while restoring a checker-less snapshot into a checking build
   /// fails loudly (the shadow would be out of sync and report false
   /// violations).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void transfer(snap::Io& io);
 
  private:
   struct RankState {

@@ -242,85 +242,46 @@ int ProtocolChecker::observe_refresh(std::uint32_t channel, std::uint32_t rank,
   return current_cmd_violations_;
 }
 
-void ProtocolChecker::save_state(snap::Writer& w) const {
-  w.tag("PCHK");
-  w.u64(banks_.size());
-  for (const BankShadow& b : banks_) {
-    w.b(b.open);
-    w.u64(b.row);
-    w.b(b.any_act);
-    w.u64(b.act_tick);
-    w.b(b.any_rd);
-    w.u64(b.last_rd);
-    w.b(b.any_wr);
-    w.u64(b.wr_data_end);
-    w.b(b.any_pre);
-    w.u64(b.pre_tick);
-    w.b(b.any_ref);
-    w.u64(b.ref_end);
-  }
-  w.u64(ranks_.size());
-  for (const RankShadow& rk : ranks_) {
-    w.b(rk.any_act);
-    w.u64(rk.last_act);
-    for (const Tick t : rk.act_window) w.u64(t);
-    w.u32(rk.act_count);
-    w.b(rk.any_col);
-    w.u64(rk.last_col);
-    w.b(rk.any_wr);
-    w.u64(rk.wr_data_end);
-  }
-  w.u64(chans_.size());
-  for (const ChannelShadow& ch : chans_) {
-    w.b(ch.bus_used);
-    w.u64(ch.bus_free_at);
-    w.u32(ch.bus_last_rank);
-  }
-  w.u64(commands_checked_);
-  w.u64(violations_);
-  w.u32(static_cast<std::uint32_t>(current_cmd_violations_));
-}
-
-void ProtocolChecker::restore_state(snap::Reader& r) {
-  r.expect_tag("PCHK");
-  snap::require(r.u64() == banks_.size(),
-                "protocol-checker bank count differs from the snapshot's");
-  for (BankShadow& b : banks_) {
-    b.open = r.b();
-    b.row = r.u64();
-    b.any_act = r.b();
-    b.act_tick = r.u64();
-    b.any_rd = r.b();
-    b.last_rd = r.u64();
-    b.any_wr = r.b();
-    b.wr_data_end = r.u64();
-    b.any_pre = r.b();
-    b.pre_tick = r.u64();
-    b.any_ref = r.b();
-    b.ref_end = r.u64();
-  }
-  snap::require(r.u64() == ranks_.size(),
-                "protocol-checker rank count differs from the snapshot's");
-  for (RankShadow& rk : ranks_) {
-    rk.any_act = r.b();
-    rk.last_act = r.u64();
-    for (Tick& t : rk.act_window) t = r.u64();
-    rk.act_count = r.u32();
-    rk.any_col = r.b();
-    rk.last_col = r.u64();
-    rk.any_wr = r.b();
-    rk.wr_data_end = r.u64();
-  }
-  snap::require(r.u64() == chans_.size(),
-                "protocol-checker channel count differs from the snapshot's");
-  for (ChannelShadow& ch : chans_) {
-    ch.bus_used = r.b();
-    ch.bus_free_at = r.u64();
-    ch.bus_last_rank = r.u32();
-  }
-  commands_checked_ = r.u64();
-  violations_ = r.u64();
-  current_cmd_violations_ = static_cast<int>(r.u32());
+void ProtocolChecker::transfer(snap::Io& io) {
+  io.tag("PCHK");
+  io.fixed(banks_, "protocol-checker bank count differs from the snapshot's",
+           [&io](BankShadow& b) {
+             io.b(b.open);
+             io.u64(b.row);
+             io.b(b.any_act);
+             io.u64(b.act_tick);
+             io.b(b.any_rd);
+             io.u64(b.last_rd);
+             io.b(b.any_wr);
+             io.u64(b.wr_data_end);
+             io.b(b.any_pre);
+             io.u64(b.pre_tick);
+             io.b(b.any_ref);
+             io.u64(b.ref_end);
+           });
+  io.fixed(ranks_, "protocol-checker rank count differs from the snapshot's",
+           [&io](RankShadow& rk) {
+             io.b(rk.any_act);
+             io.u64(rk.last_act);
+             for (Tick& t : rk.act_window) io.u64(t);
+             io.u32(rk.act_count);
+             io.b(rk.any_col);
+             io.u64(rk.last_col);
+             io.b(rk.any_wr);
+             io.u64(rk.wr_data_end);
+           });
+  io.fixed(chans_,
+           "protocol-checker channel count differs from the snapshot's",
+           [&io](ChannelShadow& ch) {
+             io.b(ch.bus_used);
+             io.u64(ch.bus_free_at);
+             io.u32(ch.bus_last_rank);
+           });
+  io.u64(commands_checked_);
+  io.u64(violations_);
+  auto current = static_cast<std::uint32_t>(current_cmd_violations_);
+  io.u32(current);
+  if (io.reading()) current_cmd_violations_ = static_cast<int>(current);
 }
 
 }  // namespace bwpart::dram

@@ -41,10 +41,9 @@ class ProtocolChecker {
   std::uint64_t commands_checked() const { return commands_checked_; }
   std::uint64_t violations() const { return violations_; }
 
-  /// Snapshot hooks: the complete shadow state, so a restored checker keeps
+  /// Snapshot hook: the complete shadow state, so a restored checker keeps
   /// validating from the cut point without spurious violations.
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void transfer(snap::Io& io);
 
  private:
   struct BankShadow {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -125,12 +127,28 @@ void parse_knob(const std::string& tok, PhaseKnobs& knobs,
   }
 }
 
+/// ` key=v` with the fewest significant digits, at least the stream's
+/// default six, that parse back to the same double, so a built schedule
+/// round-trips through its text (and its fingerprint sees every bit).
+void append_double(std::ostringstream& os, const char* key, double v) {
+  char buf[32];
+  for (int digits = 6;; ++digits) {
+    const int len = std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+    double back = 0.0;
+    std::from_chars(buf, buf + len, back);
+    if (back == v || digits == 17) break;
+  }
+  os << ' ' << key << '=' << buf;
+}
+
 void append_knobs(std::ostringstream& os, const PhaseKnobs& k) {
-  if (k.api >= 0.0) os << " api=" << k.api;
-  if (k.mean_cluster >= 0.0) os << " mean_cluster=" << k.mean_cluster;
-  if (k.write_fraction >= 0.0) os << " write_fraction=" << k.write_fraction;
+  if (k.api >= 0.0) append_double(os, "api", k.api);
+  if (k.mean_cluster >= 0.0) append_double(os, "mean_cluster", k.mean_cluster);
+  if (k.write_fraction >= 0.0) {
+    append_double(os, "write_fraction", k.write_fraction);
+  }
   if (k.dependent_fraction >= 0.0) {
-    os << " dependent_fraction=" << k.dependent_fraction;
+    append_double(os, "dependent_fraction", k.dependent_fraction);
   }
   if (k.seq_run_lines != PhaseKnobs::kKeep) {
     os << " seq_run_lines=" << k.seq_run_lines;
@@ -774,104 +792,68 @@ ChurnRunResult ChurnEngine::finish() {
 }
 
 void ChurnEngine::save_state(snap::Writer& w) const {
-  w.tag("CHRN");
-  w.b(started_);
-  w.u64(measure_start_);
-  w.u64(next_event_);
-  w.u64(resolve_due_);
-  w.u64(last_eval_);
-  w.u64(params_.size());
-  for (const core::AppParams& p : params_) {
-    w.f64(p.apc_alone);
-    w.f64(p.api);
-  }
-  w.f64(profiled_b_);
-  w.u64(mark_cycle_);
-  w.u64(mark_counters_.size());
-  for (const profile::AppCounters& c : mark_counters_) {
-    w.u64(c.accesses);
-    w.u64(c.instructions);
-    w.u64(c.interference_cycles);
-  }
-  w.u64(mark_live_window_.size());
-  for (const Cycle c : mark_live_window_) w.u64(c);
-  w.u64(eval_served_.size());
-  for (const std::uint64_t v : eval_served_) w.u64(v);
-  for (const std::uint64_t v : eval_instructions_) w.u64(v);
-  for (const Cycle v : eval_live_window_) w.u64(v);
-  w.u64(outcomes_.size());
-  for (const ChurnEventOutcome& o : outcomes_) {
-    w.u64(o.event.at);
-    w.u8(static_cast<std::uint8_t>(o.event.kind));
-    w.u32(o.event.app);
-    w.f64(o.event.knobs.api);
-    w.f64(o.event.knobs.mean_cluster);
-    w.f64(o.event.knobs.write_fraction);
-    w.f64(o.event.knobs.dependent_fraction);
-    w.u64(o.event.knobs.seq_run_lines);
-    w.u64(o.event.knobs.intra_cluster_gap);
-    w.u64(o.applied_at);
-    w.u64(o.resolved_at);
-    w.u64(o.adaptation_lag);
-  }
-  w.u64(qos_violation_cycles_);
-  w.u64(objective_violation_cycles_);
-  w.u64(resolves_);
+  snap::Io io(w);
+  const_cast<ChurnEngine*>(this)->transfer(io);  // a writing Io stores nothing
 }
 
 void ChurnEngine::restore_state(snap::Reader& r) {
-  r.expect_tag("CHRN");
-  started_ = r.b();
-  measure_start_ = r.u64();
-  next_event_ = static_cast<std::size_t>(r.u64());
-  resolve_due_ = r.u64();
-  last_eval_ = r.u64();
-  snap::require(r.u64() == params_.size(),
-                "params arity differs from the snapshot's");
-  for (core::AppParams& p : params_) {
-    p.apc_alone = r.f64();
-    p.api = r.f64();
+  snap::Io io(r);
+  transfer(io);
+}
+
+void ChurnEngine::transfer(snap::Io& io) {
+  constexpr const char* kApps = "app count differs from the snapshot's";
+  io.tag("CHRN");
+  io.b(started_);
+  io.u64(measure_start_);
+  io.sz(next_event_);
+  snap::require(next_event_ <= schedule_.events.size(),
+                "churn event cursor past the end of the schedule");
+  io.u64(resolve_due_);
+  io.u64(last_eval_);
+  io.fixed(params_, "params arity differs from the snapshot's",
+           [&io](core::AppParams& p) { harness::transfer(io, p); });
+  io.f64(profiled_b_);
+  io.u64(mark_cycle_);
+  if (io.reading()) {
+    const std::size_t n = sys_.num_apps();
+    mark_counters_.resize(n);
+    mark_live_window_.resize(n);
+    eval_served_.resize(n);
+    eval_instructions_.resize(n);
+    eval_live_window_.resize(n);
   }
-  profiled_b_ = r.f64();
-  mark_cycle_ = r.u64();
-  const std::size_t n = sys_.num_apps();
-  snap::require(r.u64() == n, "app count differs from the snapshot's");
-  mark_counters_.resize(n);
-  for (profile::AppCounters& c : mark_counters_) {
-    c.accesses = r.u64();
-    c.instructions = r.u64();
-    c.interference_cycles = r.u64();
-  }
-  snap::require(r.u64() == n, "app count differs from the snapshot's");
-  mark_live_window_.resize(n);
-  for (Cycle& c : mark_live_window_) c = r.u64();
-  snap::require(r.u64() == n, "app count differs from the snapshot's");
-  eval_served_.resize(n);
-  eval_instructions_.resize(n);
-  eval_live_window_.resize(n);
-  for (std::uint64_t& v : eval_served_) v = r.u64();
-  for (std::uint64_t& v : eval_instructions_) v = r.u64();
-  for (Cycle& v : eval_live_window_) v = r.u64();
-  outcomes_.resize(static_cast<std::size_t>(r.u64()));
-  for (ChurnEventOutcome& o : outcomes_) {
-    o.event.at = r.u64();
-    const std::uint8_t kind = r.u8();
-    snap::require(kind <= 2, "churn-kind byte out of range");
-    o.event.kind = static_cast<ChurnKind>(kind);
-    o.event.app = r.u32();
-    o.event.knobs.api = r.f64();
-    o.event.knobs.mean_cluster = r.f64();
-    o.event.knobs.write_fraction = r.f64();
-    o.event.knobs.dependent_fraction = r.f64();
-    o.event.knobs.seq_run_lines = r.u64();
-    o.event.knobs.intra_cluster_gap = r.u64();
-    o.applied_at = r.u64();
-    o.resolved_at = r.u64();
-    o.adaptation_lag = r.u64();
-  }
-  qos_violation_cycles_ = r.u64();
-  objective_violation_cycles_ = r.u64();
-  resolves_ = r.u64();
+  io.fixed(mark_counters_, kApps, [&io](profile::AppCounters& c) {
+    io.u64(c.accesses);
+    io.u64(c.instructions);
+    io.u64(c.interference_cycles);
+  });
+  io.fixed(mark_live_window_, kApps);
+  io.arity(eval_served_.size(), kApps);
+  for (std::uint64_t& v : eval_served_) io.u64(v);
+  for (std::uint64_t& v : eval_instructions_) io.u64(v);
+  for (Cycle& v : eval_live_window_) io.u64(v);
+  // An outcome: cycle, kind, app, four double and two integer knobs, then
+  // the applied and resolved cycles and the lag.
+  io.list(outcomes_, 8 + 1 + 4 + 6 * 8 + 3 * 8,
+          [&io](ChurnEventOutcome& o) {
+            io.u64(o.event.at);
+            io.enum8(o.event.kind, ChurnKind::kPhase,
+                     "churn-kind byte out of range");
+            io.u32(o.event.app);
+            io.f64(o.event.knobs.api);
+            io.f64(o.event.knobs.mean_cluster);
+            io.f64(o.event.knobs.write_fraction);
+            io.f64(o.event.knobs.dependent_fraction);
+            io.u64(o.event.knobs.seq_run_lines);
+            io.u64(o.event.knobs.intra_cluster_gap);
+            io.u64(o.applied_at);
+            io.u64(o.resolved_at);
+            io.u64(o.adaptation_lag);
+          });
+  io.u64(qos_violation_cycles_);
+  io.u64(objective_violation_cycles_);
+  io.u64(resolves_);
 }
 
 ChurnRunResult run_churn(CmpSystem& sys, const ChurnSchedule& schedule,

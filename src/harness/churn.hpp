@@ -197,6 +197,8 @@ class ChurnEngine {
   const std::vector<core::AppParams>& params() const { return params_; }
 
  private:
+  /// The one field list behind save_state and restore_state.
+  void transfer(snap::Io& io);
   Cycle rel_now() const;
   void apply_event(const ChurnEvent& ev, std::size_t index);
   void evaluate_span(Cycle span_start, Cycle span_end);

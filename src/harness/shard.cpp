@@ -331,31 +331,47 @@ ShardUnit parse_unit_spec(const std::string& text) {
   return u;
 }
 
+namespace {
+
+/// A BWRR shard's fields, from its tag through the result fingerprint; the
+/// trailing checksum covers them.
+void transfer_result(snap::Io& io, UnitResult& u) {
+  io.tag("BWRR");
+  std::uint32_t version = kResultVersion;
+  io.u32(version);
+  if (version != kResultVersion) {
+    throw snap::SnapshotError(
+        "unsupported result shard version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kResultVersion) +
+        "; v1 shards predate the DRAM-generation field — re-run the sweep "
+        "in a fresh spool)");
+  }
+  io.str(u.key);
+  io.u64(u.config_fp);
+  io.str(u.dram_gen);
+  RunResult& r = u.result;
+  std::string scheme = core::to_string(r.scheme);
+  io.str(scheme);
+  if (io.reading()) r.scheme = parse_scheme(scheme);
+  io.list(r.params, kAppParamsBytes,
+          [&io](core::AppParams& p) { transfer(io, p); });
+  io.list(r.ipc_shared);
+  io.list(r.apc_shared);
+  io.f64(r.total_apc);
+  io.f64(r.bus_utilization);
+  io.f64(r.hsp);
+  io.f64(r.wsp);
+  io.f64(r.ipcsum);
+  io.f64(r.min_fairness);
+  io.u64(u.fingerprint);
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_result_shard(const UnitResult& result) {
   snap::Writer w;
-  w.tag("BWRR");
-  w.u32(kResultVersion);
-  w.str(result.key);
-  w.u64(result.config_fp);
-  w.str(result.dram_gen);
-  const RunResult& r = result.result;
-  w.str(core::to_string(r.scheme));
-  w.sz(r.params.size());
-  for (const core::AppParams& p : r.params) {
-    w.f64(p.apc_alone);
-    w.f64(p.api);
-  }
-  w.sz(r.ipc_shared.size());
-  for (double v : r.ipc_shared) w.f64(v);
-  w.sz(r.apc_shared.size());
-  for (double v : r.apc_shared) w.f64(v);
-  w.f64(r.total_apc);
-  w.f64(r.bus_utilization);
-  w.f64(r.hsp);
-  w.f64(r.wsp);
-  w.f64(r.ipcsum);
-  w.f64(r.min_fairness);
-  w.u64(result.fingerprint);
+  snap::Io io(w);
+  transfer_result(io, const_cast<UnitResult&>(result));  // stores nothing
   const std::span<const std::uint8_t> body = w.bytes();
   w.u64(hash_bytes(body.data(), body.size()));
   return w.take();
@@ -375,41 +391,13 @@ UnitResult decode_result_shard(std::span<const std::uint8_t> bytes) {
   }
 
   snap::Reader r(bytes);
-  r.expect_tag("BWRR");
-  const std::uint32_t version = r.u32();
-  if (version != kResultVersion) {
-    throw snap::SnapshotError(
-        "unsupported result shard version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kResultVersion) +
-        "; v1 shards predate the DRAM-generation field — re-run the sweep "
-        "in a fresh spool)");
-  }
+  snap::Io io(r);
   UnitResult out;
-  out.key = r.str();
-  out.config_fp = r.u64();
-  out.dram_gen = r.str();
-  RunResult& res = out.result;
-  res.scheme = parse_scheme(r.str());
-  res.params.resize(r.sz());
-  for (core::AppParams& p : res.params) {
-    p.apc_alone = r.f64();
-    p.api = r.f64();
-  }
-  res.ipc_shared.resize(r.sz());
-  for (double& v : res.ipc_shared) v = r.f64();
-  res.apc_shared.resize(r.sz());
-  for (double& v : res.apc_shared) v = r.f64();
-  res.total_apc = r.f64();
-  res.bus_utilization = r.f64();
-  res.hsp = r.f64();
-  res.wsp = r.f64();
-  res.ipcsum = r.f64();
-  res.min_fairness = r.f64();
-  out.fingerprint = r.u64();
+  transfer_result(io, out);
   snap::require(r.u64() == want,
                 "result shard checksum mismatch (file corrupted)");
   snap::require(r.at_end(), "trailing bytes after result shard checksum");
-  snap::require(out.fingerprint == fingerprint(res),
+  snap::require(out.fingerprint == fingerprint(out.result),
                 "result shard fingerprint disagrees with its decoded fields "
                 "(encoding drift or corruption)");
   return out;

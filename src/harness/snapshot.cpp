@@ -145,26 +145,23 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
 
 namespace {
 
-/// Serializes the payload (everything the checksum and length prefix cover
-/// beyond the fixed header): params, profiled B, system state blob.
-std::vector<std::uint8_t> encode_payload(const ProfileSnapshot& s) {
-  snap::Writer w;
-  w.sz(s.params.size());
-  for (const core::AppParams& p : s.params) {
-    w.f64(p.apc_alone);
-    w.f64(p.api);
-  }
-  w.f64(s.profiled_b);
-  w.sz(s.state.size());
-  w.blob(s.state);
-  return w.take();
+/// The payload (everything the checksum and length prefix cover beyond the
+/// fixed header): params, profiled B, system state blob.
+void transfer_payload(snap::Io& io, ProfileSnapshot& s) {
+  io.list(s.params, kAppParamsBytes,
+          [&io](core::AppParams& p) { transfer(io, p); });
+  io.f64(s.profiled_b);
+  io.bytes(s.state);
 }
 
 }  // namespace
 
 void write_profile_snapshot(const std::string& path,
                             const ProfileSnapshot& snapshot) {
-  const std::vector<std::uint8_t> payload = encode_payload(snapshot);
+  snap::Writer pw;
+  snap::Io pio(pw);
+  transfer_payload(pio, const_cast<ProfileSnapshot&>(snapshot));  // no store
+  const std::vector<std::uint8_t> payload = pw.take();
 
   snap::Writer w;
   for (const char m : kMagic) w.u8(static_cast<std::uint8_t>(m));
@@ -241,14 +238,8 @@ ProfileSnapshot read_profile_snapshot(const std::string& path) {
   snap::require(sum.u64() == hash_bytes(raw.data(), body_len),
                 "snapshot checksum mismatch (file corrupted)");
 
-  s.params.resize(r.sz());
-  for (core::AppParams& p : s.params) {
-    p.apc_alone = r.f64();
-    p.api = r.f64();
-  }
-  s.profiled_b = r.f64();
-  const std::span<const std::uint8_t> state = r.blob(r.u64());
-  s.state.assign(state.begin(), state.end());
+  snap::Io io(r);
+  transfer_payload(io, s);
   snap::require(r.position() == body_len,
                 "snapshot payload length disagrees with its contents");
   r.skip(8);  // the checksum, verified above

@@ -58,6 +58,14 @@ struct ProfileSnapshot {
   std::vector<std::uint8_t> state;
 };
 
+/// One profiled AppParams record, as the BWPS payload, the BWRR result
+/// shard and the churn engine's cursor all store it: two doubles.
+inline constexpr std::size_t kAppParamsBytes = 8 + 8;
+inline void transfer(snap::Io& io, core::AppParams& p) {
+  io.f64(p.apc_alone);
+  io.f64(p.api);
+}
+
 /// Fingerprint binding a snapshot to its configuration (every SystemConfig
 /// field, every benchmark spec, the whole PhaseConfig including the seed).
 std::uint64_t config_fingerprint(const SystemConfig& cfg,

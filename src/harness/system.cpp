@@ -445,45 +445,35 @@ void CmpSystem::run_engine(Cycle cycles) {
 }
 
 void CmpSystem::save_state(snap::Writer& w) const {
-  w.tag("SYS0");
-  w.u64(now_);
-  w.u64(window_start_);
-  w.u64(skipped_cycles_);
-  w.u64(cores_.size());
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    traces_[i]->save_state(w);
-    cores_[i]->save_state(w);
-    // Tenancy: liveness flag plus the per-app live-window accounting (the
-    // denominators of measured_*_live must survive a mid-churn resume).
-    w.u8(live_[i]);
-    w.u64(live_cycles_[i]);
-    w.u64(live_from_[i]);
-  }
-  w.u64(controllers_.size());
-  for (const auto& mc : controllers_) mc->save_state(w);
-  interference_.save_state(w);
+  snap::Io io(w);
+  const_cast<CmpSystem*>(this)->transfer(io);  // a writing Io stores nothing
 }
 
 void CmpSystem::restore_state(snap::Reader& r) {
-  r.expect_tag("SYS0");
-  now_ = r.u64();
-  window_start_ = r.u64();
-  skipped_cycles_ = r.u64();
-  snap::require(r.u64() == cores_.size(),
-                "application count differs from the snapshot's");
+  snap::Io io(r);
+  transfer(io);
+}
+
+void CmpSystem::transfer(snap::Io& io) {
+  io.tag("SYS0");
+  io.u64(now_);
+  io.u64(window_start_);
+  io.u64(skipped_cycles_);
+  io.arity(cores_.size(), "application count differs from the snapshot's");
   for (std::size_t i = 0; i < cores_.size(); ++i) {
-    traces_[i]->restore_state(r);
-    cores_[i]->restore_state(r);
-    const std::uint8_t live = r.u8();
-    snap::require(live <= 1, "liveness byte holds a value other than 0/1");
-    live_[i] = live;
-    live_cycles_[i] = r.u64();
-    live_from_[i] = r.u64();
+    traces_[i]->transfer(io);
+    cores_[i]->transfer(io);
+    // Tenancy: liveness flag plus the per-app live-window accounting (the
+    // denominators of measured_*_live must survive a mid-churn resume).
+    io.u8(live_[i]);
+    snap::require(live_[i] <= 1, "liveness byte holds a value other than 0/1");
+    io.u64(live_cycles_[i]);
+    io.u64(live_from_[i]);
   }
-  snap::require(r.u64() == controllers_.size(),
-                "controller count differs from the snapshot's");
-  for (auto& mc : controllers_) mc->restore_state(r);
-  interference_.restore_state(r);
+  io.arity(controllers_.size(), "controller count differs from the snapshot's");
+  for (auto& mc : controllers_) mc->transfer(io);
+  interference_.transfer(io);
+  if (!io.reading()) return;
   // Sleep proofs never cross a run() boundary; clear them so nothing stale
   // outlives the restore.
   for (std::size_t i = 0; i < cores_.size(); ++i) {

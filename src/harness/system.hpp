@@ -231,6 +231,8 @@ class CmpSystem {
   void check_conservation(const char* where) const;
 
  private:
+  /// The one field list behind save_state and restore_state.
+  void transfer(snap::Io& io);
   SystemConfig cfg_;
   std::vector<workload::BenchmarkSpec> apps_;
   std::vector<std::unique_ptr<workload::SyntheticTraceGenerator>> traces_;

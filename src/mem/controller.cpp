@@ -761,201 +761,126 @@ void MemoryController::account_interference_range(dram::Tick from,
   }
 }
 
-namespace {
-
-void save_request(snap::Writer& w, const MemRequest& req) {
-  w.u64(req.id);
-  w.u32(req.app);
-  w.u64(req.addr);
-  w.u8(static_cast<std::uint8_t>(req.type));
-  w.u32(req.loc.channel);
-  w.u32(req.loc.rank);
-  w.u32(req.loc.bank);
-  w.u64(req.loc.row);
-  w.u32(req.loc.column);
-  w.u64(req.arrival_cpu);
-  w.u64(req.arrival_tick);
-  w.f64(req.start_tag);
-  w.b(req.in_flight);
-  w.u64(req.data_finish);
-}
-
-void restore_request(snap::Reader& r, MemRequest& req) {
-  req.id = r.u64();
-  req.app = r.u32();
-  req.addr = r.u64();
-  const std::uint8_t type = r.u8();
-  snap::require(type <= 1, "request access-type byte out of range");
-  req.type = static_cast<AccessType>(type);
-  req.loc.channel = r.u32();
-  req.loc.rank = r.u32();
-  req.loc.bank = r.u32();
-  req.loc.row = r.u64();
-  req.loc.column = r.u32();
-  req.arrival_cpu = r.u64();
-  req.arrival_tick = r.u64();
-  req.start_tag = r.f64();
-  req.in_flight = r.b();
-  req.data_finish = r.u64();
-}
-
-void save_u32_vec(snap::Writer& w, const std::vector<std::uint32_t>& v) {
-  w.u64(v.size());
-  for (const std::uint32_t x : v) w.u32(x);
-}
-
-/// Restores a variable-length index list (in-flight list, pending list...).
-void restore_u32_list(snap::Reader& r, std::vector<std::uint32_t>& v) {
-  const std::uint64_t n = r.u64();
-  v.clear();
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u32());
-}
-
-/// Restores a fixed-arity index vector (sized by configuration).
-void restore_u32_fixed(snap::Reader& r, std::vector<std::uint32_t>& v) {
-  snap::require(r.u64() == v.size(),
-                "controller vector arity differs from the snapshot's");
-  for (std::uint32_t& x : v) x = r.u32();
-}
-
-}  // namespace
-
-void MemoryController::save_state(snap::Writer& w) const {
-  w.tag("CTRL");
-  w.u8(static_cast<std::uint8_t>(admission_));
-  w.b(write_drain_.enabled);
-  w.sz(write_drain_.high_watermark);
-  w.sz(write_drain_.low_watermark);
-  w.b(draining_);
-  w.sz(pending_writes_);
-  w.sz(pending_reads_);
+void MemoryController::transfer(snap::Io& io) {
+  io.tag("CTRL");
+  io.enum8(admission_, AdmissionMode::PerApp,
+           "admission-mode byte out of range");
+  io.b(write_drain_.enabled);
+  io.sz(write_drain_.high_watermark);
+  io.sz(write_drain_.low_watermark);
+  io.b(draining_);
+  io.sz(pending_writes_);
+  io.sz(pending_reads_);
+  const auto app = [&io, this](AppId& a, bool none_ok) {
+    io.u32(a);
+    snap::require(a < num_apps_ || (none_ok && a == kNoApp),
+                  "controller app id out of range");
+  };
   // The pool's used prefix travels verbatim, free slots included: their
   // stale contents are a deterministic function of the simulation history,
   // so the byte stream itself is reproducible run-to-run.
-  pool_.save(w, [](snap::Writer& ww, const MemRequest& req) {
-    save_request(ww, req);
+  pool_.transfer(io, [&](MemRequest& req) {
+    io.u64(req.id);
+    app(req.app, false);
+    io.u64(req.addr);
+    io.enum8(req.type, AccessType::Write,
+             "request access-type byte out of range");
+    io.u32(req.loc.channel);
+    io.u32(req.loc.rank);
+    io.u32(req.loc.bank);
+    io.u64(req.loc.row);
+    io.u32(req.loc.column);
+    snap::require(req.loc.channel < channels_ && req.loc.rank < ranks_ &&
+                      req.loc.bank < banks_per_rank_,
+                  "request location outside the DRAM geometry");
+    io.u64(req.arrival_cpu);
+    io.u64(req.arrival_tick);
+    io.f64(req.start_tag);
+    io.b(req.in_flight);
+    io.u64(req.data_finish);
   });
+  const auto slot = [&io, this](std::uint32_t& s, bool none_ok) {
+    io.u32(s);
+    snap::require(s < pool_.high_water() || (none_ok && s == kNoSlot),
+                  "controller request slot out of range");
+  };
+  const auto slots = [&](std::vector<std::uint32_t>& v) {
+    io.list(v, 4, [&](std::uint32_t& s) { slot(s, false); });
+  };
   // Pending queues as slot lists in queue order (sorted order for static-
   // key policies, append order otherwise); the SoA mirrors and policy keys
   // are derived state, rebuilt on restore.
-  w.u64(pend_.size());
-  for (const PendQueue& q : pend_) save_u32_vec(w, q.slot);
-  save_u32_vec(w, inflight_slots_);
-  w.sz(active_);
-  w.u64(next_completion_);
-  save_u32_vec(w, rank_pending_);
-  w.u64(per_app_count_.size());
-  for (const std::size_t c : per_app_count_) w.sz(c);
-  w.u64(app_stats_.size());
-  for (const AppMemStats& s : app_stats_) {
-    w.u64(s.enqueued);
-    w.u64(s.served_reads);
-    w.u64(s.served_writes);
-    w.u64(s.sum_queue_cycles);
-  }
-  w.u64(bank_last_user_.size());
-  for (const AppId a : bank_last_user_) w.u32(a);
-  w.u64(bus_user_.size());
-  for (const AppId a : bus_user_) w.u32(a);
-  w.u64(bus_busy_until_.size());
-  for (const dram::Tick t : bus_busy_until_) w.u64(t);
-  w.u64(next_req_id_);
-  w.u64(bus_ticks_done_);
-  w.u64(last_cpu_cycle_);
-  w.b(started_);
-  w.b(last_tick_active_);
-  save_u32_vec(w, oldest_pending_);
-  // Per-app liveness (churn runs mutate it mid-run; all-live otherwise).
-  w.u64(app_live_.size());
-  for (const std::uint8_t l : app_live_) w.u8(l);
-  w.str(scheduler_->name());
-  scheduler_->save_state(w);
-  dram_.save_state(w);
-}
-
-void MemoryController::restore_state(snap::Reader& r) {
-  r.expect_tag("CTRL");
-  const std::uint8_t admission = r.u8();
-  snap::require(admission <= 1, "admission-mode byte out of range");
-  admission_ = static_cast<AdmissionMode>(admission);
-  write_drain_.enabled = r.b();
-  write_drain_.high_watermark = r.sz();
-  write_drain_.low_watermark = r.sz();
-  draining_ = r.b();
-  pending_writes_ = r.sz();
-  pending_reads_ = r.sz();
-  pool_.restore(r, [](snap::Reader& rr, MemRequest& req) {
-    restore_request(rr, req);
-  });
-  snap::require(r.u64() == pend_.size(),
-                "channel count differs from the snapshot's");
+  io.arity(pend_.size(), "channel count differs from the snapshot's");
   for (PendQueue& q : pend_) {
+    if (!io.reading()) {
+      slots(q.slot);
+      continue;
+    }
     // Rebuild the SoA mirror from the restored pool in the stored order.
     // Keys are left stale here: order_valid_ is dropped below, so the next
     // order-dependent use re-keys (and, for sorted modes, resorts — a
     // no-op permutation, since the stored order already was the sorted
     // order under identical keys).
-    restore_u32_list(r, scratch_);
+    slots(scratch_);
     while (q.size() > 0) q.erase(q.size() - 1);
-    for (const std::uint32_t slot : scratch_) {
-      const MemRequest& req = pool_[slot];
-      q.insert(q.size(), 0.0, req, slot,
+    for (const std::uint32_t s : scratch_) {
+      const MemRequest& req = pool_[s];
+      q.insert(q.size(), 0.0, req, s,
                static_cast<std::uint32_t>(bank_index(req.loc)));
     }
   }
-  restore_u32_list(r, inflight_slots_);
-  active_ = r.sz();
-  next_completion_ = r.u64();
-  restore_u32_fixed(r, rank_pending_);
-  snap::require(r.u64() == per_app_count_.size(),
-                "app count differs from the snapshot's");
-  for (std::size_t& c : per_app_count_) c = r.sz();
-  snap::require(r.u64() == app_stats_.size(),
-                "app count differs from the snapshot's");
-  for (AppMemStats& s : app_stats_) {
-    s.enqueued = r.u64();
-    s.served_reads = r.u64();
-    s.served_writes = r.u64();
-    s.sum_queue_cycles = r.u64();
-  }
-  snap::require(r.u64() == bank_last_user_.size(),
-                "bank count differs from the snapshot's");
-  for (AppId& a : bank_last_user_) a = r.u32();
-  snap::require(r.u64() == bus_user_.size(),
-                "channel count differs from the snapshot's");
-  for (AppId& a : bus_user_) a = r.u32();
-  snap::require(r.u64() == bus_busy_until_.size(),
-                "channel count differs from the snapshot's");
-  for (dram::Tick& t : bus_busy_until_) t = r.u64();
-  next_req_id_ = r.u64();
-  bus_ticks_done_ = r.u64();
-  last_cpu_cycle_ = r.u64();
-  started_ = r.b();
-  last_tick_active_ = r.b();
-  restore_u32_fixed(r, oldest_pending_);
-  waiting_apps_.clear();
-  for (AppId app = 0; app < num_apps_; ++app) {
-    if (oldest_pending_[app] != kNoSlot) waiting_apps_.push_back(app);
-  }
-  snap::require(r.u64() == app_live_.size(),
-                "app count differs from the snapshot's");
-  num_live_ = 0;
-  for (std::uint8_t& l : app_live_) {
-    l = r.u8();
-    snap::require(l <= 1, "liveness byte holds a value other than 0/1");
-    num_live_ += l;
-  }
-  const std::string policy = r.str();
-  if (scheduler_->name() != policy) {
+  slots(inflight_slots_);
+  io.sz(active_);
+  io.u64(next_completion_);
+  io.fixed(rank_pending_,
+           "controller vector arity differs from the snapshot's");
+  io.fixed(per_app_count_, "app count differs from the snapshot's",
+           [&io](std::size_t& c) { io.sz(c); });
+  io.fixed(app_stats_, "app count differs from the snapshot's",
+           [&io](AppMemStats& s) {
+             io.u64(s.enqueued);
+             io.u64(s.served_reads);
+             io.u64(s.served_writes);
+             io.u64(s.sum_queue_cycles);
+           });
+  io.fixed(bank_last_user_, "bank count differs from the snapshot's",
+           [&](AppId& a) { app(a, true); });
+  io.fixed(bus_user_, "channel count differs from the snapshot's",
+           [&](AppId& a) { app(a, true); });
+  io.fixed(bus_busy_until_, "channel count differs from the snapshot's");
+  io.u64(next_req_id_);
+  io.u64(bus_ticks_done_);
+  io.u64(last_cpu_cycle_);
+  io.b(started_);
+  io.b(last_tick_active_);
+  io.fixed(oldest_pending_,
+           "controller vector arity differs from the snapshot's",
+           [&](std::uint32_t& s) { slot(s, true); });
+  // Per-app liveness (churn runs mutate it mid-run; all-live otherwise).
+  io.fixed(app_live_, "app count differs from the snapshot's",
+           [&io](std::uint8_t& l) {
+             io.u8(l);
+             snap::require(l <= 1,
+                           "liveness byte holds a value other than 0/1");
+           });
+  std::string policy = scheduler_->name();
+  io.str(policy);
+  if (policy != scheduler_->name()) {
     std::unique_ptr<Scheduler> rebuilt =
         make_scheduler_by_name(policy, num_apps_);
     snap::require(rebuilt != nullptr,
                   "snapshot names an unknown scheduling policy");
     scheduler_ = std::move(rebuilt);
   }
-  scheduler_->restore_state(r);
-  dram_.restore_state(r);
+  scheduler_->transfer(io);
+  dram_.transfer(io);
+  if (!io.reading()) return;
+  waiting_apps_.clear();
+  for (AppId a = 0; a < num_apps_; ++a) {
+    if (oldest_pending_[a] != kNoSlot) waiting_apps_.push_back(a);
+  }
+  num_live_ = 0;
+  for (const std::uint8_t l : app_live_) num_live_ += l;
   order_valid_ = false;  // queue keys/order rebuild against the new policy
   ++state_version_;  // the event-horizon memo is stale for the new state
 }

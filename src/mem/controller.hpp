@@ -193,18 +193,20 @@ class MemoryController {
                     static_cast<std::size_t>(num_apps_) * per_app_capacity_);
   }
 
-  /// Snapshot hooks: the full queue/slot state, per-app accounting, the
+  /// Snapshot hook: the full queue/slot state, per-app accounting, the
   /// DRAM engine and the scheduler (serialized by name() + policy blob; a
   /// restore into a controller running a different policy rebuilds the
-  /// saved one via make_scheduler_by_name). Deliberately excluded as
+  /// saved one via make_scheduler_by_name). A restore checks every stored
+  /// index: pool slots against the pool's high-water mark, app ids against
+  /// the app count and request locations against the geometry, so a
+  /// forged stream fails as snap::SnapshotError. Deliberately excluded as
   /// engine/wiring, not state: the fast_forward_ switch (snapshots restore
   /// bit-identically into either engine), the event-horizon memo and the
   /// pending queues' derived policy keys (restore invalidates both; they
   /// rebuild on first use), the waiting-app list (rebuilt from the restored
   /// oldest-pending index), completion/observer/obs hooks (the host rewires
   /// them) and the per-tick scratch vectors.
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void transfer(snap::Io& io);
 
  private:
   static constexpr std::uint32_t kNoSlot =

@@ -306,120 +306,61 @@ void StrictPriorityScheduler::set_priority_ranks(
 
 namespace {
 
-void save_vec(snap::Writer& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (const double x : v) w.f64(x);
-}
-
-void restore_vec(snap::Reader& r, std::vector<double>& v) {
-  snap::require(r.u64() == v.size(),
-                "scheduler per-app vector arity differs from the snapshot's");
-  for (double& x : v) x = r.f64();
-}
+constexpr const char* kArity =
+    "scheduler per-app vector arity differs from the snapshot's";
 
 }  // namespace
 
-void FrFcfsScheduler::save_state(snap::Writer& w) const {
-  w.u32(streak_cap_);
-  w.u32(streak_);
-  w.u32(last_rank_);
-  w.u32(last_bank_);
-  w.b(has_last_);
+void FrFcfsScheduler::transfer(snap::Io& io) {
+  io.u32(streak_cap_);
+  io.u32(streak_);
+  io.u32(last_rank_);
+  io.u32(last_bank_);
+  io.b(has_last_);
 }
 
-void FrFcfsScheduler::restore_state(snap::Reader& r) {
-  streak_cap_ = r.u32();
-  streak_ = r.u32();
-  last_rank_ = r.u32();
-  last_bank_ = r.u32();
-  has_last_ = r.b();
+void BatchScheduler::transfer(snap::Io& io) {
+  io.sz(per_app_cap_);
+  io.fixed(arrival_count_, kArity);
 }
 
-void BatchScheduler::save_state(snap::Writer& w) const {
-  w.sz(per_app_cap_);
-  w.u64(arrival_count_.size());
-  for (const std::uint64_t c : arrival_count_) w.u64(c);
+void StartTimeFairScheduler::transfer(snap::Io& io) {
+  io.f64(row_hit_window_);
+  io.fixed(next_tag_, kArity);
+  io.fixed(increment_, kArity);
 }
 
-void BatchScheduler::restore_state(snap::Reader& r) {
-  per_app_cap_ = r.sz();
-  snap::require(r.u64() == arrival_count_.size(),
-                "scheduler per-app vector arity differs from the snapshot's");
-  for (std::uint64_t& c : arrival_count_) c = r.u64();
+void ClassicDstfScheduler::transfer(snap::Io& io) {
+  io.fixed(last_finish_, kArity);
+  io.fixed(increment_, kArity);
+  io.f64(virtual_time_);
 }
 
-void StartTimeFairScheduler::save_state(snap::Writer& w) const {
-  w.f64(row_hit_window_);
-  save_vec(w, next_tag_);
-  save_vec(w, increment_);
+void StfmScheduler::transfer(snap::Io& io) {
+  io.f64(alpha_);
+  io.fixed(slowdown_, kArity);
 }
 
-void StartTimeFairScheduler::restore_state(snap::Reader& r) {
-  row_hit_window_ = r.f64();
-  restore_vec(r, next_tag_);
-  restore_vec(r, increment_);
+void AtlasScheduler::transfer(snap::Io& io) {
+  io.u64(quantum_);
+  io.f64(decay_);
+  io.u64(served_in_quantum_);
+  io.fixed(attained_, kArity);
 }
 
-void ClassicDstfScheduler::save_state(snap::Writer& w) const {
-  save_vec(w, last_finish_);
-  save_vec(w, increment_);
-  w.f64(virtual_time_);
-}
-
-void ClassicDstfScheduler::restore_state(snap::Reader& r) {
-  restore_vec(r, last_finish_);
-  restore_vec(r, increment_);
-  virtual_time_ = r.f64();
-}
-
-void StfmScheduler::save_state(snap::Writer& w) const {
-  w.f64(alpha_);
-  save_vec(w, slowdown_);
-}
-
-void StfmScheduler::restore_state(snap::Reader& r) {
-  alpha_ = r.f64();
-  restore_vec(r, slowdown_);
-}
-
-void AtlasScheduler::save_state(snap::Writer& w) const {
-  w.u64(quantum_);
-  w.f64(decay_);
-  w.u64(served_in_quantum_);
-  save_vec(w, attained_);
-}
-
-void AtlasScheduler::restore_state(snap::Reader& r) {
-  quantum_ = r.u64();
-  decay_ = r.f64();
-  served_in_quantum_ = r.u64();
-  restore_vec(r, attained_);
-}
-
-void TcmScheduler::save_state(snap::Writer& w) const {
-  w.u64(latency_cluster_.size());
-  for (const bool lat : latency_cluster_) w.b(lat);
-  save_vec(w, attained_);
-}
-
-void TcmScheduler::restore_state(snap::Reader& r) {
-  snap::require(r.u64() == latency_cluster_.size(),
-                "scheduler per-app vector arity differs from the snapshot's");
+void TcmScheduler::transfer(snap::Io& io) {
+  io.arity(latency_cluster_.size(), kArity);
   for (std::size_t i = 0; i < latency_cluster_.size(); ++i) {
-    latency_cluster_[i] = r.b();
+    bool lat = latency_cluster_[i];
+    io.b(lat);
+    if (io.reading()) latency_cluster_[i] = lat;
   }
-  restore_vec(r, attained_);
+  io.fixed(attained_, kArity);
 }
 
-void StrictPriorityScheduler::save_state(snap::Writer& w) const {
-  w.u64(rank_.size());
-  for (const std::uint32_t rk : rank_) w.u32(rk);
-}
-
-void StrictPriorityScheduler::restore_state(snap::Reader& r) {
-  snap::require(r.u64() == rank_.size(),
-                "scheduler per-app vector arity differs from the snapshot's");
-  for (std::uint32_t& rk : rank_) rk = r.u32();
+void StrictPriorityScheduler::transfer(snap::Io& io) {
+  io.fixed(rank_, kArity);
+  if (!io.reading()) return;
   for (std::size_t i = 0; i < rank_.size(); ++i) {
     rank_key_[i] = static_cast<double>(rank_[i]);
   }

@@ -85,18 +85,17 @@ class Scheduler {
   /// virtual-time notion report 0.
   virtual double virtual_time_lag() const { return 0.0; }
 
-  /// Snapshot hooks: a policy serializes its mutable decision state plus
-  /// its constructor knobs (so make_scheduler_by_name() can rebuild an
-  /// identical instance and then overwrite it); stateless policies write
-  /// nothing.
-  virtual void save_state(snap::Writer& w) const { (void)w; }
-  virtual void restore_state(snap::Reader& r) { (void)r; }
+  /// Snapshot hook: a policy transfers its mutable decision state plus its
+  /// constructor knobs (so make_scheduler_by_name() can rebuild an
+  /// identical instance and then overwrite it) through one field list;
+  /// stateless policies transfer nothing.
+  virtual void transfer(snap::Io& io) { (void)io; }
 
   virtual std::string name() const = 0;
 };
 
 /// Rebuilds a scheduler instance from Scheduler::name() during snapshot
-/// restore; the caller then applies restore_state() to it. Returns nullptr
+/// restore; the caller then applies transfer() to it. Returns nullptr
 /// for an unknown name (the restore fails loudly on that).
 std::unique_ptr<Scheduler> make_scheduler_by_name(std::string_view name,
                                                   std::size_t num_apps);
@@ -127,8 +126,7 @@ class FrFcfsScheduler final : public Scheduler {
   void on_issue(const MemRequest& req) override;
   bool before(const MemRequest& a, const MemRequest& b,
               const dram::DramSystem& dram) const override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "FR-FCFS"; }
 
  private:
@@ -158,8 +156,7 @@ class BatchScheduler final : public Scheduler {
   void on_enqueue(MemRequest& req, Cycle now_cpu) override;
   bool before(const MemRequest& a, const MemRequest& b,
               const dram::DramSystem& dram) const override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "PAR-BS"; }
 
  private:
@@ -194,8 +191,7 @@ class StartTimeFairScheduler final : public Scheduler {
             nullptr, 0};
   }
   void set_shares(std::span<const double> beta) override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "StartTimeFair"; }
   double virtual_time_lag() const override;
 
@@ -233,8 +229,7 @@ class ClassicDstfScheduler final : public Scheduler {
     return {SchedOrdering::Mode::kStatic, nullptr, 0};
   }
   void set_shares(std::span<const double> beta) override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "ClassicDSTF"; }
   double virtual_time_lag() const override;
 
@@ -258,8 +253,7 @@ class StfmScheduler final : public Scheduler {
 
   bool before(const MemRequest& a, const MemRequest& b,
               const dram::DramSystem& dram) const override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "STFM"; }
 
   /// Installs the current estimated slowdown of each application
@@ -289,8 +283,7 @@ class AtlasScheduler final : public Scheduler {
   void on_issue(const MemRequest& req) override;
   bool before(const MemRequest& a, const MemRequest& b,
               const dram::DramSystem& dram) const override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "ATLAS"; }
 
   double attained(AppId app) const;
@@ -318,8 +311,7 @@ class TcmScheduler final : public Scheduler {
   void on_issue(const MemRequest& req) override;
   bool before(const MemRequest& a, const MemRequest& b,
               const dram::DramSystem& dram) const override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "TCM"; }
 
  private:
@@ -342,8 +334,7 @@ class StrictPriorityScheduler final : public Scheduler {
     return {SchedOrdering::Mode::kAppValue, rank_key_.data(), key_version_};
   }
   void set_priority_ranks(std::span<const std::uint32_t> ranks) override;
-  void save_state(snap::Writer& w) const override;
-  void restore_state(snap::Reader& r) override;
+  void transfer(snap::Io& io) override;
   std::string name() const override { return "StrictPriority"; }
 
  private:

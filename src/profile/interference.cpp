@@ -23,17 +23,10 @@ void InterferenceCounters::reset() {
   for (Cycle& c : counters_) c = 0;
 }
 
-void InterferenceCounters::save_state(snap::Writer& w) const {
-  w.tag("INTF");
-  w.u64(counters_.size());
-  for (const Cycle c : counters_) w.u64(c);
-}
-
-void InterferenceCounters::restore_state(snap::Reader& r) {
-  r.expect_tag("INTF");
-  snap::require(r.u64() == counters_.size(),
-                "interference counter arity differs from the snapshot's");
-  for (Cycle& c : counters_) c = r.u64();
+void InterferenceCounters::transfer(snap::Io& io) {
+  io.tag("INTF");
+  io.fixed(counters_,
+           "interference counter arity differs from the snapshot's");
 }
 
 }  // namespace bwpart::profile

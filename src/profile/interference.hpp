@@ -26,8 +26,8 @@ class InterferenceCounters final : public mem::InterferenceObserver {
   Cycle interference_cycles(AppId app) const;
   void reset();
 
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  /// Snapshot hook: one counter per app.
+  void transfer(snap::Io& io);
   std::uint32_t num_apps() const {
     return static_cast<std::uint32_t>(counters_.size());
   }

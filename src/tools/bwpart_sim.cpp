@@ -393,8 +393,17 @@ int main(int argc, char** argv) {
   TextTable table({"scheme", "Hsp", "MinF", "Wsp", "IPCsum", "B(APC)",
                    "bus util"});
   for (core::Scheme s : schemes) {
-    const harness::RunResult r =
-        profile ? experiment.measure_from(*profile, s) : experiment.run(s);
+    harness::RunResult r;
+    try {
+      r = profile ? experiment.measure_from(*profile, s) : experiment.run(s);
+    } catch (const snap::SnapshotError& e) {
+      // Only a fork restores the state blob, so a resumed file can pass
+      // every container check and still fail here (a forged field, or a
+      // BWPART_CHECK=OFF build's missing checker section).
+      std::fprintf(stderr, "cannot resume from '%s': %s\n",
+                   resume_path.c_str(), e.what());
+      return 1;
+    }
     if (csv) {
       std::printf("%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.4f",
                   core::to_string(s).c_str(), r.hsp, r.min_fairness, r.wsp,

@@ -108,36 +108,21 @@ void SyntheticTraceGenerator::set_phase(const Params& next) {
   params_ = next;
 }
 
-void SyntheticTraceGenerator::save_state(snap::Writer& w) const {
-  w.tag("TRCE");
-  rng_.save_state(w);
-  w.u64(cluster_remaining_);
-  w.u64(long_gap_);
-  w.u64(seq_remaining_);
-  w.u64(current_line_);
+void SyntheticTraceGenerator::transfer(snap::Io& io) {
+  io.tag("TRCE");
+  rng_.transfer(io);
+  io.u64(cluster_remaining_);
+  io.u64(long_gap_);
+  io.u64(seq_remaining_);
+  io.u64(current_line_);
   // Phase-changeable knobs: a churn schedule may have mutated them since
   // construction, so the resume path cannot rebuild them from the config.
-  w.f64(params_.api);
-  w.f64(params_.mean_cluster);
-  w.f64(params_.write_fraction);
-  w.f64(params_.dependent_fraction);
-  w.u64(params_.seq_run_lines);
-  w.u64(params_.intra_cluster_gap);
-}
-
-void SyntheticTraceGenerator::restore_state(snap::Reader& r) {
-  r.expect_tag("TRCE");
-  rng_.restore_state(r);
-  cluster_remaining_ = r.u64();
-  long_gap_ = r.u64();
-  seq_remaining_ = r.u64();
-  current_line_ = r.u64();
-  params_.api = r.f64();
-  params_.mean_cluster = r.f64();
-  params_.write_fraction = r.f64();
-  params_.dependent_fraction = r.f64();
-  params_.seq_run_lines = r.u64();
-  params_.intra_cluster_gap = r.u64();
+  io.f64(params_.api);
+  io.f64(params_.mean_cluster);
+  io.f64(params_.write_fraction);
+  io.f64(params_.dependent_fraction);
+  io.u64(params_.seq_run_lines);
+  io.u64(params_.intra_cluster_gap);
 }
 
 cpu::TraceOp AddressStreamGenerator::next() {

@@ -58,11 +58,10 @@ class SyntheticTraceGenerator final : public cpu::TraceSource {
   /// cluster is drawn under the new ones.
   void set_phase(const Params& next);
 
-  /// Snapshot hooks: RNG stream, the burst/locality walk state, and the
+  /// Snapshot hook: RNG stream, the burst/locality walk state, and the
   /// phase-changeable knobs (churn schedules mutate them mid-run), so a
   /// restored generator emits the identical remaining op sequence.
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void transfer(snap::Io& io);
 
  private:
   Addr next_address();

@@ -8,6 +8,7 @@
 //
 // The binary under test is passed as argv[1] by ctest
 // ($<TARGET_FILE:bwpart_sim>), so the suite needs a custom main.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -128,7 +129,8 @@ TEST(CliSmoke, SnapshotResumeReproducesStraightRunExactly) {
 }
 
 // A truncated snapshot and a snapshot from a different configuration are
-// both rejected with a nonzero exit instead of silently producing numbers.
+// both rejected with a nonzero exit instead of silently producing numbers;
+// a forged file with a valid checksum exits 1 with a named error.
 TEST(CliSmoke, CorruptOrMismatchedSnapshotsAreRejected) {
   const std::string snap = tmp_path("reject.bwps");
   ASSERT_EQ(run_cmd(g_sim_path + kBaseArgs +
@@ -165,6 +167,44 @@ TEST(CliSmoke, CorruptOrMismatchedSnapshotsAreRejected) {
   EXPECT_NE(run_cmd(g_sim_path + kBaseArgs + " --scheme Equal --resume " +
                     flip),
             0);
+
+  // Forgeries that keep a valid checksum must still exit 1, the container
+  // error code, and never abort: a params count of 2^60 (the first payload
+  // field, after magic, version, config fingerprint and payload length),
+  // and a state blob whose system section tag was altered.
+  const auto resealed = [&](std::string bytes, const std::string& name) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a, as the writer seals
+    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+      h ^= static_cast<unsigned char>(bytes[i]);
+      h *= 0x100000001b3ULL;
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + i] = static_cast<char>(h >> (8 * i));
+    }
+    const std::string path = tmp_path(name);
+    std::ofstream os(path, std::ios::binary);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+  };
+  std::string count = whole;
+  for (std::size_t i = 0; i < 8; ++i) count[24 + i] = i == 7 ? 0x10 : 0;
+  std::string tag = whole;
+  const std::size_t sys0 = tag.find("SYS0");
+  ASSERT_NE(sys0, std::string::npos);
+  tag[sys0 + 3] = 'X';
+  for (const std::string& forged :
+       {resealed(count, "count.bwps"), resealed(tag, "tag.bwps")}) {
+    std::string err;
+    EXPECT_EQ(run_cmd(g_sim_path + kBaseArgs + " --scheme Equal --resume " +
+                          forged,
+                      nullptr, &err),
+              1)
+        << forged;
+    EXPECT_NE(err.find("cannot resume from '" + forged + "'"),
+              std::string::npos)
+        << err;
+    std::remove(forged.c_str());
+  }
 
   std::remove(snap.c_str());
   std::remove(trunc.c_str());

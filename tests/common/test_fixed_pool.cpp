@@ -45,12 +45,13 @@ TEST(FixedPool, SaveRestoreRoundTrip) {
   pool.release(1);
 
   snap::Writer w;
-  pool.save(w, [](snap::Writer& ww, const std::uint32_t& v) { ww.u32(v); });
+  snap::Io out(w);
+  pool.transfer(out, [&out](std::uint32_t& v) { out.u32(v); });
 
   FixedPool<std::uint32_t> restored(8);
   snap::Reader r(w.bytes());
-  restored.restore(r,
-                   [](snap::Reader& rr, std::uint32_t& v) { v = rr.u32(); });
+  snap::Io in(r);
+  restored.transfer(in, [&in](std::uint32_t& v) { in.u32(v); });
   EXPECT_EQ(restored.high_water(), 5u);
   EXPECT_EQ(restored.live(), 3u);
   EXPECT_EQ(restored.free_count(), 2u);
@@ -65,14 +66,14 @@ TEST(FixedPool, RestoreRejectsOversizedSnapshot) {
   FixedPool<std::uint32_t> big(4);
   for (int i = 0; i < 4; ++i) big[big.acquire()] = 7;
   snap::Writer w;
-  big.save(w, [](snap::Writer& ww, const std::uint32_t& v) { ww.u32(v); });
+  snap::Io out(w);
+  big.transfer(out, [&out](std::uint32_t& v) { out.u32(v); });
 
   FixedPool<std::uint32_t> small(2);
   snap::Reader r(w.bytes());
-  EXPECT_THROW(
-      small.restore(r,
-                    [](snap::Reader& rr, std::uint32_t& v) { v = rr.u32(); }),
-      snap::SnapshotError);
+  snap::Io in(r);
+  EXPECT_THROW(small.transfer(in, [&in](std::uint32_t& v) { in.u32(v); }),
+               snap::SnapshotError);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace {
 
 std::vector<std::uint8_t> saved(const Cache& c) {
   snap::Writer w;
-  c.save_state(w);
+  snap::save(c, w);
   return w.take();
 }
 
@@ -194,7 +194,7 @@ TEST(CacheSnapshot, ZeroLineRestoreMakesAnAccessedCacheFresh) {
 
   const std::vector<std::uint8_t> empty = saved(Cache(g));
   snap::Reader r(empty);
-  used.restore_state(r);
+  snap::restore(used, r);
   EXPECT_TRUE(r.at_end());
   for (int i = 0; i < 40; ++i) EXPECT_FALSE(used.probe(addr(i))) << i;
 
@@ -222,14 +222,14 @@ TEST(CacheSnapshot, RestoreRejectsLineCountsOtherThanZeroOrSetsTimesWays) {
     c.access(0, AccessType::Write);
     const std::vector<std::uint8_t> bytes = forged_section(lines);
     snap::Reader r(bytes);
-    EXPECT_THROW(c.restore_state(r), snap::SnapshotError) << lines;
+    EXPECT_THROW(snap::restore(c, r), snap::SnapshotError) << lines;
     EXPECT_TRUE(c.probe(0)) << "rejected restore was partially applied";
   }
   for (const std::uint64_t lines : {0u, 8u}) {
     Cache c(g);
     const std::vector<std::uint8_t> bytes = forged_section(lines);
     snap::Reader r(bytes);
-    EXPECT_NO_THROW(c.restore_state(r)) << lines;
+    EXPECT_NO_THROW(snap::restore(c, r)) << lines;
     EXPECT_TRUE(r.at_end()) << lines;
   }
 }

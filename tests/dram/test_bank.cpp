@@ -137,18 +137,21 @@ TEST(BankArray, SnapshotRoundTripPerBank) {
   b.read(0, 3 + t.act_to_col, false, t);
   b.refresh(1, 50, t);
   snap::Writer w;
-  b.save_one(0, w);
-  b.save_one(1, w);
+  snap::save(b, w);
   BankArray restored(2);
   snap::Reader r(w.bytes());
-  restored.restore_one(0, r);
-  restored.restore_one(1, r);
+  snap::restore(restored, r);
+  EXPECT_TRUE(r.at_end());
   EXPECT_TRUE(restored.row_open(0));
   EXPECT_EQ(restored.open_row(0), 11u);
   EXPECT_FALSE(restored.row_open(1));
   EXPECT_EQ(restored.next_read_tick(0), b.next_read_tick(0));
   EXPECT_EQ(restored.next_precharge_tick(0), b.next_precharge_tick(0));
   EXPECT_EQ(restored.next_activate_tick(1), b.next_activate_tick(1));
+  // A snapshot of a different bank count is rejected.
+  BankArray wider(3);
+  snap::Reader again(w.bytes());
+  EXPECT_THROW(snap::restore(wider, again), snap::SnapshotError);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // text grammar, and a mid-churn snapshot resumes field-by-field equal to an
 // uninterrupted run.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -123,6 +125,26 @@ bool profile_is_degenerate(const ChurnCase& c) {
   return false;
 }
 
+/// Dormancy and every event field equal, doubles compared bit for bit.
+bool same_schedule(const ChurnSchedule& a, const ChurnSchedule& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto same_knobs = [&](const PhaseKnobs& x, const PhaseKnobs& y) {
+    return bits(x.api) == bits(y.api) &&
+           bits(x.mean_cluster) == bits(y.mean_cluster) &&
+           bits(x.write_fraction) == bits(y.write_fraction) &&
+           bits(x.dependent_fraction) == bits(y.dependent_fraction) &&
+           x.seq_run_lines == y.seq_run_lines &&
+           x.intra_cluster_gap == y.intra_cluster_gap;
+  };
+  return a.initially_dormant == b.initially_dormant &&
+         std::equal(a.events.begin(), a.events.end(), b.events.begin(),
+                    b.events.end(),
+                    [&](const ChurnEvent& x, const ChurnEvent& y) {
+                      return x.at == y.at && x.kind == y.kind &&
+                             x.app == y.app && same_knobs(x.knobs, y.knobs);
+                    });
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: rerun, fast-forward on/off, grammar round-trip.
 
@@ -159,6 +181,11 @@ TEST(ChurnProperties, RandomSchedulesDeterministicAcrossEnginesAndReruns) {
             c.schedule.to_text());
         if (reparsed.fingerprint() != c.schedule.fingerprint()) {
           return "schedule does not round-trip through its grammar";
+        }
+        // The fingerprint hashes the same text, so it cannot see a knob the
+        // text rounded: compare every event field bit for bit.
+        if (!same_schedule(reparsed, c.schedule)) {
+          return "reparsed schedule differs from the original field by field";
         }
         const ChurnRunResult e = exp.run_churn(reparsed, c.churn);
         if (fingerprint(a) != fingerprint(e)) {
@@ -423,6 +450,19 @@ TEST(ChurnProperties, GrammarRejectsMalformedSchedulesLoudly) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   EXPECT_NE(a.fingerprint(), 0u);
   EXPECT_EQ(ChurnSchedule{}.fingerprint(), 0u);
+  // Knobs print with as many digits as they need to read back: schedules
+  // one ULP apart fingerprint apart, and each survives its own text.
+  PhaseKnobs k;
+  k.api = 0.0123456789;
+  const ChurnSchedule fine = ChurnSchedule{}.phase(100, 0, k);
+  k.api = std::nextafter(k.api, 1.0);
+  const ChurnSchedule ulp = ChurnSchedule{}.phase(100, 0, k);
+  EXPECT_NE(fine.fingerprint(), ulp.fingerprint());
+  EXPECT_TRUE(same_schedule(ChurnSchedule::parse(ulp.to_text()), ulp))
+      << ulp.to_text();
+  // Six significant digits or fewer print as before.
+  EXPECT_EQ(ChurnSchedule::parse("@9 phase 0 api=0.0123457").to_compact(),
+            "@9 phase 0 api=0.0123457");
 }
 
 }  // namespace

@@ -387,7 +387,7 @@ TEST(FastForwardDifferential, DetReplayMatchesTicksAtEveryProof) {
         Rng pick(c.seed);
         const auto state = [](const cpu::OoOCore& k) {
           snap::Writer w;
-          k.save_state(w);
+          snap::save(k, w);
           return w.bytes();
         };
         for (Cycle t = 0; t < c.cycles; ++t) {
@@ -398,7 +398,7 @@ TEST(FastForwardDifferential, DetReplayMatchesTicksAtEveryProof) {
               auto k = std::make_unique<cpu::OoOCore>(0, c.core, no_trace,
                                                       *sandbox);
               snap::Reader in(saved);
-              k->restore_state(in);
+              snap::restore(*k, in);
               return k;
             };
             const std::unique_ptr<cpu::OoOCore> memo = clone();

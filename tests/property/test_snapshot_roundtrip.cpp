@@ -3,27 +3,34 @@
 // bit-identically to the uninterrupted original, for random machines,
 // mixes, schedulers, cut points (including mid-measure-phase, with requests
 // in flight) and engines, through memory and through the on-disk "BWPS"
-// container, with interference attribution on or off. Corrupt or truncated
-// files must fail with snap::SnapshotError, never undefined behavior.
+// container, with interference attribution on or off. Every stream's bytes
+// are pinned. Corrupt or truncated files, and forged counts and indices
+// behind a valid checksum, must fail with snap::SnapshotError, never
+// undefined behavior.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/pbt.hpp"
 #include "dram/config.hpp"
+#include "harness/churn.hpp"
 #include "harness/differential.hpp"
 #include "harness/experiment.hpp"
 #include "harness/generators.hpp"
+#include "harness/shard.hpp"
 #include "harness/snapshot.hpp"
 #include "harness/system.hpp"
 #include "mem/controller.hpp"
+#include "mem/scheduler.hpp"
 #include "workload/mixes.hpp"
 
 namespace bwpart::harness {
@@ -469,6 +476,411 @@ TEST(SnapshotRoundtrip, MismatchedTargetsAreRejected) {
   snap.config_fp ^= 1;  // any config difference changes the fingerprint
   EXPECT_THROW((void)ex.measure_from(snap, core::Scheme::Equal),
                snap::SnapshotError);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned streams: the exact bytes every serialized record writes. Each
+// stream is named by its FNV-1a hash and length, so a change to any
+// record's field list or encoding fails here, however well it round-trips.
+// Each stream is also read back and written again, which must reproduce
+// it byte for byte: that pins the read side of every field too (enum
+// bounds included, so the systems cover every scheduler and both
+// admission modes).
+// The values depend on libm, as the golden corpora do
+// (tests/golden/README.md). A BWPART_CHECK=OFF build writes no
+// protocol-checker section, so its system streams pin their own values.
+
+struct StreamId {
+  std::uint64_t hash = 0;
+  std::uint64_t size = 0;
+  bool operator==(const StreamId&) const = default;
+};
+
+StreamId stream_id(std::span<const std::uint8_t> bytes) {
+  return {hash_bytes(bytes.data(), bytes.size()), bytes.size()};
+}
+
+/// Modelled caches, two ranks with power-down, two controllers: every
+/// optional part of the system stream is present.
+SystemConfig pinned_machine() {
+  SystemConfig cfg;
+  cfg.core.model_caches = true;
+  cfg.dram.ranks = 2;
+  cfg.dram.enable_powerdown = true;
+  cfg.num_controllers = 2;
+  return cfg;
+}
+
+std::vector<workload::BenchmarkSpec> pinned_mix() {
+  return workload::resolve_mix(workload::paper_mixes()[7]);
+}
+
+/// A system under `policy` and `mode` with write drain on, whose app 3 went
+/// dormant mid-run. (On the heap: the system's callbacks capture `this`.)
+std::unique_ptr<CmpSystem> pinned_system(const std::string& policy,
+                                         mem::AdmissionMode mode) {
+  const std::vector<workload::BenchmarkSpec> mix = pinned_mix();
+  auto owned = std::make_unique<CmpSystem>(pinned_machine(), mix, 42);
+  CmpSystem& sys = *owned;
+  const std::vector<double> shares = {0.5, 0.25, 0.125, 0.125};
+  const std::vector<std::uint32_t> ranks = {2, 0, 3, 1};
+  for (std::size_t k = 0; k < sys.num_controllers(); ++k) {
+    std::unique_ptr<mem::Scheduler> sched =
+        mem::make_scheduler_by_name(policy, mix.size());
+    sched->set_shares(shares);
+    sched->set_priority_ranks(ranks);
+    mem::MemoryController& mc = sys.controller(k);
+    mc.replace_scheduler(std::move(sched));
+    mc.set_admission_mode(mode);
+    mc.set_write_drain({true, 6, 2});
+  }
+  sys.run(6'000);
+  sys.set_app_live(3, false);
+  sys.run(14'000);
+  return owned;
+}
+
+std::vector<std::uint8_t> system_blob(const CmpSystem& sys) {
+  snap::Writer w;
+  sys.save_state(w);
+  return w.take();
+}
+
+const char* const kPolicies[] = {"FCFS",        "FR-FCFS", "PAR-BS",
+                                 "StartTimeFair", "ClassicDSTF", "STFM",
+                                 "ATLAS",       "TCM",     "StrictPriority"};
+
+/// Arrivals, departures and phase changes all applied, re-solves run.
+ChurnSchedule pinned_schedule() {
+  ChurnSchedule s;
+  PhaseKnobs knobs;
+  knobs.api = 0.0123;
+  knobs.write_fraction = 0.375;
+  knobs.seq_run_lines = 3;
+  s.dormant(3).arrive(6'000, 3).depart(12'000, 1).phase(18'000, 0, knobs);
+  return s;
+}
+
+PhaseConfig pinned_phases() {
+  PhaseConfig phases;
+  phases.warmup_cycles = 2'000;
+  phases.profile_cycles = 10'000;
+  phases.measure_cycles = 40'000;
+  return phases;
+}
+
+ChurnRunConfig pinned_churn_config() {
+  ChurnRunConfig cc;
+  cc.scheme = core::Scheme::SquareRoot;
+  cc.reprofile_window = 3'000;
+  cc.eval_epoch = 5'000;
+  return cc;
+}
+
+shard::UnitResult pinned_unit_result() {
+  shard::UnitResult u;
+  u.key = "0123456789abcdef-Square_root";
+  u.config_fp = 0x0123456789abcdefULL;
+  u.dram_gen = "ddr3_1600";
+  RunResult& r = u.result;
+  r.scheme = core::Scheme::SquareRoot;
+  r.params = {{0.0125, 0.004}, {0.03, 0.0091}, {0.0075, 0.0023}};
+  r.ipc_shared = {1.25, 0.5, 2.0};
+  r.apc_shared = {0.01, 0.02, 0.005};
+  r.total_apc = 0.035;
+  r.bus_utilization = 0.71875;
+  r.hsp = 0.625;
+  r.wsp = 2.375;
+  r.ipcsum = 3.75;
+  r.min_fairness = 0.4375;
+  u.fingerprint = fingerprint(r);
+  return u;
+}
+
+TEST(SnapshotRoundtrip, StreamBytesArePinned) {
+  struct Pinned {
+    std::string name;
+    StreamId on;   // BWPART_CHECK build
+    StreamId off;  // BWPART_CHECK=OFF build
+  };
+  const std::vector<Pinned> pinned = {
+      {"system/FCFS/shared",
+       {0xd58f7dfeb440ee25ULL, 340106}, {0xe5932a59f79f70c0ULL, 337988}},
+      {"system/FCFS/per-app",
+       {0x28cc73683eb6e1cfULL, 340106}, {0xd4c549da10d0a4d8ULL, 337988}},
+      {"system/FR-FCFS/shared",
+       {0x84ca122046c3d2a7ULL, 340146}, {0xfeabfa8ece4589dcULL, 338028}},
+      {"system/FR-FCFS/per-app",
+       {0x5401afe267232a61ULL, 340146}, {0x4989cf44a82ec5e4ULL, 338028}},
+      {"system/PAR-BS/shared",
+       {0xe7141ea8637f3e07ULL, 340281}, {0x4a7254c07d05235eULL, 338163}},
+      {"system/PAR-BS/per-app",
+       {0x288a1bd2da71155dULL, 340281}, {0xc478af3899dc59a2ULL, 338163}},
+      {"system/StartTimeFair/shared",
+       {0xc96a772a80a0cd63ULL, 340243}, {0x1937ea4cf8f6feb2ULL, 338125}},
+      {"system/StartTimeFair/per-app",
+       {0x8dbf74186543155fULL, 340243}, {0x148f997fc9102608ULL, 338125}},
+      {"system/ClassicDSTF/shared",
+       {0x0ae6e8ede55ebc2eULL, 340371}, {0x1db9290bf7b80c4bULL, 338253}},
+      {"system/ClassicDSTF/per-app",
+       {0x9208be438606ad8eULL, 340371}, {0xecde1af275ca1f2dULL, 338253}},
+      {"system/STFM/shared",
+       {0xc096d9f4c9266cb1ULL, 340202}, {0x72edee020d1edec0ULL, 338084}},
+      {"system/STFM/per-app",
+       {0x04aba1aa70d91bdfULL, 340202}, {0xc456e11b382e51e4ULL, 338084}},
+      {"system/ATLAS/shared",
+       {0x1eaa0b827c70efb2ULL, 340311}, {0xab2f0541152dc34dULL, 338193}},
+      {"system/ATLAS/per-app",
+       {0xe82fc1c429527cceULL, 340311}, {0x2acf02203eebb7bfULL, 338193}},
+      {"system/TCM/shared",
+       {0x5b004216ca21c053ULL, 340208}, {0x22fdfddbd49632c0ULL, 338090}},
+      {"system/TCM/per-app",
+       {0xc1ddbcbeef64529bULL, 340208}, {0xd94fdce493f979baULL, 338090}},
+      {"system/StrictPriority/shared",
+       {0x6cf7b7a8b6e5399eULL, 340224}, {0x0739cb08e90b91b4ULL, 338106}},
+      {"system/StrictPriority/per-app",
+       {0x2ab2ef50609c32d0ULL, 340224}, {0x8a73d24a6462d318ULL, 338106}},
+      {"churn-engine",
+       {0x88d02f82c32fb0aaULL, 660}, {0x88d02f82c32fb0aaULL, 660}},
+      {"bwrr",
+       {0x24ce9b93103ebe02ULL, 272}, {0x24ce9b93103ebe02ULL, 272}},
+      {"bwps",
+       {0x1fc76bb047eb2688ULL, 339709}, {0xababf339755341d1ULL, 337591}},
+  };
+  std::vector<std::pair<std::string, StreamId>> got;
+  for (const char* policy : kPolicies) {
+    for (const mem::AdmissionMode mode :
+         {mem::AdmissionMode::Shared, mem::AdmissionMode::PerApp}) {
+      const std::string name =
+          std::string("system/") + policy +
+          (mode == mem::AdmissionMode::Shared ? "/shared" : "/per-app");
+      const std::vector<std::uint8_t> blob =
+          system_blob(*pinned_system(policy, mode));
+      CmpSystem back(pinned_machine(), pinned_mix(), 42);
+      snap::Reader r(blob);
+      back.restore_state(r);
+      EXPECT_TRUE(r.at_end()) << name;
+      EXPECT_TRUE(system_blob(back) == blob) << name << " changed on restore";
+      got.emplace_back(name, stream_id(blob));
+    }
+  }
+
+  const SystemConfig cfg = pinned_machine();
+  const std::vector<workload::BenchmarkSpec> mix = pinned_mix();
+  const PhaseConfig phases = pinned_phases();
+  const Experiment ex(cfg, mix, phases);
+  const ProfileSnapshot profile = ex.capture_profile();
+  {
+    const ChurnSchedule schedule = pinned_schedule();
+    CmpSystem sys(cfg, mix, phases.seed);
+    snap::Reader pr(profile.state);
+    sys.restore_state(pr);
+    ChurnEngine engine(sys, schedule, pinned_churn_config(),
+                       phases.measure_cycles, profile.params,
+                       profile.profiled_b, cfg.dstf_row_hit_window);
+    engine.start();
+    const Cycle cut = sys.now() + 25'000;
+    while (sys.now() < cut && engine.step()) {
+    }
+    snap::Writer w;
+    engine.save_state(w);
+    ChurnEngine back(sys, schedule, pinned_churn_config(),
+                     phases.measure_cycles, profile.params,
+                     profile.profiled_b, cfg.dstf_row_hit_window);
+    snap::Reader r(w.bytes());
+    back.restore_state(r);
+    snap::Writer again;
+    back.save_state(again);
+    EXPECT_TRUE(again.bytes() == w.bytes()) << "churn cursor changed";
+    got.emplace_back("churn-engine", stream_id(w.bytes()));
+  }
+  const std::vector<std::uint8_t> shard_bytes =
+      shard::encode_result_shard(pinned_unit_result());
+  EXPECT_TRUE(shard::encode_result_shard(shard::decode_result_shard(
+                  shard_bytes)) == shard_bytes);
+  got.emplace_back("bwrr", stream_id(shard_bytes));
+  const std::string path = testing::TempDir() + "snap_pinned.bwps";
+  write_profile_snapshot(path, profile);
+  const std::vector<std::uint8_t> file = read_whole_file(path);
+  write_profile_snapshot(path, read_profile_snapshot(path));
+  EXPECT_TRUE(read_whole_file(path) == file);
+  got.emplace_back("bwps", stream_id(file));
+  std::remove(path.c_str());
+
+  std::ostringstream table;
+  table << std::hex;
+  bool all = got.size() == pinned.size();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const StreamId want = i < pinned.size()
+                              ? (check::kEnabled ? pinned[i].on : pinned[i].off)
+                              : StreamId{};
+    const bool ok = i < pinned.size() && pinned[i].name == got[i].first &&
+                    want == got[i].second;
+    all = all && ok;
+    table << (ok ? "   " : "!! ") << got[i].first << " 0x" << got[i].second.hash
+          << " " << std::dec << got[i].second.size << std::hex << "\n";
+  }
+  EXPECT_TRUE(all) << "streams changed (the build's hash and length):\n"
+                   << table.str();
+}
+
+// ---------------------------------------------------------------------------
+// Forged counts and indices: streams whose checksum (where they carry one)
+// is intact but whose fields lie. Each must fail as SnapshotError before
+// anything is allocated from the count or indexed by the field.
+
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+            std::uint64_t value, std::size_t width) {
+  ASSERT_LE(at + width, bytes.size());
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+/// Recomputes the trailing FNV-1a checksum of a BWPS file or BWRR shard.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  put_le(bytes, bytes.size() - 8, hash_bytes(bytes.data(), bytes.size() - 8),
+         8);
+}
+
+/// Where the first controller's index fields sit in a system blob (the
+/// offset of each list's count, or of the first element of each
+/// configuration-sized vector).
+struct ControllerLayout {
+  std::size_t first_request_app = 0;
+  std::size_t first_pending_count = 0;
+  std::size_t inflight_count = 0;
+  std::size_t bank_last_user = 0;
+  std::size_t bus_user = 0;
+  std::size_t oldest_pending = 0;
+};
+
+ControllerLayout controller_layout(const std::vector<std::uint8_t>& blob) {
+  // A pooled request: id, app, addr, type, channel, rank, bank, row,
+  // column, arrival cpu/tick, start tag, in-flight flag, data finish.
+  constexpr std::size_t kRequestBytes =
+      8 + 4 + 8 + 1 + 4 + 4 + 4 + 8 + 4 + 8 + 8 + 8 + 1 + 8;
+  const std::uint8_t tag[] = {'C', 'T', 'R', 'L'};
+  const std::size_t base = static_cast<std::size_t>(
+      std::search(blob.begin(), blob.end(), std::begin(tag), std::end(tag)) -
+      blob.begin());
+  snap::Reader r(std::span<const std::uint8_t>(blob).subspan(base));
+  const auto at = [&] { return base + r.position(); };
+  const auto skip_list = [&](std::size_t elem) { r.skip(r.u64() * elem); };
+  ControllerLayout l;
+  r.expect_tag("CTRL");
+  r.skip(1 + 1 + 8 + 8 + 1 + 8 + 8);  // admission, write drain, pending
+  const std::uint64_t pool = r.u64();
+  l.first_request_app = at() + 8;
+  r.skip(pool * kRequestBytes);
+  skip_list(4);  // free list
+  const std::uint64_t channels = r.u64();
+  l.first_pending_count = at();
+  for (std::uint64_t c = 0; c < channels; ++c) skip_list(4);
+  l.inflight_count = at();
+  skip_list(4);
+  r.skip(8 + 8);  // active count, next completion
+  skip_list(4);   // rank pending
+  skip_list(8);   // per-app count
+  skip_list(32);  // per-app stats
+  l.bank_last_user = at() + 8;
+  skip_list(4);
+  l.bus_user = at() + 8;
+  skip_list(4);
+  skip_list(8);  // bus busy until
+  r.skip(8 + 8 + 8 + 1 + 1);
+  l.oldest_pending = at() + 8;
+  return l;
+}
+
+std::uint64_t get_le(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                     std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+TEST(SnapshotRoundtrip, ForgedControllerCountsAndIndicesFailLoudly) {
+  // Step to a cycle with requests both pending and in flight, so each
+  // forged slot lands in a list that holds one.
+  const std::unique_ptr<CmpSystem> sys =
+      pinned_system("FR-FCFS", mem::AdmissionMode::PerApp);
+  std::vector<std::uint8_t> blob = system_blob(*sys);
+  ControllerLayout l = controller_layout(blob);
+  for (int i = 0; i < 1'000 && (get_le(blob, l.first_pending_count, 8) == 0 ||
+                                get_le(blob, l.inflight_count, 8) == 0);
+       ++i) {
+    sys->run(1);
+    blob = system_blob(*sys);
+    l = controller_layout(blob);
+  }
+  ASSERT_GT(get_le(blob, l.first_pending_count, 8), 0u);
+  ASSERT_GT(get_le(blob, l.inflight_count, 8), 0u);
+  const auto restores = [](const std::vector<std::uint8_t>& bytes) {
+    CmpSystem target(pinned_machine(), pinned_mix(), 42);
+    snap::Reader r(bytes);
+    target.restore_state(r);
+    return r.at_end();
+  };
+  ASSERT_TRUE(restores(blob));
+
+  struct Forgery {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+    std::size_t width;
+  };
+  const Forgery forged[] = {
+      {"pending-queue count 2^61", l.first_pending_count, 1ULL << 61, 8},
+      {"pending slot 1000", l.first_pending_count + 8, 1000, 4},
+      {"in-flight count 2^62", l.inflight_count, 1ULL << 62, 8},
+      {"in-flight slot 1000", l.inflight_count + 8, 1000, 4},
+      {"request owner 7 of 4 apps", l.first_request_app, 7, 4},
+      {"bank last user 4 of 4 apps", l.bank_last_user, 4, 4},
+      {"bus user 9 of 4 apps", l.bus_user, 9, 4},
+      {"oldest pending slot 500", l.oldest_pending, 500, 4},
+  };
+  for (const Forgery& f : forged) {
+    std::vector<std::uint8_t> bytes = blob;
+    put_le(bytes, f.at, f.value, f.width);
+    EXPECT_THROW(restores(bytes), snap::SnapshotError) << f.what;
+  }
+}
+
+TEST(SnapshotRoundtrip, ForgedContainerCountsFailLoudly) {
+  // A BWRR shard whose params count reads 2^60, checksum resealed.
+  std::vector<std::uint8_t> shard_bytes =
+      shard::encode_result_shard(pinned_unit_result());
+  {
+    snap::Reader r(shard_bytes);
+    r.expect_tag("BWRR");
+    (void)r.u32();  // version
+    (void)r.str();  // key
+    (void)r.u64();  // config fingerprint
+    (void)r.str();  // DRAM generation
+    (void)r.str();  // scheme
+    put_le(shard_bytes, r.position(), 1ULL << 60, 8);
+  }
+  reseal(shard_bytes);
+  EXPECT_THROW(shard::decode_result_shard(shard_bytes), snap::SnapshotError);
+
+  // A BWPS file whose params count (the first payload field, after magic,
+  // version, config fingerprint and payload length) reads 2^60.
+  const Experiment ex(pinned_machine(), pinned_mix(), pinned_phases());
+  const std::string path = testing::TempDir() + "snap_forged_count.bwps";
+  write_profile_snapshot(path, ex.capture_profile());
+  std::vector<std::uint8_t> file = read_whole_file(path);
+  put_le(file, 24, 1ULL << 60, 8);
+  reseal(file);
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char*>(file.data()),
+             static_cast<std::streamsize>(file.size()));
+  }
+  EXPECT_THROW(read_profile_snapshot(path), snap::SnapshotError);
+  std::remove(path.c_str());
 }
 
 }  // namespace
