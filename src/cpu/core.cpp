@@ -202,23 +202,27 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
   const bool collapsible = width >= 1.0 && width == std::floor(width) &&
                            static_cast<double>(bud_max) <= width &&
                            rob > bud_max;
+  // Both collapses need the budget on the orbit table with the proof's
+  // remaining cycles inside it. A budget the table cannot place (past
+  // kSteps steps with no reset, or too close to the table's end) clears
+  // this flag, and the rest of the proof runs in the generic mirror below,
+  // which models the same cycles exactly, with no further lookup.
+  bool on_table = true;
   for (Cycle j = 1; j <= cap; ++j) {
-    if (it != loads_end && it->seq == rs && it->done_at == kNoCycle) {
+    if (on_table && it != loads_end && it->seq == rs &&
+        it->done_at == kNoCycle) {
       // Retirement blocked on a load whose completion is not yet known: the
       // retire cursor cannot move again within this proof (loads_ is
       // immutable here), so each remaining cycle is one memory stall plus
       // the fetch accumulator, until the ROB fills (frozen: the remaining
       // cycles follow the fast_forward_stall() closed form exactly), fetch
-      // reaches the next memory op (touch), or the cap. Collapsing the
-      // stretch skips the retire mirror and the per-cycle rollback
-      // snapshots; every FP op matches the generic body below bit-for-bit.
+      // reaches the next memory op (touch), or the cap. Orbit collapse:
+      // locate the budget on the tabulated orbit, then the whole stretch
+      // reduces to one binary search over the prefix sums — the first cycle
+      // whose cumulative fetch passes the next memory op (touch) or fills
+      // the window (freeze). End states read straight off the table, so
+      // every FP value matches the generic mirror below bit-for-bit.
       const std::uint64_t rob_lim = rs + rob;
-      // Orbit collapse: locate the budget on the tabulated orbit, then the
-      // whole stretch reduces to one binary search over the prefix sums —
-      // the first cycle whose cumulative fetch passes the next memory op
-      // (touch) or fills the window (freeze). End states read straight off
-      // the table, so every FP value matches the per-cycle loop below
-      // bit-for-bit. Off-orbit budgets fall back to the loop.
       const std::uint32_t p0 = orbit.find(fb);
       const std::uint64_t room = cap - j + 1;
       if (p0 != FbOrbit::kNpos && p0 + room <= FbOrbit::kSteps) {
@@ -245,8 +249,8 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
           fs += orbit.cum[p0 + stalls] - base;
           fb = orbit.fbl[p0 + stalls];
         } else {
-          // Window boundary first (the loop checks ROB space before the
-          // memory touch, so ties freeze). The stretch ends at the first
+          // Window boundary first (the fetch step checks ROB space before
+          // the memory touch, so ties freeze). The stretch ends at the first
           // cycle whose cumulative fetch reaches the window limit; budget
           // left over at the limit flags one ROB stall and zeroes the
           // budget, and the following cycle's scan freezes.
@@ -275,45 +279,19 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
         if (stalls > 0) rb = 0.0;
         break;
       }
-      for (; j <= cap; ++j) {
-        if (fs == rob_lim) {
-          prefix = j - 1;
-          wake = kNoCycle;
-          frozen = true;
-          break;
-        }
-        const double nfb = fb + ipc;
-        const auto granted = static_cast<std::uint64_t>(nfb);
-        std::uint64_t bud = granted;
-        const std::uint64_t fs_top = fs;
-        const FetchStop stop = fetch_nonmem(fs, bud, rob_lim, mem_seq);
-        if (stop == FetchStop::kMemOp) {
-          prefix = j - 1;
-          wake = now + j;
-          fs = fs_top;
-          break;
-        }
-        ++mem_stalls;
-        rb = 0.0;  // nothing retired
-        if (stop == FetchStop::kWindowFull) {
-          ++rob_stalls;
-          fb = 0.0;
-        } else {
-          fb = nfb - static_cast<double>(granted);
-        }
-      }
-      break;
+      on_table = false;
     }
     // With no load left and rb exactly zero (guaranteed in practice: an
     // integer width leaves retire_budget_ at 0.0 forever) the retire
     // mirror is pure integer bookkeeping: each cycle drains exactly the
     // previous fetch.
-    if (it == loads_end && collapsible && fs - rs <= width_u && rb == 0.0) {
-      // Orbit collapse: the accumulator loop below walks the tabulated
-      // orbit one step per cycle, so the touch cycle is one binary search
-      // over the prefix sums and the end state reads straight off the
-      // table (same construction as the stuck-stretch collapse above).
-      // Off-orbit budgets fall back to the loop.
+    if (on_table && it == loads_end && collapsible && fs - rs <= width_u &&
+        rb == 0.0) {
+      // Orbit collapse: from here the generic mirror would walk the
+      // tabulated orbit one step per cycle, so the touch cycle is one
+      // binary search over the prefix sums and the end state reads
+      // straight off the table (same construction as the stuck-stretch
+      // collapse above).
       const std::uint32_t p0 = orbit.find(fb);
       const std::uint64_t room = cap - j + 1;
       if (p0 != FbOrbit::kNpos && p0 + room <= FbOrbit::kSteps) {
@@ -337,27 +315,7 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
         }
         break;
       }
-      std::uint64_t delta = fs - rs;  // un-retired tail = last fetch
-      std::uint64_t acc = 0;          // instructions fetched in this loop
-      const std::uint64_t needed = mem_seq - fs;
-      for (; j <= cap; ++j) {
-        const double nfb = fb + ipc;
-        const auto bud = static_cast<std::uint64_t>(nfb);
-        if (acc + bud > needed) {
-          // This cycle's fetch would reach mem_seq with budget left: the
-          // memory touch. State stays as of the previous cycle, exactly
-          // like the snapshot rollback in the generic mirror.
-          prefix = j - 1;
-          wake = now + j;
-          break;
-        }
-        acc += bud;
-        fb = nfb - static_cast<double>(bud);
-        delta = bud;
-      }
-      fs += acc;
-      rs = fs - delta;
-      break;
+      on_table = false;
     }
     rb_p = rb;
     fb_p = fb;

@@ -142,10 +142,12 @@ class OoOCore {
   /// system — provided no new completion for this application's reads is
   /// delivered inside the range (the owner must replay-then-wake at such a
   /// delivery). Returns now + 1 when the memory op would be attempted on
-  /// the very next cycle, and kNoCycle when the window provably freezes
-  /// (retirement blocked on a pending load, window full) — the cycles
-  /// after the frozen point follow the fast_forward_stall() closed form.
-  /// The proof mirrors at most kDetLookahead cycles.
+  /// the very next cycle, and kNoCycle when the orbit collapse proves the
+  /// window freezes (retirement blocked on a pending load, window full) —
+  /// the cycles after the frozen point follow the fast_forward_stall()
+  /// closed form. A fetch budget off the orbit table runs through the
+  /// per-cycle mirror, which proves up to its cap instead. The proof
+  /// mirrors at most kDetLookahead cycles.
   Cycle next_det_wake(Cycle now) const;
 
   /// Replays the `n` consecutive cycles [start, start + n) of a

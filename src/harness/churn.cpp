@@ -627,31 +627,9 @@ void ChurnEngine::resolve_shares(bool initial) {
   }
 
   if (initial) {
-    // Mirror Experiment::measure_phase exactly: fresh scheduler instances
-    // and the matching admission mode, so an empty schedule reproduces the
+    // The measure phase's own install, so an empty schedule reproduces the
     // fixed-mix path bit-for-bit.
-    for (std::size_t c = 0; c < sys_.num_controllers(); ++c) {
-      std::unique_ptr<mem::Scheduler> sched;
-      if (qos_mode || !core::is_priority_scheme(cfg_.scheme)) {
-        if (cfg_.scheme == core::Scheme::NoPartitioning && !qos_mode) {
-          sched = std::make_unique<mem::FcfsScheduler>();
-        } else {
-          auto stf = std::make_unique<mem::StartTimeFairScheduler>(
-              n, row_hit_window_);
-          stf->set_shares(beta);
-          sched = std::move(stf);
-        }
-      } else {
-        auto prio = std::make_unique<mem::StrictPriorityScheduler>(n);
-        prio->set_priority_ranks(ranks);
-        sched = std::move(prio);
-      }
-      sys_.controller(c).replace_scheduler(std::move(sched));
-      sys_.controller(c).set_admission_mode(
-          cfg_.scheme == core::Scheme::NoPartitioning && !qos_mode
-              ? mem::AdmissionMode::Shared
-              : mem::AdmissionMode::PerApp);
-    }
+    install_enforcement(sys_, beta, ranks, row_hit_window_);
   } else {
     // Re-solve: mutate the installed schedulers in place (virtual clocks
     // carry over, exactly like the rolling re-profiler).
@@ -757,28 +735,9 @@ ChurnRunResult ChurnEngine::finish() {
   sys_.check_conservation("ChurnEngine::finish");
   const std::size_t n = sys_.num_apps();
   ChurnRunResult r;
-  // The fixed-run shape, computed exactly as Experiment::measure_phase does
+  // The fixed-run shape, scored exactly as Experiment::measure_phase does
   // (the empty-schedule bit-identity contract).
-  r.base.scheme = cfg_.scheme;
-  r.base.params = params_;
-  r.base.ipc_shared = sys_.measured_ipc();
-  r.base.apc_shared = sys_.measured_apc();
-  r.base.total_apc = sys_.measured_total_apc();
-  r.base.bus_utilization = sys_.bus_utilization();
-  std::vector<double> ipc_alone;
-  ipc_alone.reserve(n);
-  for (const core::AppParams& p : r.base.params) {
-    ipc_alone.push_back(p.ipc_alone());
-  }
-  const bool starved =
-      std::any_of(r.base.ipc_shared.begin(), r.base.ipc_shared.end(),
-                  [](double x) { return x <= 0.0; });
-  r.base.hsp = starved ? 0.0
-                       : core::harmonic_weighted_speedup(r.base.ipc_shared,
-                                                         ipc_alone);
-  r.base.wsp = core::weighted_speedup(r.base.ipc_shared, ipc_alone);
-  r.base.ipcsum = core::ipc_sum(r.base.ipc_shared);
-  r.base.min_fairness = core::min_fairness(r.base.ipc_shared, ipc_alone);
+  r.base = score_window(sys_, cfg_.scheme, params_);
 
   r.ipc_live = sys_.measured_ipc_live();
   r.apc_live = sys_.measured_apc_live();

@@ -104,33 +104,70 @@ std::vector<core::AppParams> Experiment::profile_phase(CmpSystem& sys) const {
   return params;
 }
 
+void install_enforcement(CmpSystem& sys, std::span<const double> beta,
+                         std::span<const std::uint32_t> ranks,
+                         double row_hit_window) {
+  const std::size_t n = sys.num_apps();
+  for (std::size_t c = 0; c < sys.num_controllers(); ++c) {
+    std::unique_ptr<mem::Scheduler> sched;
+    if (!beta.empty()) {
+      auto stf =
+          std::make_unique<mem::StartTimeFairScheduler>(n, row_hit_window);
+      stf->set_shares(beta);
+      sched = std::move(stf);
+    } else if (!ranks.empty()) {
+      auto prio = std::make_unique<mem::StrictPriorityScheduler>(n);
+      prio->set_priority_ranks(ranks);
+      sched = std::move(prio);
+    } else {
+      sched = std::make_unique<mem::FcfsScheduler>();
+    }
+    sys.controller(c).replace_scheduler(std::move(sched));
+    sys.controller(c).set_admission_mode(beta.empty() && ranks.empty()
+                                             ? mem::AdmissionMode::Shared
+                                             : mem::AdmissionMode::PerApp);
+  }
+}
+
+RunResult score_window(const CmpSystem& sys, core::Scheme scheme,
+                       std::vector<core::AppParams> params) {
+  RunResult r;
+  r.scheme = scheme;
+  r.params = std::move(params);
+  r.ipc_shared = sys.measured_ipc();
+  r.apc_shared = sys.measured_apc();
+  r.total_apc = sys.measured_total_apc();
+  r.bus_utilization = sys.bus_utilization();
+
+  std::vector<double> ipc_alone;
+  ipc_alone.reserve(r.params.size());
+  for (const core::AppParams& p : r.params) {
+    ipc_alone.push_back(p.ipc_alone());
+  }
+  const bool starved = std::any_of(r.ipc_shared.begin(), r.ipc_shared.end(),
+                                   [](double x) { return x <= 0.0; });
+  r.hsp = starved ? 0.0
+                  : core::harmonic_weighted_speedup(r.ipc_shared, ipc_alone);
+  r.wsp = core::weighted_speedup(r.ipc_shared, ipc_alone);
+  r.ipcsum = core::ipc_sum(r.ipc_shared);
+  r.min_fairness = core::min_fairness(r.ipc_shared, ipc_alone);
+  return r;
+}
+
 RunResult Experiment::measure_phase(
     CmpSystem& sys, core::Scheme scheme, std::vector<core::AppParams> params,
     std::span<const double> shares_override) const {
   const std::size_t n = apps_.size();
-  // Every controller gets its own enforcement scheduler instance carrying
-  // the globally computed shares/ranks: DSTF virtual time only advances for
-  // the applications actually issuing to that controller, so each
-  // controller independently partitions its bandwidth among its local
-  // subset (per-controller DSTF enforcement).
-  for (std::size_t c = 0; c < sys.num_controllers(); ++c) {
-    std::unique_ptr<mem::Scheduler> sched;
-    if (!shares_override.empty()) {
-      auto stf = std::make_unique<mem::StartTimeFairScheduler>(
-          n, cfg_.dstf_row_hit_window);
-      stf->set_shares(shares_override);
-      sched = std::move(stf);
-    } else {
-      sched = make_scheduler(scheme, n, params, cfg_.dstf_row_hit_window);
-    }
-    sys.controller(c).replace_scheduler(std::move(sched));
-    // Partitioned schemes use per-application queue slices (QoS-style
-    // controllers); No_partitioning keeps the classic shared FCFS queue.
-    sys.controller(c).set_admission_mode(
-        scheme == core::Scheme::NoPartitioning && shares_override.empty()
-            ? mem::AdmissionMode::Shared
-            : mem::AdmissionMode::PerApp);
+  // An explicit share vector (QoS) wins; otherwise the scheme's own rule
+  // over the profiled parameters, exactly as apply_scheme() derives it.
+  std::vector<double> beta(shares_override.begin(), shares_override.end());
+  std::vector<std::uint32_t> ranks;
+  if (beta.empty() && core::is_priority_scheme(scheme)) {
+    ranks = core::priority_ranks(scheme, params);
+  } else if (beta.empty() && scheme != core::Scheme::NoPartitioning) {
+    beta = core::compute_shares(scheme, params, 1.0);
   }
+  install_enforcement(sys, beta, ranks, cfg_.dstf_row_hit_window);
   // Only the rolling re-profiler reads the interference counters here; a
   // fixed-share measure phase runs without attribution.
   const bool reprofile =
@@ -165,28 +202,7 @@ RunResult Experiment::measure_phase(
   }
 
   sys.check_conservation("Experiment::measure_phase");
-
-  RunResult r;
-  r.scheme = scheme;
-  r.params = std::move(params);
-  r.ipc_shared = sys.measured_ipc();
-  r.apc_shared = sys.measured_apc();
-  r.total_apc = sys.measured_total_apc();
-  r.bus_utilization = sys.bus_utilization();
-
-  std::vector<double> ipc_alone;
-  ipc_alone.reserve(n);
-  for (const core::AppParams& p : r.params) {
-    ipc_alone.push_back(p.ipc_alone());
-  }
-  const bool starved = std::any_of(r.ipc_shared.begin(), r.ipc_shared.end(),
-                                   [](double x) { return x <= 0.0; });
-  r.hsp = starved ? 0.0
-                  : core::harmonic_weighted_speedup(r.ipc_shared, ipc_alone);
-  r.wsp = core::weighted_speedup(r.ipc_shared, ipc_alone);
-  r.ipcsum = core::ipc_sum(r.ipc_shared);
-  r.min_fairness = core::min_fairness(r.ipc_shared, ipc_alone);
-  return r;
+  return score_window(sys, scheme, std::move(params));
 }
 
 RunResult Experiment::run(core::Scheme scheme) const {

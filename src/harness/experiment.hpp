@@ -69,6 +69,24 @@ struct RunResult {
   double metric(core::Metric m) const;
 };
 
+/// Installs a fresh enforcement scheduler and admission mode on every
+/// controller of `sys`: StartTimeFair over `beta` when it is non-empty, else
+/// StrictPriority over `ranks` when that is non-empty, each with
+/// per-application queue slices; else FCFS on the shared queue
+/// (No_partitioning). Every controller gets its own instance carrying the
+/// global shares or ranks, so DSTF virtual time advances only for the
+/// applications issuing to that controller (per-controller enforcement).
+void install_enforcement(CmpSystem& sys, std::span<const double> beta,
+                         std::span<const std::uint32_t> ranks,
+                         double row_hit_window);
+
+/// Scores a finished measure window: the measured per-application IPC and
+/// APC, total APC and bus utilization of `sys`, and the paper's metrics
+/// against each application's alone IPC in `params` (Hsp reads 0 when any
+/// application was starved).
+RunResult score_window(const CmpSystem& sys, core::Scheme scheme,
+                       std::vector<core::AppParams> params);
+
 class Experiment {
  public:
   Experiment(const SystemConfig& cfg,

@@ -2,14 +2,17 @@
 // deterministic as fixed runs (bit-identical fingerprints across reruns,
 // fast-forward on/off, and parallel sweeps), an empty schedule reproduces
 // the fixed-mix measure phase bit for bit, schedules round-trip through the
-// text grammar, and a mid-churn snapshot resumes field-by-field equal to an
-// uninterrupted run.
+// text grammar, random token soups parse or fail with std::runtime_error,
+// and a mid-churn snapshot resumes field-by-field equal to an uninterrupted
+// run.
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -463,6 +466,152 @@ TEST(ChurnProperties, GrammarRejectsMalformedSchedulesLoudly) {
   // Six significant digits or fewer print as before.
   EXPECT_EQ(ChurnSchedule::parse("@9 phase 0 api=0.0123457").to_compact(),
             "@9 phase 0 api=0.0123457");
+}
+
+/// A grammar fuzz input: schedule text and the superset it validates
+/// against.
+struct SoupCase {
+  std::string text;
+  std::size_t apps = 1;
+};
+
+/// One line of tokens drawn from the grammar's vocabulary: directives, `@`
+/// cycles, app ids and lists, and knob=value pairs with huge, negative,
+/// non-finite or empty values, in a well-formed order most of the time.
+std::string soup_line(Rng& rng) {
+  const auto pick = [&rng](std::initializer_list<const char*> pool) {
+    return std::string(*(pool.begin() + rng.next_below(pool.size())));
+  };
+  const auto app = [&] {
+    return rng.next_bool(0.7)
+               ? std::to_string(rng.next_below(6))
+               : pick({"4294967295", "4294967296", "-1", "", "1,2", "0,0",
+                       "1,", ",", "1,,2", "x", "18446744073709551616"});
+  };
+  const auto cycle = [&] {
+    return "@" + (rng.next_bool(0.7)
+                      ? std::to_string(rng.next_below(100'000))
+                      : pick({"", "-5", "0", "1000000000000000000",
+                              "1000000000000000001", "18446744073709551615",
+                              "18446744073709551616", "1e3", "x"}));
+  };
+  const auto knob = [&] {
+    const std::string key =
+        pick({"api", "mean_cluster", "write_fraction", "dependent_fraction",
+              "seq_run_lines", "intra_cluster_gap", "rowbuf", ""});
+    const std::string value =
+        rng.next_bool(0.4)
+            ? pick({"0.01", "0.5", "1", "2", "0", "3", "1000000"})
+            : pick({"", "nan", "-nan", "inf", "-inf", "-0", "-1", "1e308",
+                    "1e-320", "1e-9", "0.0123456789", "1000000000",
+                    "1000000001", "18446744073709551615",
+                    "18446744073709551616", "99999999999999999999999",
+                    "0x10", "1.5e"});
+    return rng.next_bool(0.95) ? key + "=" + value : key + value;
+  };
+  std::vector<std::string> tokens;
+  switch (rng.next_below(4)) {
+    case 0:
+      tokens = {"dormant", app()};
+      break;
+    case 1:
+    case 2: {
+      tokens = {cycle(), pick({"arrive", "depart", "phase", "vanish"}), app()};
+      const std::uint64_t knobs = rng.next_below(4);
+      for (std::uint64_t k = 0; k < knobs; ++k) tokens.push_back(knob());
+      break;
+    }
+    default:
+      // Free soup: any token in any order.
+      for (std::uint64_t t = rng.next_below(5); t > 0; --t) {
+        const std::uint64_t kind = rng.next_below(4);
+        tokens.push_back(
+            kind == 0   ? pick({"dormant", "arrive", "depart", "phase"})
+            : kind == 1 ? cycle()
+            : kind == 2 ? app()
+                        : knob());
+      }
+  }
+  std::string line;
+  for (const std::string& t : tokens) line += (line.empty() ? "" : " ") + t;
+  return line;
+}
+
+// Random token soups through the grammar: each parses to a schedule or
+// throws std::runtime_error, as does its validation; nothing else escapes,
+// and nothing aborts or trips a sanitizer (the churn-smoke CI job runs this
+// suite under ASan and UBSan). A schedule that parses reads back from its
+// own text field by field, with the same fingerprint.
+TEST(ChurnProperties, GrammarFuzzParsesOrFailsLoudly) {
+  int parsed = 0;
+  int valid = 0;
+  const pbt::Config cfg{pbt::base_seed(), 3'000, 100};
+  const pbt::Result r = pbt::for_all<SoupCase>(
+      "churn grammar token soup",
+      [](Rng& rng) {
+        SoupCase c;
+        c.apps = static_cast<std::size_t>(pbt::gen_uint(rng, 1, 6));
+        for (std::uint64_t l = pbt::gen_uint(rng, 1, 6); l > 0; --l) {
+          c.text += soup_line(rng);
+          c.text += rng.next_bool(0.5) ? ";" : "\n";
+        }
+        return c;
+      },
+      [&](const SoupCase& c) -> std::string {
+        ChurnSchedule s;
+        try {
+          s = ChurnSchedule::parse(c.text);
+        } catch (const std::runtime_error&) {
+          return {};
+        } catch (const std::exception& e) {
+          return std::string("parse threw a non-runtime_error: ") + e.what();
+        }
+        ++parsed;
+        try {
+          const ChurnSchedule back = ChurnSchedule::parse(s.to_text());
+          if (back.fingerprint() != s.fingerprint()) {
+            return "the reparsed text fingerprints differently";
+          }
+          if (!same_schedule(back, s)) {
+            return "the reparsed text differs field by field";
+          }
+        } catch (const std::exception& e) {
+          return std::string("a parsed schedule's own text fails: ") +
+                 e.what();
+        }
+        try {
+          s.validate(c.apps);
+          ++valid;
+        } catch (const std::runtime_error&) {
+        } catch (const std::exception& e) {
+          return std::string("validate threw a non-runtime_error: ") +
+                 e.what();
+        }
+        return {};
+      },
+      cfg,
+      [](const SoupCase& c) {
+        // Drop one line, with its separator, at a time.
+        std::vector<SoupCase> fewer;
+        std::size_t from = 0;
+        for (std::size_t at = 0; at < c.text.size(); ++at) {
+          if (c.text[at] != ';' && c.text[at] != '\n') continue;
+          SoupCase d = c;
+          d.text.erase(from, at + 1 - from);
+          if (!d.text.empty()) fewer.push_back(std::move(d));
+          from = at + 1;
+        }
+        return fewer;
+      },
+      [](const SoupCase& c) {
+        std::string text = c.text;
+        std::replace(text.begin(), text.end(), '\n', ';');
+        return "apps=" + std::to_string(c.apps) + " text{" + text + "}";
+      });
+  EXPECT_TRUE(r.ok) << r.report();
+  // The soup reaches the round trip and validation, not only parse errors.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(valid, 10);
 }
 
 }  // namespace

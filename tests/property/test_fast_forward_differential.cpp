@@ -301,7 +301,8 @@ pbt::GenFn<DetCase> det_case_gen() {
     c.seed = rng.next_u64();
     if (rng.next_bool(0.5)) {
       // Sparse: a large window and no dependent reads keep fetch stall-free
-      // past FbOrbit's table, so the per-cycle fallbacks run.
+      // past FbOrbit's table, so the generic mirror proves off-table
+      // budgets.
       c.core.rob_size = 1024;
       c.max_gap = 3'000;
       c.cycles = static_cast<Cycle>(pbt::gen_uint(rng, 40'000, 60'000));

@@ -6,7 +6,8 @@
 // container, with interference attribution on or off. Every stream's bytes
 // are pinned. Corrupt or truncated files, and forged counts and indices
 // behind a valid checksum, must fail with snap::SnapshotError, never
-// undefined behavior.
+// undefined behavior; a result shard with random byte edits behind a valid
+// checksum decodes or fails the same way.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -881,6 +883,74 @@ TEST(SnapshotRoundtrip, ForgedContainerCountsFailLoudly) {
   }
   EXPECT_THROW(read_profile_snapshot(path), snap::SnapshotError);
   std::remove(path.c_str());
+}
+
+/// Byte edits to a BWRR shard body: (offset, new byte) pairs, applied in
+/// order.
+using ShardEdits = std::vector<std::pair<std::size_t, std::uint8_t>>;
+
+// A valid BWRR shard with 1-8 random byte edits, checksum resealed, either
+// decodes or fails with snap::SnapshotError: never another exception, an
+// abort or a sanitizer report (the sanitizer CI job runs this suite). A
+// shard that decodes must re-encode to the same bytes.
+TEST(SnapshotRoundtrip, EditedResultShardsDecodeOrFailLoudly) {
+  const std::vector<std::uint8_t> valid =
+      shard::encode_result_shard(pinned_unit_result());
+  const std::size_t body = valid.size() - 8;  // reseal() rewrites the rest
+  int decoded = 0;
+  int rejected = 0;
+  const pbt::Config cfg{pbt::base_seed(), 2'000, 100};
+  const pbt::Result r = pbt::for_all<ShardEdits>(
+      "edited BWRR shards decode or fail loudly",
+      [body](Rng& rng) {
+        ShardEdits edits(pbt::gen_uint(rng, 1, 8));
+        for (auto& [at, byte] : edits) {
+          at = pbt::gen_uint(rng, 0, body - 1);
+          // Saturated bytes forge huge counts and lengths more often.
+          byte = rng.next_bool(0.25)
+                     ? std::uint8_t{0xff}
+                     : static_cast<std::uint8_t>(rng.next_below(256));
+        }
+        return edits;
+      },
+      [&](const ShardEdits& edits) -> std::string {
+        std::vector<std::uint8_t> bytes = valid;
+        for (const auto& [at, byte] : edits) bytes[at] = byte;
+        reseal(bytes);
+        try {
+          const shard::UnitResult u = shard::decode_result_shard(bytes);
+          ++decoded;
+          if (shard::encode_result_shard(u) != bytes) {
+            return "a decoded shard re-encodes to different bytes";
+          }
+        } catch (const snap::SnapshotError&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          return std::string("decode threw a non-SnapshotError: ") + e.what();
+        }
+        return {};
+      },
+      cfg,
+      [](const ShardEdits& edits) {
+        std::vector<ShardEdits> fewer;
+        for (std::size_t i = 0; edits.size() > 1 && i < edits.size(); ++i) {
+          ShardEdits e = edits;
+          e.erase(e.begin() + static_cast<std::ptrdiff_t>(i));
+          fewer.push_back(std::move(e));
+        }
+        return fewer;
+      },
+      [](const ShardEdits& edits) {
+        std::ostringstream os;
+        for (const auto& [at, byte] : edits) {
+          os << at << "=0x" << std::hex << int{byte} << std::dec << ' ';
+        }
+        return os.str();
+      });
+  EXPECT_TRUE(r.ok) << r.report();
+  // Both outcomes occur, so the property is not vacuous either way.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace
