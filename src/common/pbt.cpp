@@ -1,8 +1,11 @@
 #include "common/pbt.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "common/assert.hpp"
 
@@ -11,10 +14,25 @@ namespace bwpart::pbt {
 std::uint64_t base_seed(std::uint64_t fallback) {
   const char* env = std::getenv("BWPART_PBT_SEED");
   if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 0);
-  if (end == env) return fallback;  // unparsable; fall back silently
-  return static_cast<std::uint64_t>(parsed);
+  std::string_view text(env);
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  // from_chars takes no sign, space or prefix for an unsigned target, so a
+  // seed is all digits or a loud failure, never a silent re-run of another.
+  std::uint64_t seed = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, seed, base);
+  if (ec != std::errc() || end != last) {
+    std::fprintf(stderr,
+                 "BWPART_PBT_SEED='%s' is not a decimal or 0x-hex unsigned "
+                 "64-bit integer\n",
+                 env);
+    std::abort();
+  }
+  return seed;
 }
 
 std::uint64_t case_seed(std::uint64_t base, std::uint64_t index) {

@@ -29,7 +29,9 @@
 namespace bwpart::pbt {
 
 /// The base seed for a test binary: the BWPART_PBT_SEED environment
-/// variable when set (decimal or 0x-hex), else `fallback`.
+/// variable when set and non-empty, else `fallback`. The variable must hold
+/// a whole decimal or 0x-hex unsigned 64-bit integer; anything else aborts,
+/// naming the variable and its value.
 std::uint64_t base_seed(std::uint64_t fallback = 0x5eedc0def00dULL);
 
 /// Derives the per-case RNG seed (splitmix64 over base ^ index); exposed so

@@ -148,16 +148,17 @@ WakeProof OoOCore::prove_sleep(Cycle now) const {
   if (w == now + 1) {
     const Cycle wd = next_det_wake(now);
     if (wd > w) return {wd, SleepFlavor::kDet};
-    return {w, SleepFlavor::kStallOwn};  // not sleeping; flavor unused
+    return {w, SleepFlavor::kStall};  // not sleeping; flavor unused
   }
   // Blocked. Shared-queue backpressure is the only block another
   // application's completion can clear (conservatively: the two-slot
-  // reservation used with cache modelling counts as queue pressure too).
-  const bool shared_block =
-      controller_.admission_mode() == mem::AdmissionMode::Shared &&
-      !controller_.can_accept_n(app_, 2);
-  return {w, shared_block ? SleepFlavor::kStallShared
-                          : SleepFlavor::kStallOwn};
+  // reservation used with cache modelling counts as queue pressure too),
+  // so such a core ticks on instead of sleeping.
+  if (controller_.admission_mode() == mem::AdmissionMode::Shared &&
+      !controller_.can_accept_n(app_, 2)) {
+    return {now + 1, SleepFlavor::kStall};
+  }
+  return {w, SleepFlavor::kStall};
 }
 
 Cycle OoOCore::next_det_wake(Cycle now) const {

@@ -77,23 +77,23 @@ struct CoreStats {
   }
 };
 
-/// How a sleeping core's deferred cycles must be replayed, and which events
-/// can invalidate the sleep proof early. Stall flavors lean on external
-/// state a completion can free. The deterministic-window replay reads the
-/// load queue, so the owner must replay its range *before* delivering one
-/// of this application's read completions (which mutate load state) and
-/// wake the core there; write completions leave it untouched.
+/// How a sleeping core's deferred cycles must be replayed, and which of
+/// this application's completions end the sleep early (no other
+/// application's can). A stall leans on state any of its completions can
+/// free. The deterministic-window replay reads the load queue, so the
+/// owner must replay its range *before* delivering one of this
+/// application's read completions (which mutate load state) and wake the
+/// core there; write completions leave it untouched.
 enum class SleepFlavor : std::uint8_t {
-  kStallOwn = 0,     ///< blocked; only this app's completions can unblock
-  kStallShared = 1,  ///< blocked on shared queue space; any completion can
-  kDet = 2,          ///< deterministic window run; own read completions wake
+  kStall = 0,  ///< blocked; any of this app's completions wakes
+  kDet = 1,    ///< deterministic window run; this app's reads wake
 };
 
 /// Result of OoOCore::prove_sleep(): the first cycle the core must tick
 /// again, and the replay/wake semantics of the cycles in between.
 struct WakeProof {
   Cycle wake = 0;
-  SleepFlavor flavor = SleepFlavor::kStallOwn;
+  SleepFlavor flavor = SleepFlavor::kStall;
 };
 
 /// Memo of the fractional fetch-budget orbit for one nonmem_ipc value
@@ -161,11 +161,11 @@ class OoOCore {
   void fast_forward_det(Cycle start, Cycle n);
 
   /// One-shot sleep proof combining next_wake() with the deterministic-
-  /// window refinement, plus the completion-sensitivity classification: a
-  /// stalled core blocked on the shared transaction queue can be freed by
-  /// any application's completion, while MSHR, store-buffer, per-app-queue
-  /// and dependent-load blocks clear only on this application's
-  /// completions.
+  /// window refinement. Every sleep it proves ends only on this
+  /// application's completions: MSHR, store-buffer, per-app-queue and
+  /// dependent-load blocks clear on nothing else. A block on the shared
+  /// transaction queue, which any application's completion can clear,
+  /// proves no sleep (wake now + 1).
   WakeProof prove_sleep(Cycle now) const;
 
   /// Replays `n` consecutive provably-stalled cycles in closed form:

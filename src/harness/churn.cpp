@@ -545,14 +545,10 @@ void ChurnEngine::resolve_shares(bool initial) {
   }
   BWPART_ASSERT(!live_ids.empty(), "re-solve with no live app");
 
-  // Shares over the superset: live entries from the solver, dormant exactly
-  // 0 (they issue nothing; DSTF clamps zero shares internally, so a stale
-  // dormant entry cannot starve anyone on re-arrival either — but Eq. 2
-  // conservation wants them exactly zero).
-  std::vector<double> beta;
-  std::vector<std::uint32_t> ranks;
-  const bool qos_mode = !cfg_.qos.empty();
-  if (qos_mode) {
+  // The scheme's enforcement over the live sub-workload: the QoS plan's
+  // shares, else the scheme's own rule over the live parameters.
+  Enforcement live_e;
+  if (!cfg_.qos.empty()) {
     // Remap the surviving requirements into the live sub-workload.
     std::vector<core::QosRequirement> live_reqs;
     for (const core::QosRequirement& req : cfg_.qos) {
@@ -597,48 +593,44 @@ void ChurnEngine::resolve_shares(bool initial) {
       }
       return;
     }
-    beta.assign(n, 0.0);
+    live_e.beta = plan.beta;
+  } else {
+    live_e = enforcement_for(cfg_.scheme, live_params);
+  }
+  // Onto the superset. Shares: dormant apps exactly 0 (they issue nothing;
+  // DSTF clamps zero shares internally, so a stale dormant entry cannot
+  // starve anyone on re-arrival either — but Eq. 2 conservation wants them
+  // exactly zero). Ranks: live apps keep their scheme order among
+  // themselves; dormant apps are parked behind them in app order (they
+  // issue nothing, but the rank vector must cover the superset).
+  Enforcement e;
+  if (!live_e.beta.empty()) {
+    e.beta.assign(n, 0.0);
     for (std::size_t i = 0; i < live_ids.size(); ++i) {
-      beta[live_ids[i]] = plan.beta[i];
+      e.beta[live_ids[i]] = live_e.beta[i];
     }
-  } else if (core::is_priority_scheme(cfg_.scheme)) {
-    // Live apps keep their scheme order among themselves; dormant apps are
-    // parked behind them in app order (they issue nothing, but the rank
-    // vector must cover the superset).
-    const auto live_ranks = core::priority_ranks(cfg_.scheme, live_params);
-    ranks.assign(n, 0);
+    BWPART_CHECK_RUN(
+        check::share_vector_live(e.beta, live, "ChurnEngine::resolve_shares"));
+  } else if (!live_e.ranks.empty()) {
+    e.ranks.assign(n, 0);
     for (std::size_t i = 0; i < live_ids.size(); ++i) {
-      ranks[live_ids[i]] = live_ranks[i];
+      e.ranks[live_ids[i]] = live_e.ranks[i];
     }
     std::uint32_t next_rank = static_cast<std::uint32_t>(live_ids.size());
     for (AppId a = 0; a < n; ++a) {
-      if (live[a] == 0) ranks[a] = next_rank++;
+      if (live[a] == 0) e.ranks[a] = next_rank++;
     }
-  } else if (cfg_.scheme != core::Scheme::NoPartitioning) {
-    const auto live_beta = core::compute_shares(cfg_.scheme, live_params, 1.0);
-    beta.assign(n, 0.0);
-    for (std::size_t i = 0; i < live_ids.size(); ++i) {
-      beta[live_ids[i]] = live_beta[i];
-    }
-  }
-  if (!beta.empty()) {
-    BWPART_CHECK_RUN(
-        check::share_vector_live(beta, live, "ChurnEngine::resolve_shares"));
   }
 
   if (initial) {
     // The measure phase's own install, so an empty schedule reproduces the
     // fixed-mix path bit-for-bit.
-    install_enforcement(sys_, beta, ranks, row_hit_window_);
+    install_enforcement(sys_, e, row_hit_window_);
   } else {
     // Re-solve: mutate the installed schedulers in place (virtual clocks
     // carry over, exactly like the rolling re-profiler).
     for (std::size_t c = 0; c < sys_.num_controllers(); ++c) {
-      if (!beta.empty()) {
-        sys_.controller(c).scheduler().set_shares(beta);
-      } else if (!ranks.empty()) {
-        sys_.controller(c).scheduler().set_priority_ranks(ranks);
-      }
+      apply_enforcement(sys_.controller(c).scheduler(), e);
     }
   }
   ++resolves_;

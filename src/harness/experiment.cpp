@@ -104,28 +104,15 @@ std::vector<core::AppParams> Experiment::profile_phase(CmpSystem& sys) const {
   return params;
 }
 
-void install_enforcement(CmpSystem& sys, std::span<const double> beta,
-                         std::span<const std::uint32_t> ranks,
+void install_enforcement(CmpSystem& sys, const Enforcement& e,
                          double row_hit_window) {
-  const std::size_t n = sys.num_apps();
+  const bool partitioned = !e.beta.empty() || !e.ranks.empty();
   for (std::size_t c = 0; c < sys.num_controllers(); ++c) {
-    std::unique_ptr<mem::Scheduler> sched;
-    if (!beta.empty()) {
-      auto stf =
-          std::make_unique<mem::StartTimeFairScheduler>(n, row_hit_window);
-      stf->set_shares(beta);
-      sched = std::move(stf);
-    } else if (!ranks.empty()) {
-      auto prio = std::make_unique<mem::StrictPriorityScheduler>(n);
-      prio->set_priority_ranks(ranks);
-      sched = std::move(prio);
-    } else {
-      sched = std::make_unique<mem::FcfsScheduler>();
-    }
-    sys.controller(c).replace_scheduler(std::move(sched));
-    sys.controller(c).set_admission_mode(beta.empty() && ranks.empty()
-                                             ? mem::AdmissionMode::Shared
-                                             : mem::AdmissionMode::PerApp);
+    sys.controller(c).replace_scheduler(
+        make_scheduler(e, sys.num_apps(), row_hit_window));
+    sys.controller(c).set_admission_mode(partitioned
+                                             ? mem::AdmissionMode::PerApp
+                                             : mem::AdmissionMode::Shared);
   }
 }
 
@@ -159,15 +146,13 @@ RunResult Experiment::measure_phase(
     std::span<const double> shares_override) const {
   const std::size_t n = apps_.size();
   // An explicit share vector (QoS) wins; otherwise the scheme's own rule
-  // over the profiled parameters, exactly as apply_scheme() derives it.
-  std::vector<double> beta(shares_override.begin(), shares_override.end());
-  std::vector<std::uint32_t> ranks;
-  if (beta.empty() && core::is_priority_scheme(scheme)) {
-    ranks = core::priority_ranks(scheme, params);
-  } else if (beta.empty() && scheme != core::Scheme::NoPartitioning) {
-    beta = core::compute_shares(scheme, params, 1.0);
-  }
-  install_enforcement(sys, beta, ranks, cfg_.dstf_row_hit_window);
+  // over the profiled parameters.
+  install_enforcement(
+      sys,
+      shares_override.empty()
+          ? enforcement_for(scheme, params)
+          : Enforcement{{shares_override.begin(), shares_override.end()}, {}},
+      cfg_.dstf_row_hit_window);
   // Only the rolling re-profiler reads the interference counters here; a
   // fixed-share measure phase runs without attribution.
   const bool reprofile =
@@ -190,8 +175,9 @@ RunResult Experiment::measure_phase(
         sys.run(chunk);
         done += chunk;
         if (auto fresh = rolling.update(done, sys.profiler_counters())) {
+          const Enforcement e = enforcement_for(scheme, *fresh);
           for (std::size_t c = 0; c < sys.num_controllers(); ++c) {
-            apply_scheme(sys.controller(c).scheduler(), scheme, *fresh);
+            apply_enforcement(sys.controller(c).scheduler(), e);
           }
           params = std::move(*fresh);
         }

@@ -69,15 +69,12 @@ struct RunResult {
   double metric(core::Metric m) const;
 };
 
-/// Installs a fresh enforcement scheduler and admission mode on every
-/// controller of `sys`: StartTimeFair over `beta` when it is non-empty, else
-/// StrictPriority over `ranks` when that is non-empty, each with
-/// per-application queue slices; else FCFS on the shared queue
-/// (No_partitioning). Every controller gets its own instance carrying the
-/// global shares or ranks, so DSTF virtual time advances only for the
-/// applications issuing to that controller (per-controller enforcement).
-void install_enforcement(CmpSystem& sys, std::span<const double> beta,
-                         std::span<const std::uint32_t> ranks,
+/// Installs a fresh scheduler enforcing `e` (make_scheduler) and its
+/// admission mode on every controller of `sys`. Every controller gets its
+/// own instance carrying the global shares or ranks, so DSTF virtual time
+/// advances only for the applications issuing to that controller
+/// (per-controller enforcement).
+void install_enforcement(CmpSystem& sys, const Enforcement& e,
                          double row_hit_window);
 
 /// Scores a finished measure window: the measured per-application IPC and

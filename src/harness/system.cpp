@@ -9,57 +9,48 @@
 
 namespace bwpart::harness {
 
+Enforcement enforcement_for(core::Scheme scheme,
+                            std::span<const core::AppParams> params) {
+  Enforcement e;
+  if (core::is_priority_scheme(scheme)) {
+    e.ranks = core::priority_ranks(scheme, params);
+  } else if (scheme != core::Scheme::NoPartitioning) {
+    // Only relative weights matter to the enforcement scheduler, so the
+    // bandwidth argument is arbitrary.
+    e.beta = core::compute_shares(scheme, params, 1.0);
+  }
+  return e;
+}
+
+std::unique_ptr<mem::Scheduler> make_scheduler(const Enforcement& e,
+                                               std::size_t num_apps,
+                                               double row_hit_window) {
+  std::unique_ptr<mem::Scheduler> sched;
+  if (!e.beta.empty()) {
+    sched = std::make_unique<mem::StartTimeFairScheduler>(num_apps,
+                                                          row_hit_window);
+  } else if (!e.ranks.empty()) {
+    sched = std::make_unique<mem::StrictPriorityScheduler>(num_apps);
+  } else {
+    sched = std::make_unique<mem::FcfsScheduler>();
+  }
+  apply_enforcement(*sched, e);
+  return sched;
+}
+
 std::unique_ptr<mem::Scheduler> make_scheduler(
     core::Scheme scheme, std::size_t num_apps,
     std::span<const core::AppParams> params, double row_hit_window) {
-  using core::Scheme;
-  switch (scheme) {
-    case Scheme::NoPartitioning:
-      return std::make_unique<mem::FcfsScheduler>();
-    case Scheme::PriorityApc:
-    case Scheme::PriorityApi: {
-      auto sched = std::make_unique<mem::StrictPriorityScheduler>(num_apps);
-      apply_scheme(*sched, scheme, params);
-      return sched;
-    }
-    case Scheme::Equal:
-    case Scheme::Proportional:
-    case Scheme::SquareRoot:
-    case Scheme::TwoThirdsPower: {
-      auto sched = std::make_unique<mem::StartTimeFairScheduler>(
-          num_apps, row_hit_window);
-      apply_scheme(*sched, scheme, params);
-      return sched;
-    }
-  }
-  BWPART_ASSERT(false, "unknown scheme");
-  return nullptr;
+  return make_scheduler(enforcement_for(scheme, params), num_apps,
+                        row_hit_window);
 }
 
-void apply_scheme(mem::Scheduler& sched, core::Scheme scheme,
-                  std::span<const core::AppParams> params) {
-  using core::Scheme;
-  switch (scheme) {
-    case Scheme::NoPartitioning:
-      return;  // FCFS has no knobs
-    case Scheme::PriorityApc:
-    case Scheme::PriorityApi: {
-      const auto ranks = core::priority_ranks(scheme, params);
-      sched.set_priority_ranks(ranks);
-      return;
-    }
-    case Scheme::Equal:
-    case Scheme::Proportional:
-    case Scheme::SquareRoot:
-    case Scheme::TwoThirdsPower: {
-      // Share-based schemes: only relative weights matter to the
-      // enforcement scheduler, so the bandwidth argument is arbitrary.
-      const auto beta = core::compute_shares(scheme, params, 1.0);
-      sched.set_shares(beta);
-      return;
-    }
+void apply_enforcement(mem::Scheduler& sched, const Enforcement& e) {
+  if (!e.beta.empty()) {
+    sched.set_shares(e.beta);
+  } else if (!e.ranks.empty()) {
+    sched.set_priority_ranks(e.ranks);
   }
-  BWPART_ASSERT(false, "unknown scheme");
 }
 
 CmpSystem::CmpSystem(const SystemConfig& cfg,
@@ -101,33 +92,29 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
   }
   sleep_until_.assign(n, 0);
   slept_from_.assign(n, 0);
-  sleep_kind_.assign(n, cpu::SleepFlavor::kStallOwn);
+  sleep_kind_.assign(n, cpu::SleepFlavor::kStall);
   live_.assign(n, 1);
   live_cycles_.assign(n, 0);
   live_from_.assign(n, 0);
   const auto on_complete =
       [this](const mem::MemRequest& req, Cycle done_cpu) {
-        // A read completion writes the load queue the deterministic-window
-        // replay reads. In the reference loop the core's ticks at cycles
-        // <= now_ ran before this delivery, so a kDet sleeper's deferred
-        // range must be replayed with the pre-delivery load state first.
-        // A dormant app can still receive completions (its queued requests
-        // drain after departure) but holds no deferred cycles to replay —
-        // its sleep bookkeeping is frozen at departure and stale.
-        const bool read = req.type == AccessType::Read;
-        if (read && live_[req.app] != 0 &&
-            sleep_kind_[req.app] == cpu::SleepFlavor::kDet) {
-          flush_deferred_stalls(req.app, now_ + 1);
-        }
-        cores_[req.app]->on_mem_complete(req, done_cpu);
-        // A completion can unblock the completing application's own
-        // stall-sleeping core (MSHR, store buffer, per-app queue slice,
-        // dependent load) and any core stall-sleeping on shared queue
-        // space, so those sleep proofs are void past this cycle; a read
-        // completion additionally invalidates its own core's
-        // deterministic-window proof. Det proofs under write completions
-        // read nothing the completion touched and stay valid.
-        wake_sleepers(req.app, read);
+        // Only the completing application's own sleep can end here (no
+        // sleep rests on shared queue space; see prove_sleep()). A
+        // completion voids its stall proof (MSHR, store buffer, per-app
+        // queue slice, dependent load); a read also voids its det proof,
+        // whose deferred range must first be replayed with the
+        // pre-delivery load state, as the reference loop ticked those
+        // cycles before this delivery. Det proofs read nothing a write
+        // completion touches. A dormant app can still receive completions
+        // (its queued requests drain after departure) but never ticks: its
+        // sleep bookkeeping is frozen at departure and stale.
+        const AppId a = req.app;
+        const bool det = sleep_kind_[a] == cpu::SleepFlavor::kDet;
+        const bool wake =
+            live_[a] != 0 && (!det || req.type == AccessType::Read);
+        if (wake && det) flush_deferred_stalls(a, now_ + 1);
+        cores_[a]->on_mem_complete(req, done_cpu);
+        if (wake) sleep_until_[a] = std::min(sleep_until_[a], now_ + 1);
       };
   for (auto& mc : controllers_) mc->set_completion_callback(on_complete);
 }
@@ -175,18 +162,6 @@ Cycle CmpSystem::live_window(AppId app) const {
   Cycle cycles = live_cycles_[app];
   if (live_[app] != 0) cycles += now_ - live_from_[app];
   return cycles;
-}
-
-void CmpSystem::wake_sleepers(AppId app, bool read) {
-  for (std::size_t i = 0; i < sleep_until_.size(); ++i) {
-    if (live_[i] == 0) continue;  // dormant cores never tick, never wake
-    const cpu::SleepFlavor f = sleep_kind_[i];
-    if (f == cpu::SleepFlavor::kStallShared ||
-        (i == app && (f == cpu::SleepFlavor::kStallOwn ||
-                      (read && f == cpu::SleepFlavor::kDet)))) {
-      sleep_until_[i] = std::min(sleep_until_[i], now_ + 1);
-    }
-  }
 }
 
 void CmpSystem::flush_deferred_stalls(std::size_t i, Cycle upto) {
@@ -349,10 +324,10 @@ void CmpSystem::run_engine(Cycle cycles) {
     return;
   }
   // Event-driven engine. Each core that proves itself stalled sleeps until
-  // its own wake cycle (or a completion — the only event that can unblock a
-  // core early — cuts the sleep short); its deferred cycles are replayed in
-  // closed form by fast_forward_stall() when it next ticks, so the stats
-  // stay bit-identical to ticking every cycle. When every core sleeps, the
+  // its own wake cycle (or one of its own completions — the only event that
+  // can unblock a core early — cuts the sleep short); its deferred cycles
+  // are replayed in closed form when it next ticks, so the stats stay
+  // bit-identical to ticking every cycle. When every core sleeps, the
   // whole system additionally jumps to the controller's next event. Sleep
   // proofs do not survive external reconfiguration between run() calls
   // (scheduler swaps, admission/write-drain changes), so all cores start
@@ -479,7 +454,7 @@ void CmpSystem::transfer(snap::Io& io) {
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     sleep_until_[i] = now_;
     slept_from_[i] = now_;
-    sleep_kind_[i] = cpu::SleepFlavor::kStallOwn;
+    sleep_kind_[i] = cpu::SleepFlavor::kStall;
   }
   if constexpr (obs::kEnabled) {
     // The epoch sampler's cumulative snapshot belongs to the pre-restore

@@ -61,17 +61,34 @@ struct SystemConfig {
   }
 };
 
-/// Builds the scheduler enforcing `scheme`. Share-based schemes need the
-/// application parameters (and the priority schemes additionally use them
-/// for their ranks); No_partitioning ignores them.
+/// What a controller enforces: StartTimeFair over `beta` when it is
+/// non-empty, else StrictPriority over `ranks` when that is non-empty, each
+/// with per-application queue slices; else FCFS on the shared queue
+/// (No_partitioning).
+struct Enforcement {
+  std::vector<double> beta;
+  std::vector<std::uint32_t> ranks;
+};
+
+/// The enforcement `scheme` derives from the application parameters: ranks
+/// for the priority schemes, shares for the share-based ones, neither for
+/// No_partitioning.
+Enforcement enforcement_for(core::Scheme scheme,
+                            std::span<const core::AppParams> params);
+
+/// Builds the scheduler enforcing `e` over `num_apps` applications.
+std::unique_ptr<mem::Scheduler> make_scheduler(const Enforcement& e,
+                                               std::size_t num_apps,
+                                               double row_hit_window);
+
+/// Builds the scheduler enforcing `scheme` over `params`.
 std::unique_ptr<mem::Scheduler> make_scheduler(
     core::Scheme scheme, std::size_t num_apps,
     std::span<const core::AppParams> params, double row_hit_window);
 
-/// Applies `scheme`'s shares/ranks to an existing scheduler instance (for
-/// periodic re-profiling updates).
-void apply_scheme(mem::Scheduler& sched, core::Scheme scheme,
-                  std::span<const core::AppParams> params);
+/// Sets `e`'s shares or ranks on an installed scheduler of the same kind,
+/// keeping its virtual clocks (periodic re-profiling, churn re-solves).
+void apply_enforcement(mem::Scheduler& sched, const Enforcement& e);
 
 class CmpSystem {
  public:
@@ -239,13 +256,6 @@ class CmpSystem {
   std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
   std::vector<std::unique_ptr<cpu::OoOCore>> cores_;
   profile::InterferenceCounters interference_;
-  /// Caps completion-sensitive sleeps at the next cycle when `app`'s
-  /// request completes: the completing application's own stall-sleep, its
-  /// deterministic-window sleep when the completion is a read (`read`),
-  /// plus every core stall-sleeping on shared queue space (a delivered
-  /// completion is the only event that can unblock a core earlier than its
-  /// own prove_sleep() proof; det proofs are immune to write completions).
-  void wake_sleepers(AppId app, bool read);
   /// Replays core `i`'s deferred cycles up to (excluding) `upto` using the
   /// closed form recorded for its sleep flavor.
   void flush_deferred_stalls(std::size_t i, Cycle upto);

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "../obs/mini_json.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -81,7 +82,18 @@ TEST(CliSmoke, ObservabilityOutputsAreValidJson) {
   ASSERT_TRUE(mdoc->is_object());
   ASSERT_TRUE(mdoc->has("schema"));
   ASSERT_TRUE(mdoc->has("metrics"));
-  EXPECT_GT(mdoc->at("metrics").size(), 0u);
+  // The document names the build that wrote it, and that must be this
+  // suite's build. With the hooks compiled out (BWPART_OBS=OFF) nothing is
+  // recorded: an empty registry and no epoch rows.
+  const Value& compiled_in = mdoc->at("obs_compiled_in");
+  ASSERT_EQ(compiled_in.kind, Value::Kind::kBool);
+  ASSERT_EQ(compiled_in.b, bwpart::obs::kEnabled);
+  ASSERT_TRUE(mdoc->at("metrics").is_object());
+  if (compiled_in.b) {
+    EXPECT_GT(mdoc->at("metrics").size(), 0u);
+  } else {
+    EXPECT_EQ(mdoc->at("metrics").size(), 0u);
+  }
 
   const ValuePtr tdoc = bwpart::testjson::parse(read_file(trace));
   ASSERT_TRUE(tdoc->is_object());
@@ -97,7 +109,11 @@ TEST(CliSmoke, ObservabilityOutputsAreValidJson) {
     EXPECT_TRUE(row->is_object()) << "epoch row " << rows;
     ++rows;
   }
-  EXPECT_GT(rows, 0u) << "epoch series is empty despite --epoch-cycles";
+  if (compiled_in.b) {
+    EXPECT_GT(rows, 0u) << "epoch series is empty despite --epoch-cycles";
+  } else {
+    EXPECT_EQ(rows, 0u) << "epoch rows from a build without the hooks";
+  }
 
   std::remove(metrics.c_str());
   std::remove(trace.c_str());

@@ -299,5 +299,45 @@ TEST(OoOCore, ResetStatsKeepsArchitecturalState) {
   EXPECT_GT(rig.core->stats().instructions, 0u);
 }
 
+/// Two applications on one controller with two-entry queues, nothing
+/// ticked yet. Core 0 issues back-to-back reads; app 1 is driven directly.
+struct TwoAppRig {
+  ScriptedTrace trace{{TraceOp{0, 0x0, AccessType::Read, false}}};
+  mem::MemoryController mc;
+  OoOCore core;
+
+  explicit TwoAppRig(mem::AdmissionMode admission)
+      : mc(quiet_dram(), kCpu, 2, std::make_unique<mem::FcfsScheduler>(),
+           /*per_app_queue_capacity=*/2, dram::MapScheme::ChanRowColBankRank,
+           /*shared_queue_capacity=*/2, admission),
+        core(0, CoreConfig{}, trace, mc) {}
+};
+
+// Only a core's own completions end its sleep. A shared transaction queue
+// filled by another application clears on that application's completions,
+// so a core blocked there proves no sleep and ticks on.
+TEST(OoOCore, SharedQueueBlockProvesNoSleep) {
+  TwoAppRig rig(mem::AdmissionMode::Shared);
+  rig.mc.enqueue(1, 0x1000, AccessType::Read, 0);
+  rig.mc.enqueue(1, 0x2000, AccessType::Read, 0);
+  rig.core.tick(0);
+  ASSERT_EQ(rig.core.stats().offchip_reads, 0u);
+  ASSERT_EQ(rig.core.stats().queue_stall_cycles, 1u);
+  EXPECT_EQ(rig.core.prove_sleep(0).wake, 1u);
+}
+
+// The same block on the core's own full queue slice clears only on its own
+// completions, so it still sleeps as a stall until one arrives.
+TEST(OoOCore, OwnQueueSliceBlockSleepsAsStall) {
+  TwoAppRig rig(mem::AdmissionMode::PerApp);
+  rig.core.tick(0);
+  ASSERT_EQ(rig.core.stats().offchip_reads, 2u);
+  ASSERT_EQ(rig.core.stats().queue_stall_cycles, 1u);
+  ASSERT_TRUE(rig.mc.can_accept(1));
+  const WakeProof p = rig.core.prove_sleep(0);
+  EXPECT_EQ(p.flavor, SleepFlavor::kStall);
+  EXPECT_EQ(p.wake, kNoCycle);
+}
+
 }  // namespace
 }  // namespace bwpart::cpu

@@ -83,12 +83,32 @@ TEST(PbtEngine, CaseSeedsAreDistinct) {
 TEST(PbtEngine, EnvSeedOverride) {
   ASSERT_EQ(setenv("BWPART_PBT_SEED", "98765", 1), 0);
   EXPECT_EQ(base_seed(1), 98765u);
+  ASSERT_EQ(setenv("BWPART_PBT_SEED", "18446744073709551615", 1), 0);
+  EXPECT_EQ(base_seed(1), 0xffffffffffffffffu);
   ASSERT_EQ(setenv("BWPART_PBT_SEED", "0x10", 1), 0);
   EXPECT_EQ(base_seed(1), 16u);
-  ASSERT_EQ(setenv("BWPART_PBT_SEED", "not-a-number", 1), 0);
-  EXPECT_EQ(base_seed(7), 7u);  // unparsable -> fallback
+  ASSERT_EQ(setenv("BWPART_PBT_SEED", "0XdeadBEEF", 1), 0);
+  EXPECT_EQ(base_seed(1), 0xdeadbeefu);
+  ASSERT_EQ(setenv("BWPART_PBT_SEED", "", 1), 0);
+  EXPECT_EQ(base_seed(7), 7u);  // empty means unset
   ASSERT_EQ(unsetenv("BWPART_PBT_SEED"), 0);
   EXPECT_EQ(base_seed(7), 7u);
+}
+
+// A malformed seed would otherwise re-run some other seed (the default, or
+// a prefix of the typed value) under the typed value's name.
+TEST(PbtEngineDeathTest, MalformedEnvSeedAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"seven", "7abc", "-1", "+7", " 7", "0x",
+                          "0x1g", "18446744073709551616"}) {
+    EXPECT_DEATH(
+        {
+          setenv("BWPART_PBT_SEED", bad, 1);
+          (void)base_seed(1);
+        },
+        "BWPART_PBT_SEED='.*' is not a decimal or 0x-hex")
+        << bad;
+  }
 }
 
 TEST(PbtEngine, FailureReportsSeedAndCase) {
