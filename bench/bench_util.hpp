@@ -18,7 +18,10 @@ struct Options {
 };
 
 /// Parses the shared flags; `out_path`, when given, adds --out FILE with
-/// its current value as the default.
+/// its current value as the default for a full run. A --quick run writes
+/// no report unless --out names one, so a smoke run from the repository
+/// root leaves the committed full-run report alone: `out_path` comes back
+/// empty, and the bench skips the write.
 inline Options parse_options(int argc, char** argv,
                              Cycle default_window = 1'500'000,
                              std::string* out_path = nullptr) {
@@ -31,10 +34,16 @@ inline Options parse_options(int argc, char** argv,
   cli.flag("--paper-scale", opt.paper_scale,
            "the paper's 10M-cycle profile + 10M-cycle measurement");
   cli.number("--seed", opt.phases.seed, 0, UINT64_MAX, "trace seed");
+  std::string out_given;
   if (out_path != nullptr) {
-    cli.text("--out", *out_path, "FILE", "JSON report");
+    cli.text("--out", out_given, "FILE",
+             "JSON report (default " + *out_path +
+                 "; a --quick run writes none unless given)");
   }
   cli.parse(argc, argv);
+  if (out_path != nullptr && (!out_given.empty() || opt.quick)) {
+    *out_path = out_given;
+  }
   if (opt.paper_scale) {
     opt.phases = harness::PhaseConfig::paper_scale();
   } else if (opt.quick) {

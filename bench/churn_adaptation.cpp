@@ -181,39 +181,41 @@ int main(int argc, char** argv) {
     dominates = false;
   }
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 2;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": 1,\n"
-               "  \"mix\": \"%s\",\n"
-               "  \"measure_cycles\": %llu,\n"
-               "  \"reprofile_window\": 30000,\n"
-               "  \"eval_epoch\": 25000,\n"
-               "  \"scenarios\": [\n",
-               std::string(workload::qos_mix1().name).c_str(),
-               static_cast<unsigned long long>(m));
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& sc = scenarios[i];
+  if (!out_path.empty()) {
+    std::FILE* f = std::fopen(out_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
+      return 2;
+    }
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"scheme\": \"%s\", \"qos\": %s, "
-                 "\"events\": %zu, \"schedule_fp\": \"%016llx\",\n",
-                 sc.name.c_str(), core::to_string(sc.scheme).c_str(),
-                 sc.qos.empty() ? "false" : "true", sc.schedule.events.size(),
-                 static_cast<unsigned long long>(sc.schedule.fingerprint()));
-    print_side(f, "static", sc.fixed, ",");
-    print_side(f, "resolve", sc.resolve, "");
-    std::fprintf(f, "    }%s\n", i + 1 < scenarios.size() ? "," : "");
+                 "{\n"
+                 "  \"schema\": 1,\n"
+                 "  \"mix\": \"%s\",\n"
+                 "  \"measure_cycles\": %llu,\n"
+                 "  \"reprofile_window\": 30000,\n"
+                 "  \"eval_epoch\": 25000,\n"
+                 "  \"scenarios\": [\n",
+                 std::string(workload::qos_mix1().name).c_str(),
+                 static_cast<unsigned long long>(m));
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      const Scenario& sc = scenarios[i];
+      std::fprintf(f,
+                   "    {\"name\": \"%s\", \"scheme\": \"%s\", \"qos\": %s, "
+                   "\"events\": %zu, \"schedule_fp\": \"%016llx\",\n",
+                   sc.name.c_str(), core::to_string(sc.scheme).c_str(),
+                   sc.qos.empty() ? "false" : "true", sc.schedule.events.size(),
+                   static_cast<unsigned long long>(sc.schedule.fingerprint()));
+      print_side(f, "static", sc.fixed, ",");
+      print_side(f, "resolve", sc.resolve, "");
+      std::fprintf(f, "    }%s\n", i + 1 < scenarios.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n"
+                 "  \"resolve_dominates\": %s\n"
+                 "}\n",
+                 dominates ? "true" : "false");
+    std::fclose(f);
   }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"resolve_dominates\": %s\n"
-               "}\n",
-               dominates ? "true" : "false");
-  std::fclose(f);
 
   std::printf("%-18s %10s %12s %12s %9s %10s\n", "scenario", "side",
               "qos_viol", "obj_viol", "resolves", "mean_lag");

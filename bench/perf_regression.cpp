@@ -265,69 +265,71 @@ int main(int argc, char** argv) {
   const double sweep_speedup =
       sweep.seconds > 0.0 ? fast.seconds / sweep.seconds : 0.0;
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 2;
-  }
-  // Schema 5: the sweep section gains "sharded" — per-phase wall time of
-  // the same sweep through the on-disk shard pipeline (snapshot spool
-  // write, worker measure loop, result-shard merge), proven bit-identical
-  // alongside the other engines. Schema 4 added the per-mix breakdown
-  // ("mixes" array with each mix's fast/reference wall time and speedup);
-  // schema 3 added the snapshot/fork sweep-engine numbers inside "sweep";
-  // schema 2 added per-phase wall-clock attribution (schema 1 folded
-  // warm-up into "seconds"). All older keys keep their old meaning so
-  // existing consumers read the file unchanged.
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": 5,\n"
-               "  \"sweep\": {\"mixes\": %zu, \"schemes\": %zu, "
-               "\"runs\": %zu, \"simulated_cycles\": %llu,\n"
-               "    \"run_all_seconds\": %.6f, \"per_scheme_seconds\": %.6f, "
-               "\"speedup\": %.3f, \"snapshot_reuse\": %s,\n"
-               "    \"sharded\": {\"seconds\": %.6f, "
-               "\"spool_seconds\": %.6f, \"measure_seconds\": %.6f, "
-               "\"merge_seconds\": %.6f}},\n"
-               "  \"fast_forward\": {\"seconds\": %.6f, "
-               "\"cycles_per_second\": %.0f,\n"
-               "    \"warmup_seconds\": %.6f, \"profile_seconds\": %.6f, "
-               "\"measure_seconds\": %.6f},\n"
-               "  \"reference\": {\"seconds\": %.6f, "
-               "\"cycles_per_second\": %.0f,\n"
-               "    \"warmup_seconds\": %.6f, \"profile_seconds\": %.6f, "
-               "\"measure_seconds\": %.6f},\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"measure_speedup\": %.3f,\n"
-               "  \"mixes\": [\n",
-               mixes.size(), std::size(core::kAllSchemes),
-               fast.fingerprints.size(),
-               static_cast<unsigned long long>(fast.simulated_cycles),
-               sweep.seconds, fast.seconds, sweep_speedup,
-               harness::kSnapshotEnabled ? "true" : "false",
-               sharded.seconds, sharded.spool_seconds,
-               sharded.measure_seconds, sharded.merge_seconds,
-               fast.seconds, fast_cps, fast.warmup_seconds,
-               fast.profile_seconds, fast.measure_seconds, ref.seconds,
-               ref_cps, ref.warmup_seconds, ref.profile_seconds,
-               ref.measure_seconds, speedup, measure_speedup);
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    const double mix_speedup = fast.mix_seconds[i] > 0.0
-                                   ? ref.mix_seconds[i] / fast.mix_seconds[i]
-                                   : 0.0;
+  if (!out_path.empty()) {
+    std::FILE* f = std::fopen(out_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
+      return 2;
+    }
+    // Schema 5: the sweep section gains "sharded" — per-phase wall time of
+    // the same sweep through the on-disk shard pipeline (snapshot spool
+    // write, worker measure loop, result-shard merge), proven bit-identical
+    // alongside the other engines. Schema 4 added the per-mix breakdown
+    // ("mixes" array with each mix's fast/reference wall time and speedup);
+    // schema 3 added the snapshot/fork sweep-engine numbers inside "sweep";
+    // schema 2 added per-phase wall-clock attribution (schema 1 folded
+    // warm-up into "seconds"). All older keys keep their old meaning so
+    // existing consumers read the file unchanged.
     std::fprintf(f,
-                 "    {\"name\": \"%.*s\", \"fast_seconds\": %.6f, "
-                 "\"ref_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                 static_cast<int>(mixes[i].name.size()), mixes[i].name.data(),
-                 fast.mix_seconds[i], ref.mix_seconds[i], mix_speedup,
-                 i + 1 < mixes.size() ? "," : "");
+                 "{\n"
+                 "  \"schema\": 5,\n"
+                 "  \"sweep\": {\"mixes\": %zu, \"schemes\": %zu, "
+                 "\"runs\": %zu, \"simulated_cycles\": %llu,\n"
+                 "    \"run_all_seconds\": %.6f, \"per_scheme_seconds\": %.6f, "
+                 "\"speedup\": %.3f, \"snapshot_reuse\": %s,\n"
+                 "    \"sharded\": {\"seconds\": %.6f, "
+                 "\"spool_seconds\": %.6f, \"measure_seconds\": %.6f, "
+                 "\"merge_seconds\": %.6f}},\n"
+                 "  \"fast_forward\": {\"seconds\": %.6f, "
+                 "\"cycles_per_second\": %.0f,\n"
+                 "    \"warmup_seconds\": %.6f, \"profile_seconds\": %.6f, "
+                 "\"measure_seconds\": %.6f},\n"
+                 "  \"reference\": {\"seconds\": %.6f, "
+                 "\"cycles_per_second\": %.0f,\n"
+                 "    \"warmup_seconds\": %.6f, \"profile_seconds\": %.6f, "
+                 "\"measure_seconds\": %.6f},\n"
+                 "  \"speedup\": %.3f,\n"
+                 "  \"measure_speedup\": %.3f,\n"
+                 "  \"mixes\": [\n",
+                 mixes.size(), std::size(core::kAllSchemes),
+                 fast.fingerprints.size(),
+                 static_cast<unsigned long long>(fast.simulated_cycles),
+                 sweep.seconds, fast.seconds, sweep_speedup,
+                 harness::kSnapshotEnabled ? "true" : "false",
+                 sharded.seconds, sharded.spool_seconds,
+                 sharded.measure_seconds, sharded.merge_seconds,
+                 fast.seconds, fast_cps, fast.warmup_seconds,
+                 fast.profile_seconds, fast.measure_seconds, ref.seconds,
+                 ref_cps, ref.warmup_seconds, ref.profile_seconds,
+                 ref.measure_seconds, speedup, measure_speedup);
+    for (std::size_t i = 0; i < mixes.size(); ++i) {
+      const double mix_speedup = fast.mix_seconds[i] > 0.0
+                                     ? ref.mix_seconds[i] / fast.mix_seconds[i]
+                                     : 0.0;
+      std::fprintf(f,
+                   "    {\"name\": \"%.*s\", \"fast_seconds\": %.6f, "
+                   "\"ref_seconds\": %.6f, \"speedup\": %.3f}%s\n",
+                   static_cast<int>(mixes[i].name.size()), mixes[i].name.data(),
+                   fast.mix_seconds[i], ref.mix_seconds[i], mix_speedup,
+                   i + 1 < mixes.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n"
+                 "  \"identical\": %s\n"
+                 "}\n",
+                 identical ? "true" : "false");
+    std::fclose(f);
   }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"identical\": %s\n"
-               "}\n",
-               identical ? "true" : "false");
-  std::fclose(f);
 
   std::printf("fast-forward: %8.3f s  (%.2fM simulated cycles/s)\n",
               fast.seconds, fast_cps / 1e6);

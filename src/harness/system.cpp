@@ -78,7 +78,6 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
     controllers_.back()->set_fast_forward(cfg_.fast_forward);
     controllers_.back()->set_interference_observer(&interference_);
   }
-  ctrl_due_.assign(controllers_.size(), 0);
 
   traces_.reserve(n);
   cores_.reserve(n);
@@ -107,14 +106,18 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
         // cycles before this delivery. Det proofs read nothing a write
         // completion touches. A dormant app can still receive completions
         // (its queued requests drain after departure) but never ticks: its
-        // sleep bookkeeping is frozen at departure and stale.
+        // sleep bookkeeping is frozen at departure and stale. The app
+        // belongs to the completing controller's partition, the one running.
         const AppId a = req.app;
         const bool det = sleep_kind_[a] == cpu::SleepFlavor::kDet;
         const bool wake =
             live_[a] != 0 && (!det || req.type == AccessType::Read);
         if (wake && det) flush_deferred_stalls(a, now_ + 1);
         cores_[a]->on_mem_complete(req, done_cpu);
-        if (wake) sleep_until_[a] = std::min(sleep_until_[a], now_ + 1);
+        if (wake) {
+          sleep_until_[a] = std::min(sleep_until_[a], now_ + 1);
+          part_wake_ = std::min(part_wake_, sleep_until_[a]);
+        }
       };
   for (auto& mc : controllers_) mc->set_completion_callback(on_complete);
 }
@@ -312,6 +315,7 @@ void CmpSystem::run(Cycle cycles) {
 }
 
 void CmpSystem::run_engine(Cycle cycles) {
+  const Cycle start = now_;
   const Cycle end = now_ + cycles;
   if (!cfg_.fast_forward) {
     while (now_ < end) {
@@ -323,58 +327,61 @@ void CmpSystem::run_engine(Cycle cycles) {
     }
     return;
   }
-  // Event-driven engine. Each core that proves itself stalled sleeps until
-  // its own wake cycle (or one of its own completions — the only event that
-  // can unblock a core early — cuts the sleep short); its deferred cycles
-  // are replayed in closed form when it next ticks, so the stats stay
-  // bit-identical to ticking every cycle. When every core sleeps, the
-  // whole system additionally jumps to the controller's next event. Sleep
+  // Event-driven engine, one event loop per controller partition. Core i
+  // enqueues into controller i % nc, is throttled by it and is woken by its
+  // completions, and controllers share no state, so a partition's run
+  // depends on nothing outside it: running the partitions one after another
+  // over [start, end) reproduces the reference interleaving exactly (one
+  // controller makes one partition of every core, in index order). Sleep
   // proofs do not survive external reconfiguration between run() calls
   // (scheduler swaps, admission/write-drain changes), so all cores start
   // awake.
-  const std::size_t n = cores_.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
     // Dormant cores sleep unconditionally past the horizon: they never tick,
-    // never flush deferred cycles, and never cap the all-asleep jump (the
+    // never flush deferred cycles, and never cap a partition's jump (the
     // kNoCycle sentinel compares greater than every wake candidate).
     sleep_until_[i] = live_[i] != 0 ? now_ : kNoCycle;
     slept_from_[i] = now_;
   }
-  // Controller tick() calls on CPU cycles with no due bus tick are no-ops
-  // (the clock-crossing target does not advance); elide them, per
-  // controller. Controllers are mutually independent, so ticking each on
-  // its own due cycles (in index order) reproduces the reference
-  // interleaving exactly.
+  for (std::size_t c = 0; c < controllers_.size(); ++c) {
+    now_ = start;
+    run_partition(c, end);
+  }
+}
+
+void CmpSystem::run_partition(std::size_t c, Cycle end) {
+  // Each core that proves itself stalled sleeps until its own wake cycle
+  // (or one of its own completions — the only event that can unblock a
+  // core early — cuts the sleep short); its deferred cycles are replayed in
+  // closed form when it next ticks, so the stats stay bit-identical to
+  // ticking every cycle. When every core of the partition sleeps, the
+  // partition jumps to its controller's next event.
+  const std::size_t n = cores_.size();
   const std::size_t nc = controllers_.size();
-  ctrl_due_.assign(nc, 0);
+  mem::MemoryController& mc = *controllers_[c];
+  part_wake_ = kNoCycle;
+  for (std::size_t i = c; i < n; i += nc) {
+    part_wake_ = std::min(part_wake_, sleep_until_[i]);
+  }
+  // Controller tick() calls on CPU cycles with no due bus tick are no-ops
+  // (the clock-crossing target does not advance); elide them.
+  Cycle due = 0;
   while (now_ < end) {
-    Cycle min_wake = end;
-    bool all_asleep = true;
-    for (const Cycle s : sleep_until_) {
-      if (s <= now_) {
-        all_asleep = false;
-        break;
-      }
-      min_wake = std::min(min_wake, s);  // kNoCycle compares greater
-    }
-    if (all_asleep) {
+    if (part_wake_ > now_) {
       // Jump to the earliest core wake or controller event (completion
       // delivery, command issue, refresh/power-down transition). The
       // controller bound means no completion lands inside the skipped
       // range, so the sleep proofs hold across it. Cores tick before the
-      // controllers within a cycle, so resuming at `wake` preserves the
+      // controller within a cycle, so resuming at `wake` preserves the
       // reference interleaving exactly.
-      Cycle ctrl = kNoCycle;
-      for (const auto& mc : controllers_) {
-        ctrl = std::min(ctrl, mc->next_event_cpu_cycle());
-      }
-      const Cycle wake = std::min(min_wake, ctrl);  // min_wake caps at end
+      const Cycle wake =
+          std::min({part_wake_, mc.next_event_cpu_cycle(), end});
       if (wake >= end) {
         skipped_cycles_ += end - now_;
         now_ = end;
-        // Keep the controllers caught up with the cycles the reference
-        // loop would have ticked them through before exiting.
-        for (auto& mc : controllers_) mc->tick(end - 1);
+        // Keep the controller caught up with the cycles the reference loop
+        // would have ticked it through before exiting.
+        mc.tick(end - 1);
         break;
       }
       if (wake > now_) {
@@ -384,37 +391,39 @@ void CmpSystem::run_engine(Cycle cycles) {
       // A controller event due at now_ itself: fall through — no core
       // ticks, the controller tick below processes it.
     }
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (ctrl_due_[c] < now_) {
-        // Catch up on bus ticks that fell due before this cycle (a jump
-        // can pass over dead ticks). The reference loop processed them
-        // before any core acted at now_, so requests enqueued this cycle
-        // must not be visible to them — attribution and issue decisions
-        // for those ticks would otherwise see queue state from the future.
-        controllers_[c]->tick(now_ - 1);
-        ctrl_due_[c] = controllers_[c]->next_bus_activity_cpu_cycle();
-      }
+    if (due < now_) {
+      // Catch up on bus ticks that fell due before this cycle (a jump can
+      // pass over dead ticks). The reference loop processed them before
+      // any core acted at now_, so requests enqueued this cycle must not be
+      // visible to them — attribution and issue decisions for those ticks
+      // would otherwise see queue state from the future.
+      mc.tick(now_ - 1);
+      due = mc.next_bus_activity_cpu_cycle();
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (sleep_until_[i] > now_) continue;
-      if (slept_from_[i] < now_) flush_deferred_stalls(i, now_);
-      cores_[i]->tick(now_);
-      const cpu::WakeProof p = cores_[i]->prove_sleep(now_);
-      sleep_kind_[i] = p.flavor;
-      sleep_until_[i] = std::max(p.wake, now_ + 1);  // kNoCycle stays put
-      slept_from_[i] = now_ + 1;
-    }
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (now_ >= ctrl_due_[c]) {
-        controllers_[c]->tick(now_);
-        ctrl_due_[c] = controllers_[c]->next_bus_activity_cpu_cycle();
+    if (part_wake_ <= now_) {
+      Cycle next_wake = kNoCycle;
+      for (std::size_t i = c; i < n; i += nc) {
+        if (sleep_until_[i] <= now_) {
+          if (slept_from_[i] < now_) flush_deferred_stalls(i, now_);
+          cores_[i]->tick(now_);
+          const cpu::WakeProof p = cores_[i]->prove_sleep(now_);
+          sleep_kind_[i] = p.flavor;
+          sleep_until_[i] = std::max(p.wake, now_ + 1);  // kNoCycle stays
+          slept_from_[i] = now_ + 1;
+        }
+        next_wake = std::min(next_wake, sleep_until_[i]);
       }
+      part_wake_ = next_wake;
+    }
+    if (now_ >= due) {
+      mc.tick(now_);
+      due = mc.next_bus_activity_cpu_cycle();
     }
     ++now_;
   }
   // Replay any still-deferred stall cycles so stats reads see a state
   // identical to the reference loop's at `end` (dormant cores own none).
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = c; i < n; i += nc) {
     if (live_[i] != 0) flush_deferred_stalls(i, end);
   }
 }

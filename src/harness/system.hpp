@@ -45,11 +45,13 @@ struct SystemConfig {
   /// with its own DSTF instance — the scale-out topology for 16/32/64-app
   /// portfolios. Must satisfy 1 <= num_controllers <= app count.
   std::size_t num_controllers = 1;
-  /// Event-driven fast-forwarding (default): run() jumps over cycle ranges
-  /// where every core is provably stalled and the controller has no event,
-  /// and the controller skips dead bus-tick ranges internally. Cycle-exact:
-  /// all stats and scheduling decisions are bit-identical to the reference
-  /// cycle-by-cycle loop (set false to force it, e.g. for debugging).
+  /// Event-driven fast-forwarding (default): run() runs each controller's
+  /// partition on its own event loop, which jumps over cycle ranges where
+  /// every core of the partition is provably stalled and its controller has
+  /// no event, and the controller skips dead bus-tick ranges internally.
+  /// Cycle-exact: all stats and scheduling decisions are bit-identical to
+  /// the reference cycle-by-cycle loop (set false to force it, e.g. for
+  /// debugging).
   bool fast_forward = true;
 
   /// Peak off-chip bandwidth expressed in the model's APC unit, across all
@@ -116,10 +118,16 @@ class CmpSystem {
   Cycle now() const { return now_; }
   /// Stable pointer to the cycle counter, for obs::ScopedSpan timestamping.
   const Cycle* cycle_clock() const { return &now_; }
-  /// Cycles replayed in closed form by the fast-forward engine (0 when it
-  /// is disabled) — skipped/now() is the fraction of the simulation that
-  /// never executed a per-cycle tick.
-  Cycle skipped_cycles() const { return skipped_cycles_; }
+  /// Cycles the fast-forward engine jumped over (0 when it is disabled),
+  /// averaged over controller partitions: each partition (a controller and
+  /// its round-robin cores) runs its own event loop and jumps on its own,
+  /// so this is the mean of the partitions' jumped cycles, rounded down.
+  /// It never exceeds now(), and on one controller it is the system's own
+  /// count. skipped/now() is the fraction of the simulation that never
+  /// executed a per-cycle tick.
+  Cycle skipped_cycles() const {
+    return skipped_cycles_ / controllers_.size();
+  }
   std::uint32_t num_apps() const {
     return static_cast<std::uint32_t>(cores_.size());
   }
@@ -262,6 +270,9 @@ class CmpSystem {
   /// The engine proper (fast-forward or reference loop), one contiguous
   /// chunk; run() wraps it with the epoch-sampling chunker.
   void run_engine(Cycle cycles);
+  /// Runs controller `c`'s partition (the controller and cores c, c + nc,
+  /// c + 2nc, ...) from now_ to `end` on its own fast-forward event loop.
+  void run_partition(std::size_t c, Cycle end);
   /// Re-bases the epoch sampler's cumulative-counter snapshot on the
   /// current counters (after attach or a measurement reset).
   void obs_resnapshot();
@@ -270,6 +281,7 @@ class CmpSystem {
 
   Cycle now_ = 0;
   Cycle window_start_ = 0;
+  /// Cycles jumped by the fast-forward engine, summed over partitions.
   Cycle skipped_cycles_ = 0;
   /// Per-app liveness (1 = live; all live unless a churn schedule says
   /// otherwise) plus the accounting needed for per-tenancy rates:
@@ -290,10 +302,10 @@ class CmpSystem {
   std::vector<Cycle> sleep_until_;
   std::vector<Cycle> slept_from_;
   std::vector<cpu::SleepFlavor> sleep_kind_;
-
-  /// Per-controller next-bus-activity memo for the fast-forward engine
-  /// (scratch reset at every run_engine() entry).
-  std::vector<Cycle> ctrl_due_;
+  /// The running partition's earliest core wake (min of its sleep_until_
+  /// entries): the core pass recomputes it and the completion callback
+  /// lowers it, so the all-asleep test is part_wake_ > now_.
+  Cycle part_wake_ = 0;
 
   obs::Hub* hub_ = nullptr;
   std::string obs_track_;

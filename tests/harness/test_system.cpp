@@ -180,6 +180,92 @@ TEST(MultiController, FastForwardBitIdenticalToReference) {
   }
 }
 
+/// Every field either engine measures, compared one by one.
+void expect_same_measurements(const CmpSystem& fast, const CmpSystem& ref,
+                              std::size_t controllers) {
+  ASSERT_EQ(fast.now(), ref.now());
+  for (AppId a = 0; a < fast.num_apps(); ++a) {
+    const mem::AppMemStats& fm = fast.controller_for(a).app_stats(a);
+    const mem::AppMemStats& rm = ref.controller_for(a).app_stats(a);
+    EXPECT_EQ(fm.enqueued, rm.enqueued) << controllers << "/app " << a;
+    EXPECT_EQ(fm.served_reads, rm.served_reads) << controllers << "/app " << a;
+    EXPECT_EQ(fm.served_writes, rm.served_writes)
+        << controllers << "/app " << a;
+    EXPECT_EQ(fm.sum_queue_cycles, rm.sum_queue_cycles)
+        << controllers << "/app " << a;
+    const cpu::CoreStats& fc = fast.core(a).stats();
+    const cpu::CoreStats& rc = ref.core(a).stats();
+    EXPECT_EQ(fc.cycles, rc.cycles) << controllers << "/app " << a;
+    EXPECT_EQ(fc.instructions, rc.instructions) << controllers << "/app " << a;
+    EXPECT_EQ(fc.offchip_reads, rc.offchip_reads)
+        << controllers << "/app " << a;
+    EXPECT_EQ(fc.offchip_writes, rc.offchip_writes)
+        << controllers << "/app " << a;
+    EXPECT_EQ(fc.rob_stall_cycles, rc.rob_stall_cycles)
+        << controllers << "/app " << a;
+    EXPECT_EQ(fc.mem_stall_cycles, rc.mem_stall_cycles)
+        << controllers << "/app " << a;
+    EXPECT_EQ(fc.queue_stall_cycles, rc.queue_stall_cycles)
+        << controllers << "/app " << a;
+    EXPECT_EQ(fast.interference().interference_cycles(a),
+              ref.interference().interference_cycles(a))
+        << controllers << "/app " << a;
+  }
+  for (std::size_t c = 0; c < controllers; ++c) {
+    const dram::DramStats& fd = fast.controller(c).dram().stats();
+    const dram::DramStats& rd = ref.controller(c).dram().stats();
+    EXPECT_EQ(fd.activates, rd.activates) << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.reads, rd.reads) << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.writes, rd.writes) << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.precharges, rd.precharges) << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.refreshes, rd.refreshes) << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.data_bus_busy_ticks, rd.data_bus_busy_ticks)
+        << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.ticks, rd.ticks) << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.powerdown_rank_ticks, rd.powerdown_rank_ticks)
+        << controllers << "/ctrl " << c;
+    EXPECT_EQ(fd.channel_busy_ticks, rd.channel_busy_ticks)
+        << controllers << "/ctrl " << c;
+  }
+}
+
+// The fast engine runs each controller's partition on its own event loop.
+// Here every app of the last partition departs with requests still in
+// flight (on one controller that is every app): the partition's controller
+// drains them with no live core to tick, then the partition jumps to the
+// end of each run on its own. Both engines must agree field by field,
+// that partition's DRAM included, and the skipped-cycle mean stays within
+// the simulated time.
+TEST(MultiController, DormantPartitionDrainsIdenticallyInBothEngines) {
+  for (const std::size_t controllers : {1u, 2u, 4u}) {
+    SystemConfig fast_cfg;
+    fast_cfg.num_controllers = controllers;
+    fast_cfg.dram.ranks = 2;
+    fast_cfg.dram.enable_powerdown = true;
+    SystemConfig ref_cfg = fast_cfg;
+    ref_cfg.fast_forward = false;
+    CmpSystem fast(fast_cfg, eight_apps(), 5);
+    CmpSystem ref(ref_cfg, eight_apps(), 5);
+    const std::size_t last = controllers - 1;
+    for (CmpSystem* sys : {&fast, &ref}) {
+      sys->run(30'000);
+      ASSERT_GT(sys->controller(last).pending_requests_total(), 0u)
+          << controllers << " controllers: nothing in flight at departure";
+      for (AppId a = static_cast<AppId>(last); a < sys->num_apps();
+           a += static_cast<AppId>(controllers)) {
+        sys->set_app_live(a, false);
+      }
+      sys->run(20'000);
+      sys->run(20'000);
+    }
+    EXPECT_EQ(fast.controller(last).pending_requests_total(), 0u);
+    expect_same_measurements(fast, ref, controllers);
+    EXPECT_GT(fast.skipped_cycles(), 0u) << controllers << " controllers";
+    EXPECT_LE(fast.skipped_cycles(), fast.now()) << controllers;
+    EXPECT_EQ(ref.skipped_cycles(), 0u) << controllers << " controllers";
+  }
+}
+
 TEST(MultiController, SnapshotRoundTripContinuesBitIdentically) {
   SystemConfig cfg;
   cfg.num_controllers = 2;

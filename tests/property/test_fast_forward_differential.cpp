@@ -4,10 +4,12 @@
 // interference attribution, core stats and IPC against the reference
 // cycle-by-cycle loop — across random machines, mixes, schemes and seeds,
 // including power-down and write-drain configurations that exercise every
-// skip-bounding event source, and one- or two-controller topologies (each
-// controller is built over every global app id, but only its round-robin
-// apps ever enqueue on it), with interference attribution on or off in
-// each phase (off, dead ranges are not cut at attribution flip ticks).
+// skip-bounding event source, and one- to four-controller topologies over
+// up to eight apps (each controller is built over every global app id, but
+// only its round-robin apps ever enqueue on it, and the fast engine runs
+// each such partition on its own event loop), with interference
+// attribution on or off in each phase (off, dead ranges are not cut at
+// attribution flip ticks).
 //
 // Busy systems cut almost every controller skip to one bus tick, so the
 // controller's own dead-range skip is also driven directly, the way the
@@ -59,9 +61,14 @@ pbt::GenFn<FfCase> ff_case_gen() {
     // The stock generator leaves power-down off; the skip logic has
     // dedicated event sources for it, so force coverage.
     c.cfg.dram.enable_powerdown = rng.next_bool(0.3);
-    c.mix = gen::mix(rng, 2, 4);
+    c.mix = gen::mix(rng, 2, 8);
     c.params = gen::workload(rng, c.mix.size(), c.mix.size());
     c.phases = gen::phase_config(rng);
+    // Mixes past four apps run shorter windows, so a case costs about as
+    // many core-cycles as a four-app one.
+    const std::size_t scale = std::max<std::size_t>(4, c.mix.size());
+    c.phases.profile_cycles = c.phases.profile_cycles * 4 / scale;
+    c.phases.measure_cycles = c.phases.measure_cycles * 4 / scale;
     c.scheme = gen::scheme(rng);
     if (rng.next_bool(0.35)) {
       c.write_drain.enabled = true;
@@ -71,8 +78,10 @@ pbt::GenFn<FfCase> ff_case_gen() {
     }
     c.admission = rng.next_bool(0.5) ? mem::AdmissionMode::PerApp
                                      : mem::AdmissionMode::Shared;
+    // Up to four controllers over up to eight apps, so partitions of
+    // uneven size occur (7 apps on 3 controllers: 3, 2 and 2 cores).
     c.cfg.num_controllers = static_cast<std::size_t>(
-        pbt::gen_uint(rng, 1, std::min<std::size_t>(2, c.mix.size())));
+        pbt::gen_uint(rng, 1, std::min<std::size_t>(4, c.mix.size())));
     c.attribute_warmup = rng.next_bool(0.5);
     c.attribute_measure = rng.next_bool(0.5);
     return c;
