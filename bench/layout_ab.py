@@ -24,6 +24,8 @@ ASPLOS 2013):
    rotating order: within a round the two revisions alternate which runs
    first at each pad, and each round starts one layout later. Every run
    must report "correct": true with "failed": 0, or the script stops.
+   Each binary runs in its own revision's source copy, so it checks its
+   results against that revision's golden corpus.
 3. Reports, per end-to-end metric: each layout's median over rounds per
    side, the matched-pad relative difference change/base - 1, the median of
    those differences over layouts, a bootstrap 95% interval that resamples
@@ -121,9 +123,13 @@ def run_once(binary, opt, scratch):
     args = [binary, "--workload", opt.workload, "--seed", str(opt.seed),
             "--seconds", str(opt.seconds), "--trace", "0",
             "--scratch", scratch]
+    # perfbench reads the golden corpus relative to its working directory:
+    # run each binary in its own revision's source copy, so a change that
+    # regenerates the corpus is checked against its own.
+    src = os.path.join(os.path.dirname(os.path.dirname(binary)), "src")
     try:
         proc = subprocess.run(args, stdout=subprocess.PIPE, text=True,
-                              timeout=RUN_TIMEOUT_S)
+                              timeout=RUN_TIMEOUT_S, cwd=src)
     except subprocess.TimeoutExpired:
         fail(f"timed out: {' '.join(args)}")
     if proc.returncode != 0 or not proc.stdout.strip():
@@ -205,7 +211,7 @@ def main():
     # An A/A run builds once: the second call finds every binary in place.
     bins = {s: build_revision(t, pads) for s, t in trees.items()}
 
-    scratch = os.path.join(ROOT, "scratch")
+    scratch = os.path.abspath(os.path.join(ROOT, "scratch"))
     runs = []
     order = schedule(pads, opt.rounds)
     for n, (r, side, p) in enumerate(order, 1):

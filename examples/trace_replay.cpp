@@ -29,7 +29,7 @@ RunStats simulate(cpu::TraceSource& trace, Cycle cycles) {
       dram::DramConfig::ddr2_400(), Frequency::from_ghz(5.0), 1,
       std::make_unique<mem::FcfsScheduler>());
   cpu::CoreConfig cfg;
-  cfg.nonmem_ipc = 2.0;
+  cfg.nonmem_ipc_x100 = 200;
   cpu::OoOCore core(0, cfg, trace, controller);
   controller.set_completion_callback(
       [&core](const mem::MemRequest& r, Cycle done) {

@@ -1,79 +1,13 @@
 #include "cpu/core.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "common/assert.hpp"
 
 namespace bwpart::cpu {
 
-/// Memo of the fractional fetch-budget orbit for one nonmem_ipc value.
-///
-/// Every core's fetch budget walks a single deterministic orbit: it starts
-/// at 0.0, every ROB/queue-stall reset returns it to 0.0, and each cycle
-/// applies exactly one step of x -> (x + ipc) - trunc(x + ipc) in the same
-/// add/truncate/subtract order the per-cycle mirrors use. Tabulating the
-/// orbit once per distinct ipc value — with a prefix sum of the
-/// whole-instruction budgets it grants — turns the mirror's per-cycle
-/// accumulator loops into O(log) binary searches over `cum`. The collapse
-/// is bit-exact by construction: every tabulated value was produced by the
-/// reference FP operations, so reading a table entry and replaying the
-/// cycles give identical bits.
-struct FbOrbit {
-  /// Steps tabulated. Comfortably above kDetLookahead so a lookup landing
-  /// mid-table still has a full proof window of entries ahead of it.
-  static constexpr std::uint32_t kSteps = 20480;
-  static constexpr std::uint32_t kNpos = ~std::uint32_t{0};
-
-  /// Budget value after k steps from 0.0; fbl[0] == 0.0.
-  std::vector<double> fbl;
-  /// Whole instructions granted by steps 1..k; cum[0] == 0.
-  std::vector<std::uint64_t> cum;
-  /// Bit pattern of a budget value -> smallest step index holding it.
-  std::unordered_map<std::uint64_t, std::uint32_t> pos;
-
-  explicit FbOrbit(double ipc) : fbl(kSteps + 1), cum(kSteps + 1) {
-    pos.reserve(kSteps + 1);
-    double x = 0.0;
-    std::uint64_t c = 0;
-    pos.emplace(std::bit_cast<std::uint64_t>(x), 0);
-    for (std::uint32_t k = 1; k <= kSteps; ++k) {
-      const double nfb = x + ipc;
-      const auto bud = static_cast<std::uint64_t>(nfb);
-      x = nfb - static_cast<double>(bud);
-      c += bud;
-      fbl[k] = x;
-      cum[k] = c;
-      pos.emplace(std::bit_cast<std::uint64_t>(x), k);
-    }
-  }
-
-  /// Step index whose budget value is bit-identical to `fb`, or kNpos when
-  /// `fb` is off-orbit: past the table, after kSteps steps with no reset.
-  std::uint32_t find(double fb) const {
-    const auto it = pos.find(std::bit_cast<std::uint64_t>(fb));
-    return it == pos.end() ? kNpos : it->second;
-  }
-};
-
 namespace {
-
-/// Process-wide orbit registry, one table per distinct ipc bit pattern.
-/// Shared across cores and threads (run_all measures schemes in parallel).
-std::shared_ptr<const FbOrbit> acquire_orbit(double ipc) {
-  static std::mutex mu;
-  static std::unordered_map<std::uint64_t, std::shared_ptr<const FbOrbit>>
-      registry;
-  const std::lock_guard<std::mutex> lock(mu);
-  auto& slot = registry[std::bit_cast<std::uint64_t>(ipc)];
-  if (!slot) slot = std::make_shared<const FbOrbit>(ipc);
-  return slot;
-}
 
 /// Where one cycle's fetch of non-memory instructions stopped.
 enum class FetchStop : std::uint8_t { kBudget, kWindowFull, kMemOp };
@@ -93,7 +27,50 @@ inline FetchStop fetch_nonmem(std::uint64_t& fs, std::uint64_t& bud,
   return FetchStop::kBudget;
 }
 
+/// The fetch grants of a stretch of cycles with no budget reset, from
+/// budget `b` at `r` (both in 1/kBudgetUnit instruction): k cycles grant
+/// after(k) = floor((b + k·r) / kBudgetUnit) whole instructions in all and
+/// leave left(k) = (b + k·r) mod kBudgetUnit of budget.
+struct Grants {
+  std::uint64_t b;
+  std::uint64_t r;
+
+  std::uint64_t after(std::uint64_t k) const {
+    return (b + k * r) / kBudgetUnit;
+  }
+  std::uint64_t left(std::uint64_t k) const {
+    return (b + k * r) % kBudgetUnit;
+  }
+  /// The fewest cycles whose grants reach `n` instructions (0 when the
+  /// budget already covers them): ceil((n·kBudgetUnit − b) / r).
+  std::uint64_t reach(std::uint64_t n) const {
+    const std::uint64_t need = n * kBudgetUnit;
+    return need > b ? (need - b + r - 1) / r : 0;
+  }
+  /// Cycles that fetch before the touch of a memory op `dist` instructions
+  /// ahead, or `room` when it is not touched within `room` cycles. The
+  /// touch cycle is the first whose grants strictly exceed `dist`: an exact
+  /// landing consumes the whole grant, stalls once more, and touches on
+  /// the next granted instruction. Testing the whole room first keeps
+  /// reach()'s argument small for any distance.
+  std::uint64_t before_touch(std::uint64_t dist, std::uint64_t room) const {
+    return after(room) > dist ? reach(dist + 1) - 1 : room;
+  }
+};
+
 }  // namespace
+
+std::uint32_t ipc_x100(double ipc) {
+  // An on-grid rate converts exactly: llround recovers its integer, and the
+  // correctly rounded division gives back the very double its decimal
+  // literal names.
+  const bool on_grid =
+      std::isfinite(ipc) && ipc > 0.0 && ipc <= 1e6 &&
+      static_cast<double>(std::llround(ipc * kBudgetUnit)) / kBudgetUnit ==
+          ipc;
+  BWPART_ASSERT(on_grid, "non-memory IPC must be a positive multiple of 0.01");
+  return static_cast<std::uint32_t>(std::llround(ipc * kBudgetUnit));
+}
 
 OoOCore::OoOCore(AppId app, const CoreConfig& cfg, TraceSource& trace,
                  mem::MemoryController& controller)
@@ -104,8 +81,10 @@ OoOCore::OoOCore(AppId app, const CoreConfig& cfg, TraceSource& trace,
       l1_(cfg.l1),
       l2_(cfg.l2) {
   BWPART_ASSERT(cfg.rob_size > 0, "ROB must hold at least one instruction");
-  BWPART_ASSERT(cfg.issue_width > 0.0, "issue width must be positive");
-  BWPART_ASSERT(cfg.nonmem_ipc > 0.0 && cfg.nonmem_ipc <= cfg.issue_width,
+  BWPART_ASSERT(cfg.issue_width > 0, "issue width must be positive");
+  BWPART_ASSERT(cfg.nonmem_ipc_x100 > 0 &&
+                    cfg.nonmem_ipc_x100 <=
+                        std::uint64_t{kBudgetUnit} * cfg.issue_width,
                 "non-memory IPC must be in (0, issue_width]");
   BWPART_ASSERT(cfg.mshrs > 0 && cfg.store_buffer > 0,
                 "need at least one MSHR and one store-buffer entry");
@@ -162,14 +141,11 @@ WakeProof OoOCore::prove_sleep(Cycle now) const {
 }
 
 Cycle OoOCore::next_det_wake(Cycle now) const {
-  if (!orbit_) orbit_ = acquire_orbit(cfg_.nonmem_ipc);
-  const FbOrbit& orbit = *orbit_;
-  const double width = cfg_.issue_width;
-  const double ipc = cfg_.nonmem_ipc;
+  const std::uint64_t width = cfg_.issue_width;
+  const std::uint64_t r = cfg_.nonmem_ipc_x100;
   const std::uint64_t rob = cfg_.rob_size;
   const std::uint64_t mem_seq = next_mem_seq_;
-  double rb = retire_budget_;
-  double fb = fetch_budget_;
+  std::uint64_t fb = fetch_budget_;
   std::uint64_t rs = retire_seq_;
   std::uint64_t fs = fetch_seq_;
   // First unretired load, advanced incrementally (a deque iterator bump is
@@ -180,8 +156,7 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
   std::uint64_t rob_stalls = 0;
   // State after the previous (proved-clean) iteration, memoized into
   // det_proof_ so the owner's replay of the range is O(1).
-  double rb_p = rb, fb_p = fb;
-  std::uint64_t rs_p = rs, fs_p = fs;
+  std::uint64_t fb_p = fb, rs_p = rs, fs_p = fs;
   auto it_p = it;
   std::uint64_t ms_p = 0;
   const Cycle cap =
@@ -189,136 +164,84 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
   Cycle prefix = cap;
   Cycle wake = now + cap + 1;  // clean cap unless proven otherwise
   bool frozen = false;
-  // Load-free collapse preconditions: integer issue width, per-cycle fetch
-  // bounded by the retire budget, and ROB headroom above the largest
-  // single-cycle fetch. Under these, once no load is left and the
-  // un-retired tail fits in one retire budget, the mirror reaches a fixed
-  // point (each cycle retires exactly the previous cycle's fetch, the ROB
-  // never fills) and the remaining cycles reduce to the fractional fetch
-  // accumulator alone. The FP ops replicate the per-cycle mirror
-  // operation-for-operation, so the collapse is bit-exact, not a closed
-  // form.
-  const auto bud_max = static_cast<std::uint64_t>(ipc) + 1;
-  const auto width_u = static_cast<std::uint64_t>(width);
-  const bool collapsible = width >= 1.0 && width == std::floor(width) &&
-                           static_cast<double>(bud_max) <= width &&
-                           rob > bud_max;
-  // Both collapses need the budget on the orbit table with the proof's
-  // remaining cycles inside it. A budget the table cannot place (past
-  // kSteps steps with no reset, or too close to the table's end) clears
-  // this flag, and the rest of the proof runs in the generic mirror below,
-  // which models the same cycles exactly, with no further lookup.
-  bool on_table = true;
+  // Load-free collapse precondition: ROB headroom above the largest
+  // single-cycle grant (which never exceeds the issue width, as the rate is
+  // at most 100 * width). Then, once no load is left and the un-retired
+  // tail fits in one cycle's retirement, each cycle retires exactly the
+  // previous cycle's fetch, the ROB never fills, and the remaining cycles
+  // reduce to the fetch grants alone.
+  const std::uint64_t bud_max = (kBudgetUnit - 1 + r) / kBudgetUnit;
+  const bool collapsible = rob > bud_max;
   for (Cycle j = 1; j <= cap; ++j) {
-    if (on_table && it != loads_end && it->seq == rs &&
-        it->done_at == kNoCycle) {
+    if (it != loads_end && it->seq == rs && it->done_at == kNoCycle) {
       // Retirement blocked on a load whose completion is not yet known: the
       // retire cursor cannot move again within this proof (loads_ is
       // immutable here), so each remaining cycle is one memory stall plus
-      // the fetch accumulator, until the ROB fills (frozen: the remaining
-      // cycles follow the fast_forward_stall() closed form exactly), fetch
-      // reaches the next memory op (touch), or the cap. Orbit collapse:
-      // locate the budget on the tabulated orbit, then the whole stretch
-      // reduces to one binary search over the prefix sums — the first cycle
-      // whose cumulative fetch passes the next memory op (touch) or fills
-      // the window (freeze). End states read straight off the table, so
-      // every FP value matches the generic mirror below bit-for-bit.
-      const std::uint64_t rob_lim = rs + rob;
-      const std::uint32_t p0 = orbit.find(fb);
+      // the fetch grant, with no budget reset until the ROB fills (frozen:
+      // the remaining cycles follow the fast_forward_stall() closed form
+      // exactly), fetch reaches the next memory op (touch), or the cap. The
+      // stretch ends in closed form at the first of these.
+      const Grants g{fb, r};
       const std::uint64_t room = cap - j + 1;
-      if (p0 != FbOrbit::kNpos && p0 + room <= FbOrbit::kSteps) {
-        const auto first = orbit.cum.begin() + p0;
-        const auto last = first + static_cast<std::ptrdiff_t>(room) + 1;
-        const std::uint64_t base = orbit.cum[p0];
-        const std::uint64_t dist_rob = rob_lim - fs;
-        std::uint64_t stalls;
-        if (mem_seq - fs < dist_rob) {
-          // Touch boundary first. The touch cycle is the first whose
-          // cumulative fetch strictly exceeds the distance to mem_seq: an
-          // exact landing consumes the whole budget, stalls once more, and
-          // touches on the next granted instruction — which is exactly
-          // upper_bound's strict compare.
-          const auto hit =
-              std::upper_bound(first, last, base + (mem_seq - fs));
-          if (hit != last) {
-            stalls = static_cast<std::uint64_t>(hit - first) - 1;
-            prefix = j + stalls - 1;
-            wake = now + j + stalls;
-          } else {
-            stalls = room;
-          }
-          fs += orbit.cum[p0 + stalls] - base;
-          fb = orbit.fbl[p0 + stalls];
+      const std::uint64_t dist = mem_seq - fs;
+      const std::uint64_t dist_rob = rs + rob - fs;
+      std::uint64_t stalls;
+      if (dist < dist_rob) {
+        // Touch boundary first.
+        stalls = g.before_touch(dist, room);
+        if (stalls < room) {
+          prefix = j + stalls - 1;
+          wake = now + j + stalls;
+        }
+        fs += g.after(stalls);
+        fb = g.left(stalls);
+      } else {
+        // Window boundary first (the fetch step checks ROB space before
+        // the memory touch, so ties freeze). The stretch ends at the first
+        // cycle whose grants reach the window limit; budget left over at
+        // the limit flags one ROB stall and zeroes the budget, and the
+        // following cycle's scan freezes.
+        const std::uint64_t fill = g.reach(dist_rob);
+        const bool leftover = fill <= room && g.after(fill) > dist_rob;
+        if (fill < room) {
+          stalls = fill;
+          fs = rs + rob;
+          prefix = j + fill - 1;
+          wake = kNoCycle;
+          frozen = true;
         } else {
-          // Window boundary first (the fetch step checks ROB space before
-          // the memory touch, so ties freeze). The stretch ends at the first
-          // cycle whose cumulative fetch reaches the window limit; budget
-          // left over at the limit flags one ROB stall and zeroes the
-          // budget, and the following cycle's scan freezes.
-          const auto hit = std::lower_bound(first, last, base + dist_rob);
-          const auto m_r = static_cast<std::uint64_t>(hit - first);
-          const bool leftover =
-              hit != last && orbit.cum[p0 + m_r] - base > dist_rob;
-          if (hit != last && m_r < room) {
-            stalls = m_r;
-            fs = rob_lim;
-            prefix = j + m_r - 1;
-            wake = kNoCycle;
-            frozen = true;
-          } else {
-            stalls = room;
-            fs += std::min(orbit.cum[p0 + room] - base, dist_rob);
-          }
-          if (leftover) {
-            ++rob_stalls;
-            fb = 0.0;
-          } else {
-            fb = orbit.fbl[p0 + stalls];
-          }
+          stalls = room;
+          fs += std::min(g.after(room), dist_rob);
         }
-        mem_stalls += stalls;
-        if (stalls > 0) rb = 0.0;
-        break;
+        if (leftover) {
+          ++rob_stalls;
+          fb = 0;
+        } else {
+          fb = g.left(stalls);
+        }
       }
-      on_table = false;
+      mem_stalls += stalls;
+      break;
     }
-    // With no load left and rb exactly zero (guaranteed in practice: an
-    // integer width leaves retire_budget_ at 0.0 forever) the retire
-    // mirror is pure integer bookkeeping: each cycle drains exactly the
-    // previous fetch.
-    if (on_table && it == loads_end && collapsible && fs - rs <= width_u &&
-        rb == 0.0) {
-      // Orbit collapse: from here the generic mirror would walk the
-      // tabulated orbit one step per cycle, so the touch cycle is one
-      // binary search over the prefix sums and the end state reads
-      // straight off the table (same construction as the stuck-stretch
-      // collapse above).
-      const std::uint32_t p0 = orbit.find(fb);
+    if (it == loads_end && collapsible && fs - rs <= width) {
+      // No load left: from here each cycle retires the previous cycle's
+      // grant and fetches its own, so the touch cycle and the end state
+      // follow from the grants in closed form.
+      const Grants g{fb, r};
       const std::uint64_t room = cap - j + 1;
-      if (p0 != FbOrbit::kNpos && p0 + room <= FbOrbit::kSteps) {
-        const auto first = orbit.cum.begin() + p0;
-        const auto last = first + static_cast<std::ptrdiff_t>(room) + 1;
-        const std::uint64_t base = orbit.cum[p0];
-        const auto hit = std::upper_bound(first, last, base + (mem_seq - fs));
-        const std::uint64_t done =
-            hit != last ? static_cast<std::uint64_t>(hit - first) - 1 : room;
-        // Un-retired tail after the stretch = the last granted budget
-        // (each cycle retires exactly the previous cycle's fetch).
-        const std::uint64_t tail =
-            done > 0 ? orbit.cum[p0 + done] - orbit.cum[p0 + done - 1]
-                     : fs - rs;
-        fs += orbit.cum[p0 + done] - base;
-        rs = fs - tail;
-        fb = orbit.fbl[p0 + done];
-        if (hit != last) {
-          prefix = j + done - 1;
-          wake = now + j + done;
-        }
-        break;
+      const std::uint64_t done = g.before_touch(mem_seq - fs, room);
+      // Un-retired tail after the stretch = the last cycle's grant.
+      const std::uint64_t tail =
+          done > 0 ? g.after(done) - g.after(done - 1) : fs - rs;
+      fs += g.after(done);
+      rs = fs - tail;
+      fb = g.left(done);
+      if (done < room) {
+        prefix = j + done - 1;
+        wake = now + j + done;
       }
-      on_table = false;
+      break;
     }
-    rb_p = rb;
     fb_p = fb;
     rs_p = rs;
     fs_p = fs;
@@ -326,13 +249,11 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
     ms_p = mem_stalls;
     // Mirror of do_retire(): drain completed loads, block on pending ones;
     // with no load left, one bulk advance.
-    rb += width;
-    auto rbud = static_cast<std::uint64_t>(rb);
-    rb -= static_cast<double>(rbud);
     const std::uint64_t start_rs = rs;
     if (it == loads_end) {
-      rs += std::min(rbud, fs - rs);
+      rs += std::min(width, fs - rs);
     } else {
+      std::uint64_t rbud = width;
       while (rbud > 0 && rs < fs) {
         if (it != loads_end && it->seq == rs) {
           if (it->done_at == kNoCycle || it->done_at > now + j) break;
@@ -342,21 +263,17 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
         --rbud;
       }
     }
-    if (rs == start_rs) {
-      if (it != loads_end && it->seq == rs) ++mem_stalls;
-      rb = 0.0;
-    }
+    if (rs == start_rs && it != loads_end && it->seq == rs) ++mem_stalls;
     // Mirror of do_fetch() up to the first memory-op attempt.
-    fb += ipc;
-    auto bud = static_cast<std::uint64_t>(fb);
-    fb -= static_cast<double>(bud);
+    fb += r;
+    std::uint64_t bud = fb / kBudgetUnit;
+    fb -= bud * kBudgetUnit;
     const FetchStop stop = fetch_nonmem(fs, bud, rs + rob, mem_seq);
     if (stop == FetchStop::kMemOp) {
       // The tick at now + j touches memory: the clean range ends one cycle
       // earlier, its end state the snapshot taken before this iteration.
       prefix = j - 1;
       wake = now + j;
-      rb = rb_p;
       fb = fb_p;
       rs = rs_p;
       fs = fs_p;
@@ -366,17 +283,21 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
     }
     if (stop == FetchStop::kWindowFull) {
       ++rob_stalls;
-      fb = 0.0;
+      fb = 0;
     }
   }
-  det_proof_ = DetProof{
-      fetch_seq_, retire_seq_,
-      fetch_budget_, retire_budget_,
-      prefix, fs,
-      rs, fb,
-      rb, static_cast<std::size_t>(it - loads_.begin()),
-      mem_stalls, rob_stalls,
-      frozen, true};
+  det_proof_ = DetProof{fetch_seq_,
+                        retire_seq_,
+                        fetch_budget_,
+                        prefix,
+                        fs,
+                        rs,
+                        static_cast<std::uint32_t>(fb),
+                        static_cast<std::size_t>(it - loads_.begin()),
+                        mem_stalls,
+                        rob_stalls,
+                        frozen,
+                        true};
   return wake;
 }
 
@@ -389,8 +310,7 @@ void OoOCore::fast_forward_det(Cycle start, Cycle n) {
   const DetProof& p = det_proof_;
   if (p.valid && (p.cycles == n || (p.frozen && p.cycles <= n)) &&
       p.start_fetch_seq == fetch_seq_ && p.start_retire_seq == retire_seq_ &&
-      p.start_fetch_budget == fetch_budget_ &&
-      p.start_retire_budget == retire_budget_) {
+      p.start_fetch_budget == fetch_budget_) {
     const Cycle tail = n - p.cycles;
     stats_.cycles += p.cycles;
     stats_.instructions += p.end_retire_seq - retire_seq_;
@@ -399,7 +319,6 @@ void OoOCore::fast_forward_det(Cycle start, Cycle n) {
     fetch_seq_ = p.end_fetch_seq;
     retire_seq_ = p.end_retire_seq;
     fetch_budget_ = p.end_fetch_budget;
-    retire_budget_ = p.end_retire_budget;
     loads_.erase(loads_.begin(),
                  loads_.begin() + static_cast<std::ptrdiff_t>(p.loads_retired));
     det_proof_.valid = false;
@@ -417,29 +336,26 @@ void OoOCore::fast_forward_det(Cycle start, Cycle n) {
 void OoOCore::fast_forward_stall(Cycle n) {
   if (n == 0) return;
   stats_.cycles += n;
-  // Retire side: nothing retires, so the budget resets every cycle and the
-  // memory-stall classification is constant across the range.
-  retire_budget_ = 0.0;
+  // Retire side: nothing retires, so the memory-stall classification is
+  // constant across the range.
   if (!loads_.empty() && loads_.front().seq == retire_seq_) {
     stats_.mem_stall_cycles += n;
   }
   // Fetch side: the stall kind is frozen (the window stays full / the same
   // memory op stays blocked), but a stall cycle is only *flagged* when the
-  // whole-instruction budget reaches 1 — and flagging zeroes the budget.
-  // At nonmem_ipc >= 1 every cycle flags; below 1 the fractional
-  // accumulation must be replayed add-for-add to stay bit-identical.
+  // budget reaches a whole instruction, and flagging zeroes the budget. So
+  // the first flag comes after ceil((kBudgetUnit - b) / r) cycles and then
+  // one every ceil(kBudgetUnit / r) (every cycle at r >= kBudgetUnit), and
+  // the budget ends at r times the cycles since the last flag.
+  const std::uint64_t r = cfg_.nonmem_ipc_x100;
+  const std::uint64_t first = (kBudgetUnit - fetch_budget_ + r - 1) / r;
   std::uint64_t flagged = 0;
-  if (cfg_.nonmem_ipc >= 1.0) {
-    flagged = n;
-    fetch_budget_ = 0.0;
+  if (n < first) {
+    fetch_budget_ += static_cast<std::uint32_t>(n * r);
   } else {
-    for (Cycle i = 0; i < n; ++i) {
-      fetch_budget_ += cfg_.nonmem_ipc;
-      if (fetch_budget_ >= 1.0) {
-        ++flagged;
-        fetch_budget_ = 0.0;
-      }
-    }
+    const std::uint64_t period = (kBudgetUnit + r - 1) / r;
+    flagged = 1 + (n - first) / period;
+    fetch_budget_ = static_cast<std::uint32_t>((n - first) % period * r);
   }
   const std::uint64_t rob_space = retire_seq_ + cfg_.rob_size - fetch_seq_;
   if (rob_space == 0) {
@@ -450,10 +366,7 @@ void OoOCore::fast_forward_stall(Cycle n) {
 }
 
 void OoOCore::do_retire(Cycle now) {
-  retire_budget_ += cfg_.issue_width;
-  auto budget = static_cast<std::uint64_t>(retire_budget_);
-  retire_budget_ -= static_cast<double>(budget);
-
+  std::uint64_t budget = cfg_.issue_width;
   const std::uint64_t start = retire_seq_;
   while (budget > 0 && retire_seq_ < fetch_seq_) {
     if (!loads_.empty() && loads_.front().seq == retire_seq_) {
@@ -470,14 +383,12 @@ void OoOCore::do_retire(Cycle now) {
       loads_.front().seq == retire_seq_) {
     ++stats_.mem_stall_cycles;
   }
-  // Unused retire budget does not accumulate across stall cycles.
-  if (retire_seq_ == start) retire_budget_ = 0.0;
 }
 
 void OoOCore::do_fetch(Cycle now) {
-  fetch_budget_ += cfg_.nonmem_ipc;
-  auto budget = static_cast<std::uint64_t>(fetch_budget_);
-  fetch_budget_ -= static_cast<double>(budget);
+  fetch_budget_ += cfg_.nonmem_ipc_x100;
+  std::uint64_t budget = fetch_budget_ / kBudgetUnit;
+  fetch_budget_ %= kBudgetUnit;
 
   const std::uint64_t rob_lim = retire_seq_ + cfg_.rob_size;
   for (;;) {
@@ -487,13 +398,13 @@ void OoOCore::do_fetch(Cycle now) {
     // Fetch bandwidth is not banked across stall cycles.
     if (stop == FetchStop::kWindowFull) {
       ++stats_.rob_stall_cycles;
-      fetch_budget_ = 0.0;
+      fetch_budget_ = 0;
       return;
     }
     // The fetch head is the pending memory operation.
     if (!execute_mem_op(now)) {
       ++stats_.queue_stall_cycles;
-      fetch_budget_ = 0.0;
+      fetch_budget_ = 0;
       return;
     }
     ++fetch_seq_;
@@ -597,8 +508,9 @@ void OoOCore::transfer(snap::Io& io) {
   io.tag("CORE");
   io.u64(fetch_seq_);
   io.u64(retire_seq_);
-  io.f64(fetch_budget_);
-  io.f64(retire_budget_);
+  io.u32(fetch_budget_);
+  snap::require(fetch_budget_ < kBudgetUnit,
+                "fetch budget holds a whole instruction (corrupt)");
   io.u64(current_op_.gap_nonmem);
   io.u64(current_op_.addr);
   io.enum8(current_op_.type, AccessType::Write,

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "common/types.hpp"
@@ -25,13 +24,24 @@
 
 namespace bwpart::cpu {
 
+/// Fetch budgets count hundredths of an instruction. Every shipped
+/// non-memory IPC is a multiple of 0.01, so the budget is an exact integer
+/// and every stretch of fetch cycles has a closed form.
+inline constexpr std::uint32_t kBudgetUnit = 100;
+
+/// `ipc` in hundredths of an instruction per cycle. Aborts unless `ipc` is
+/// a positive multiple of 0.01 (2.4 and 0.72 convert; 0.333 does not), so
+/// an off-grid rate is never rounded silently.
+std::uint32_t ipc_x100(double ipc);
+
 struct CoreConfig {
   std::uint32_t rob_size = 192;
-  /// Maximum instructions fetched/retired per cycle.
-  double issue_width = 8.0;
-  /// ILP-limited throughput of the non-memory instruction stream
-  /// (instructions per cycle; <= issue_width). Per-benchmark knob.
-  double nonmem_ipc = 8.0;
+  /// Instructions retired per cycle, and the most fetched per cycle.
+  std::uint32_t issue_width = 8;
+  /// ILP-limited throughput of the non-memory instruction stream, in
+  /// hundredths of an instruction per cycle (in (0, 100 * issue_width]).
+  /// Per-benchmark knob: CmpSystem sets it through ipc_x100().
+  std::uint32_t nonmem_ipc_x100 = 800;
   /// Outstanding off-chip load misses (memory-level parallelism cap).
   std::uint32_t mshrs = 16;
   /// Outstanding posted stores.
@@ -96,10 +106,6 @@ struct WakeProof {
   SleepFlavor flavor = SleepFlavor::kStall;
 };
 
-/// Memo of the fractional fetch-budget orbit for one nonmem_ipc value
-/// (defined in core.cpp; shared across cores process-wide).
-struct FbOrbit;
-
 class OoOCore {
  public:
   /// Cap on the cycles next_det_wake() will prove in one call; a longer run
@@ -142,18 +148,19 @@ class OoOCore {
   /// system — provided no new completion for this application's reads is
   /// delivered inside the range (the owner must replay-then-wake at such a
   /// delivery). Returns now + 1 when the memory op would be attempted on
-  /// the very next cycle, and kNoCycle when the orbit collapse proves the
-  /// window freezes (retirement blocked on a pending load, window full) —
-  /// the cycles after the frozen point follow the fast_forward_stall()
-  /// closed form. A fetch budget off the orbit table runs through the
-  /// per-cycle mirror, which proves up to its cap instead. The proof
-  /// mirrors at most kDetLookahead cycles.
+  /// the very next cycle, and kNoCycle when the proof shows the window
+  /// freezes (retirement blocked on a pending load, window full) — the
+  /// cycles after the frozen point follow the fast_forward_stall() closed
+  /// form. A stretch with retirement blocked on a pending load, or with no
+  /// load left, ends in closed form from the integer fetch budget; only
+  /// windows holding loads with known completions are mirrored cycle by
+  /// cycle. The proof covers at most kDetLookahead cycles.
   Cycle next_det_wake(Cycle now) const;
 
   /// Replays the `n` consecutive cycles [start, start + n) of a
   /// deterministic window run: retire/fetch sequence numbers, retired
-  /// loads, instruction and stall counters, and both fractional budgets
-  /// advance bit-identically to n tick() calls. The proved range applies
+  /// loads, instruction and stall counters, and the fetch budget advance
+  /// exactly as n tick() calls would. The proved range applies
   /// from the det-proof memo in O(1); a range cut short (a read completion
   /// or the run-window edge) runs tick(start + i) per cycle. Precondition:
   /// next_det_wake() proved no memory-op attempt within the range and no
@@ -168,12 +175,10 @@ class OoOCore {
   /// proves no sleep (wake now + 1).
   WakeProof prove_sleep(Cycle now) const;
 
-  /// Replays `n` consecutive provably-stalled cycles in closed form:
-  /// cycle/stall counters advance exactly as n tick() calls would, and the
-  /// fractional issue budgets end bit-identical (the fetch budget's
-  /// sub-1-IPC accumulation is replayed exactly). Precondition: next_wake()
-  /// proved the next n cycles make no progress and no completion is
-  /// delivered within them.
+  /// Replays `n` consecutive provably-stalled cycles in closed form at
+  /// every rate: cycle/stall counters and the fetch budget end exactly as
+  /// n tick() calls leave them. Precondition: next_wake() proved the next n
+  /// cycles make no progress and no completion is delivered within them.
   void fast_forward_stall(Cycle n);
 
   /// Completion delivery for this core's controller requests.
@@ -190,11 +195,14 @@ class OoOCore {
   std::uint32_t offchip_loads_inflight() const {
     return offchip_loads_inflight_;
   }
+  /// Fetch bandwidth carried into the next cycle, in 1/kBudgetUnit
+  /// instruction; always below kBudgetUnit.
+  std::uint32_t fetch_budget() const { return fetch_budget_; }
   /// Zeroes the measurement counters at a phase boundary without touching
   /// microarchitectural state (ROB, caches, in-flight requests).
   void reset_stats();
 
-  /// Snapshot hook: window sequence numbers, fractional budgets, the
+  /// Snapshot hook: window sequence numbers, the fetch budget, the
   /// current trace op, the load queue (with controller request ids — slot
   /// wiring is restored by the controller's own hook), in-flight counters,
   /// stats and both private caches. The det-proof memo is deliberately not
@@ -234,8 +242,7 @@ class OoOCore {
 
   std::uint64_t fetch_seq_ = 0;
   std::uint64_t retire_seq_ = 0;
-  double fetch_budget_ = 0.0;
-  double retire_budget_ = 0.0;
+  std::uint32_t fetch_budget_ = 0;  ///< see fetch_budget()
 
   TraceOp current_op_{};
   std::uint64_t next_mem_seq_ = 0;
@@ -255,13 +262,11 @@ class OoOCore {
   struct DetProof {
     std::uint64_t start_fetch_seq = 0;
     std::uint64_t start_retire_seq = 0;
-    double start_fetch_budget = 0.0;
-    double start_retire_budget = 0.0;
+    std::uint32_t start_fetch_budget = 0;
     Cycle cycles = 0;  ///< length of the proved prefix
     std::uint64_t end_fetch_seq = 0;
     std::uint64_t end_retire_seq = 0;
-    double end_fetch_budget = 0.0;
-    double end_retire_budget = 0.0;
+    std::uint32_t end_fetch_budget = 0;
     std::size_t loads_retired = 0;   ///< front loads popped in the prefix
     std::uint64_t mem_stalls = 0;    ///< retire-blocked cycles in the prefix
     std::uint64_t rob_stalls = 0;    ///< ROB-full cycles in the prefix
@@ -269,12 +274,6 @@ class OoOCore {
     bool valid = false;
   };
   mutable DetProof det_proof_;
-
-  /// Shared memo of the fetch-budget orbit for this core's nonmem_ipc (see
-  /// FbOrbit in core.cpp). Acquired lazily by next_det_wake(); one table
-  /// per distinct ipc value process-wide. Mirror-side only — never part of
-  /// architectural state.
-  mutable std::shared_ptr<const FbOrbit> orbit_;
 
   CoreStats stats_;
 };

@@ -35,6 +35,10 @@ constexpr char kMagic[4] = {'B', 'W', 'P', 'S'};
 // cache section as a geometry mismatch, so the bump makes an older build
 // name the real cause. (This build could decode a v5 payload, but like
 // every bump before it, it reads its own version only.)
+// v7: the core's fetch budget is an integer count of 1/100 instruction (a
+// u32, not an f64), the always-zero retire budget is gone, and the system
+// blob no longer carries the engine's skipped-cycle counter, so v6
+// payloads no longer decode; same loud rejection.
 
 std::uint64_t hash_u64(std::uint64_t v, std::uint64_t h) {
   return hash_bytes(&v, sizeof(v), h);
@@ -101,8 +105,8 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
 
   const cpu::CoreConfig& c = cfg.core;
   h = hash_u32(c.rob_size, h);
-  h = hash_f64(c.issue_width, h);
-  h = hash_f64(c.nonmem_ipc, h);
+  h = hash_u32(c.issue_width, h);
+  h = hash_u32(c.nonmem_ipc_x100, h);
   h = hash_u32(c.mshrs, h);
   h = hash_u32(c.store_buffer, h);
   h = hash_u64(c.l1_latency, h);
@@ -128,7 +132,7 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
     h = hash_f64(b.paper_apki, h);
     h = hash_f64(b.api, h);
     h = hash_f64(b.mean_cluster, h);
-    h = hash_f64(b.nonmem_ipc, h);
+    h = hash_u32(cpu::ipc_x100(b.nonmem_ipc), h);
     h = hash_f64(b.write_fraction, h);
     h = hash_u64(b.seq_run_lines, h);
     h = hash_f64(b.dependent_fraction, h);
@@ -217,9 +221,11 @@ ProfileSnapshot read_profile_snapshot(const std::string& path) {
         "; v1 predates the SoA DRAM/controller state layout, v2 the "
         "multi-controller system layout, v3 the DRAM-generation "
         "registry's config fingerprint, v4 the churn engine's "
-        "liveness/tenancy state, and v5 zero-line snapshots of private "
-        "caches that were never accessed — re-capture the snapshot with "
-        "this build)");
+        "liveness/tenancy state, v5 zero-line snapshots of private "
+        "caches that were never accessed, and v6 integer fetch budgets "
+        "(it holds floating-point fetch and retire budgets and the "
+        "skipped-cycle counter) — re-capture the snapshot with this "
+        "build)");
   }
 
   ProfileSnapshot s;

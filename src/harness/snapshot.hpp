@@ -41,7 +41,7 @@ inline constexpr bool kSnapshotEnabled = true;
 
 /// The one "BWPS" format version this build writes and reads; snapshot.cpp
 /// records why each older version no longer decodes.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
 
 /// Everything the warmup + profile phases produced, shared by every forked
 /// measure phase of a sweep.

@@ -85,7 +85,7 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
     traces_.push_back(std::make_unique<workload::SyntheticTraceGenerator>(
         workload::SyntheticTraceGenerator::from_benchmark(apps_[a], a, seed)));
     cpu::CoreConfig cc = cfg_.core;
-    cc.nonmem_ipc = apps_[a].nonmem_ipc;
+    cc.nonmem_ipc_x100 = cpu::ipc_x100(apps_[a].nonmem_ipc);
     cores_.push_back(std::make_unique<cpu::OoOCore>(
         a, cc, *traces_[a], *controllers_[a % controllers_.size()]));
   }
@@ -442,7 +442,6 @@ void CmpSystem::transfer(snap::Io& io) {
   io.tag("SYS0");
   io.u64(now_);
   io.u64(window_start_);
-  io.u64(skipped_cycles_);
   io.arity(cores_.size(), "application count differs from the snapshot's");
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     traces_[i]->transfer(io);
@@ -458,6 +457,9 @@ void CmpSystem::transfer(snap::Io& io) {
   for (auto& mc : controllers_) mc->transfer(io);
   interference_.transfer(io);
   if (!io.reading()) return;
+  // Engine telemetry is not state: a restored system counts its jumps from
+  // the restore point.
+  skipped_cycles_ = 0;
   // Sleep proofs never cross a run() boundary; clear them so nothing stale
   // outlives the restore.
   for (std::size_t i = 0; i < cores_.size(); ++i) {

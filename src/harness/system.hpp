@@ -30,7 +30,7 @@ namespace bwpart::harness {
 struct SystemConfig {
   Frequency cpu_clock = Frequency::from_ghz(5.0);
   dram::DramConfig dram = dram::DramConfig::ddr2_400();
-  cpu::CoreConfig core{};  ///< template; nonmem_ipc comes from the benchmark
+  cpu::CoreConfig core{};  ///< template; each benchmark sets its rate
   std::size_t queue_capacity_per_app = 32;
   /// Shared-queue capacity used in No_partitioning (FCFS) mode, where one
   /// transaction queue is contended by every application.
@@ -124,7 +124,8 @@ class CmpSystem {
   /// so this is the mean of the partitions' jumped cycles, rounded down.
   /// It never exceeds now(), and on one controller it is the system's own
   /// count. skipped/now() is the fraction of the simulation that never
-  /// executed a per-cycle tick.
+  /// executed a per-cycle tick. The count is not part of a snapshot: a
+  /// restored system reads 0 at the restore and counts jumps from there.
   Cycle skipped_cycles() const {
     return skipped_cycles_ / controllers_.size();
   }

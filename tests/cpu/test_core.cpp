@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "common/snapshot_io.hpp"
 #include "mem/controller.hpp"
 
 namespace bwpart::cpu {
@@ -67,10 +69,103 @@ Rig make_rig(const CoreConfig& cfg, TraceSource& trace) {
   return rig;
 }
 
+/// The core's snapshot record.
+std::vector<std::uint8_t> record(OoOCore& core) {
+  snap::Writer w;
+  snap::Io io(w);
+  core.transfer(io);
+  return w.take();
+}
+
+void restore(OoOCore& core, const std::vector<std::uint8_t>& rec) {
+  snap::Reader r(rec);
+  snap::Io io(r);
+  core.transfer(io);
+}
+
+TEST(OoOCore, RatesConvertExactlyOnTheGrid) {
+  EXPECT_EQ(ipc_x100(0.01), 1u);
+  EXPECT_EQ(ipc_x100(0.72), 72u);
+  EXPECT_EQ(ipc_x100(2.4), 240u);
+  EXPECT_EQ(ipc_x100(8.0), 800u);
+}
+
+TEST(OoOCoreDeathTest, OffGridRateFailsLoudly) {
+  EXPECT_DEATH((void)ipc_x100(0.333), "multiple of 0.01");
+  EXPECT_DEATH((void)ipc_x100(0.0), "multiple of 0.01");
+  EXPECT_DEATH((void)ipc_x100(-0.5), "multiple of 0.01");
+}
+
+/// What a stall replay must reproduce: the cycle count, the three stall
+/// counters and the fetch budget.
+auto stall_state(const OoOCore& core) {
+  const CoreStats& s = core.stats();
+  return std::make_tuple(s.cycles, s.mem_stall_cycles, s.rob_stall_cycles,
+                         s.queue_stall_cycles, core.fetch_budget());
+}
+
+// fast_forward_stall(n) replays n blocked cycles in closed form. For every
+// rate on the 0.01 grid up to the width, every start budget, and every n up
+// to three flag periods past the first flag, it must leave the stall state
+// n tick() calls leave. Both stall kinds sit behind a pending load (memory
+// stalls): a read blocked on the one MSHR (queue stalls) and a full window
+// (ROB stalls).
+TEST(OoOCore, StallReplayMatchesTicksAtEveryRateAndBudget) {
+  struct Blocked {
+    const char* name;
+    std::uint32_t rob;
+    std::vector<TraceOp> ops;
+  };
+  const Blocked kinds[] = {
+      {"MSHR", 192, {TraceOp{0, 0x0, AccessType::Read, false}}},
+      {"window",
+       4,
+       {TraceOp{0, 0x0, AccessType::Read, false},
+        TraceOp{1'000'000, 0x40, AccessType::Read, false}}},
+  };
+  for (const Blocked& kind : kinds) {
+    for (std::uint32_t r = 1; r <= 8 * kBudgetUnit; ++r) {
+      CoreConfig cfg;
+      cfg.rob_size = kind.rob;
+      cfg.mshrs = 1;
+      cfg.nonmem_ipc_x100 = r;
+      ScriptedTrace trace(kind.ops);
+      // The controller never ticks, so the first read never completes.
+      Rig rig = make_rig(cfg, trace);
+      OoOCore& ref = *rig.core;
+      Cycle t = 0;
+      do {
+        ref.tick(++t);
+      } while (ref.next_wake(t) != kNoCycle);
+      std::vector<std::uint8_t> rec = record(ref);
+      for (std::uint32_t b = 0; b < kBudgetUnit; ++b) {
+        // The record opens with its tag and the fetch and retire sequence
+        // numbers (4 + 8 + 8 bytes); the budget follows as a u32.
+        for (std::size_t i = 0; i < 4; ++i) {
+          rec[20 + i] = static_cast<std::uint8_t>(b >> (8 * i));
+        }
+        restore(ref, rec);
+        ASSERT_EQ(ref.fetch_budget(), b);
+        const OoOCore start = ref;
+        const Cycle first = (kBudgetUnit - b + r - 1) / r;
+        const Cycle period = (kBudgetUnit + r - 1) / r;
+        for (Cycle n = 0; n <= first + 3 * period; ++n) {
+          if (n > 0) ref.tick(t + n);
+          OoOCore ff = start;
+          ff.fast_forward_stall(n);
+          ASSERT_EQ(stall_state(ff), stall_state(ref))
+              << kind.name << " rate " << r << " budget " << b << " cycles "
+              << n;
+        }
+      }
+    }
+  }
+}
+
 TEST(OoOCore, ComputeOnlyRunsAtNonmemIpc) {
   ComputeTrace trace;
   CoreConfig cfg;
-  cfg.nonmem_ipc = 2.0;
+  cfg.nonmem_ipc_x100 = 200;
   Rig rig = make_rig(cfg, trace);
   rig.run(10'000);
   EXPECT_NEAR(rig.core->stats().ipc(), 2.0, 0.01);
@@ -80,7 +175,7 @@ TEST(OoOCore, ComputeOnlyRunsAtNonmemIpc) {
 TEST(OoOCore, FractionalIssueRateAccumulates) {
   ComputeTrace trace;
   CoreConfig cfg;
-  cfg.nonmem_ipc = 1.5;
+  cfg.nonmem_ipc_x100 = 150;
   Rig rig = make_rig(cfg, trace);
   rig.run(10'000);
   EXPECT_NEAR(rig.core->stats().ipc(), 1.5, 0.01);
@@ -91,7 +186,7 @@ TEST(OoOCore, SingleMissStallsRoughlyMemoryLatency) {
   // fully exposed, so cycles/period = instrs/ipc + latency.
   ScriptedTrace trace({TraceOp{10'000, 0x0, AccessType::Read, false}});
   CoreConfig cfg;
-  cfg.nonmem_ipc = 8.0;
+  cfg.nonmem_ipc_x100 = 800;
   Rig rig = make_rig(cfg, trace);
   rig.run(200'000);
   const auto& s = rig.core->stats();
@@ -124,7 +219,7 @@ TEST(OoOCore, IndependentMissesOverlapWithinRob) {
   }
   ScriptedTrace trace(ops);
   CoreConfig cfg;
-  cfg.nonmem_ipc = 8.0;
+  cfg.nonmem_ipc_x100 = 800;
   Rig rig = make_rig(cfg, trace);
   rig.run(300'000);
   const auto& s = rig.core->stats();
@@ -141,7 +236,7 @@ TEST(OoOCore, DependentMissesSerialize) {
   }
   ScriptedTrace trace(ops);
   CoreConfig cfg;
-  cfg.nonmem_ipc = 8.0;
+  cfg.nonmem_ipc_x100 = 800;
   Rig rig = make_rig(cfg, trace);
   rig.run(300'000);
   const double cycles_per_miss =
@@ -176,7 +271,7 @@ TEST(OoOCore, WritesArePostedNotBlocking) {
   // rate of *dependent reads* would stall on every access.
   ScriptedTrace trace({TraceOp{2000, 0x0, AccessType::Write, false}});
   CoreConfig cfg;
-  cfg.nonmem_ipc = 4.0;
+  cfg.nonmem_ipc_x100 = 400;
   Rig rig = make_rig(cfg, trace);
   rig.run(100'000);
   EXPECT_GT(rig.core->stats().ipc(), 3.5);

@@ -89,7 +89,7 @@ TEST(CoreCounters, QueueStallAppearsUnderBackpressure) {
 TEST(CoreCounters, ComputeOnlyStreamHasNoStalls) {
   RepeatTrace trace(TraceOp{1'000'000'000, 0, AccessType::Read, false});
   CoreConfig cfg;
-  cfg.nonmem_ipc = 4.0;
+  cfg.nonmem_ipc_x100 = 400;
   Rig rig = make_rig(cfg, trace);
   rig.run(50'000);
   const auto& s = rig.core->stats();

@@ -275,18 +275,33 @@ TEST(MultiController, SnapshotRoundTripContinuesBitIdentically) {
   cut.run(60'000);
   snap::Writer w;
   cut.save_state(w);
+  ASSERT_GT(cut.skipped_cycles(), 0u);
   CmpSystem resumed(cfg, eight_apps(), 11);
   snap::Reader r(w.bytes());
   resumed.restore_state(r);
   EXPECT_TRUE(r.at_end());
+  // The engine's skip counter is not state: it counts from the restore.
+  EXPECT_EQ(resumed.skipped_cycles(), 0u);
   resumed.run(60'000);
   ASSERT_EQ(resumed.now(), straight.now());
+  EXPECT_GT(resumed.skipped_cycles(), 0u);
+  EXPECT_LE(resumed.skipped_cycles(), 60'000u);
+  EXPECT_LE(resumed.skipped_cycles(), resumed.now());
   for (AppId a = 0; a < straight.num_apps(); ++a) {
     EXPECT_EQ(resumed.core(a).stats().instructions,
               straight.core(a).stats().instructions);
     EXPECT_EQ(resumed.controller_for(a).app_stats(a).served(),
               straight.controller_for(a).app_stats(a).served());
   }
+}
+
+// Fetch budgets count hundredths of an instruction, so a benchmark rate
+// off the 0.01 grid stops the system's construction instead of rounding.
+TEST(CmpSystemDeathTest, OffGridRateFailsAtConstruction) {
+  std::vector<workload::BenchmarkSpec> apps = {
+      workload::find_benchmark("gobmk")};
+  apps[0].nonmem_ipc = 0.333;
+  EXPECT_DEATH({ CmpSystem sys(small_cfg(), apps, 1); }, "multiple of 0.01");
 }
 
 TEST(MultiController, ControllerCountMismatchIsRejectedOnRestore) {

@@ -299,10 +299,11 @@ pbt::GenFn<DetCase> det_case_gen() {
   return [](Rng& rng) {
     DetCase c;
     c.machine = gen::system_config(rng);
-    // A fractional width leaves retire budget between cycles, and cache hits
-    // put loads with known future completion cycles in the window.
-    c.core.issue_width = rng.next_bool(0.5) ? 8.0 : 8.5;
-    c.core.nonmem_ipc = pbt::gen_double(rng, 0.3, 3.0);
+    // Rates on the 0.01 grid in [0.30, 3.00]; cache hits put loads with
+    // known future completion cycles in the window.
+    c.core.issue_width = rng.next_bool(0.5) ? 4 : 8;
+    c.core.nonmem_ipc_x100 =
+        static_cast<std::uint32_t>(pbt::gen_uint(rng, 30, 300));
     c.core.mshrs = rng.next_bool(0.5) ? 4 : 16;
     c.core.model_caches = rng.next_bool(0.7);
     c.core.l1 = {4 * 1024, 64, 2};
@@ -310,8 +311,7 @@ pbt::GenFn<DetCase> det_case_gen() {
     c.seed = rng.next_u64();
     if (rng.next_bool(0.5)) {
       // Sparse: a large window and no dependent reads keep fetch stall-free
-      // past FbOrbit's table, so the generic mirror proves off-table
-      // budgets.
+      // for long stretches, so the load-free closed form runs whole proofs.
       c.core.rob_size = 1024;
       c.max_gap = 3'000;
       c.cycles = static_cast<Cycle>(pbt::gen_uint(rng, 40'000, 60'000));
@@ -332,7 +332,8 @@ std::string print_det_case(const DetCase& c) {
   std::ostringstream os;
   os << "seed=" << c.seed << " cycles=" << c.cycles << " stride=" << c.stride
      << " max_gap=" << c.max_gap << " dependent=" << c.dependent_share
-     << " width=" << c.core.issue_width << " ipc=" << c.core.nonmem_ipc
+     << " width=" << c.core.issue_width
+     << " ipc_x100=" << c.core.nonmem_ipc_x100
      << " rob=" << c.core.rob_size << " mshrs=" << c.core.mshrs
      << " caches=" << c.core.model_caches;
   return os.str();

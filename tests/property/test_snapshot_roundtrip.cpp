@@ -610,47 +610,47 @@ TEST(SnapshotRoundtrip, StreamBytesArePinned) {
   };
   const std::vector<Pinned> pinned = {
       {"system/FCFS/shared",
-       {0xe9b140a649d7b464ULL, 340106}, {0x18fe017f656c1a67ULL, 337988}},
+       {0x4e7d2e5cd4d0ee16ULL, 340050}, {0xc42bd4a8a49ab959ULL, 337932}},
       {"system/FCFS/per-app",
-       {0x1a8a1c48ed17ae9eULL, 340106}, {0xf68c6a9bcc3115a7ULL, 337988}},
+       {0x02cf8221391750d0ULL, 340050}, {0xc4371a3178a9d511ULL, 337932}},
       {"system/FR-FCFS/shared",
-       {0x882fc9317081539fULL, 340146}, {0x6453cf18756fd394ULL, 338028}},
+       {0xdaab86a04f52aaa2ULL, 340090}, {0xee89cd9478de508dULL, 337972}},
       {"system/FR-FCFS/per-app",
-       {0x97580d2b461f63f9ULL, 340146}, {0x0219a43215712bdcULL, 338028}},
+       {0xade6a26435ff4d98ULL, 340090}, {0x81bfd7a58d98c265ULL, 337972}},
       {"system/PAR-BS/shared",
-       {0x397cdb8f61b68813ULL, 340281}, {0xb0656f70f3e0bcdaULL, 338163}},
+       {0x669f55373d7e9d77ULL, 340225}, {0x41d9fdbd7f62f82eULL, 338107}},
       {"system/PAR-BS/per-app",
-       {0x3345b778d95dda49ULL, 340281}, {0xf20535f6a266e24eULL, 338163}},
+       {0x8a0e98f64262cacdULL, 340225}, {0xf04cd59354b95e32ULL, 338107}},
       {"system/StartTimeFair/shared",
-       {0x21a771a976742cb2ULL, 340243}, {0xe78cb0ec3548663bULL, 338125}},
+       {0xd6ba0fcf38e6ba78ULL, 340187}, {0xc63f856ba3ba9735ULL, 338069}},
       {"system/StartTimeFair/per-app",
-       {0x716af98392604f26ULL, 340243}, {0x7764197cc855162dULL, 338125}},
+       {0x5d255fdacae82f54ULL, 340187}, {0xf94d48c63cdf198fULL, 338069}},
       {"system/ClassicDSTF/shared",
-       {0xe8056cc55297822dULL, 340371}, {0x0e905dc05c5e52bcULL, 338253}},
+       {0x3cbc56e5cd9fa0bcULL, 340315}, {0x5866f88a275514edULL, 338197}},
       {"system/ClassicDSTF/per-app",
-       {0x0bc71f8271980e1dULL, 340371}, {0x50d054d444fa30d2ULL, 338253}},
+       {0x3a11d4bbf6f04d5cULL, 340315}, {0x348e9c45dfa6120fULL, 338197}},
       {"system/STFM/shared",
-       {0x57c78417f0a8ada9ULL, 340202}, {0xe4442c6cc369fa18ULL, 338084}},
+       {0xd659248c891dc254ULL, 340146}, {0x9cb8b7c32855ce31ULL, 338028}},
       {"system/STFM/per-app",
-       {0x14c4031c9395d717ULL, 340202}, {0x24fbbf2598c0659cULL, 338084}},
+       {0x2ef72f8463f542eeULL, 340146}, {0x5cde4170bf2ee0cdULL, 338028}},
       {"system/ATLAS/shared",
-       {0x764476d9906b1ad8ULL, 340311}, {0x8757a4eae4dce813ULL, 338193}},
+       {0x480c02488e238338ULL, 340255}, {0x0078419bf6379333ULL, 338137}},
       {"system/ATLAS/per-app",
-       {0x3fff3514385f24e4ULL, 340311}, {0x70aefb92aa6b1e75ULL, 338193}},
+       {0xd68c7b5c80315d44ULL, 340255}, {0x788bba0f56d5ca95ULL, 338137}},
       {"system/TCM/shared",
-       {0x517fb4c3b84ce34cULL, 340208}, {0x049772d977930aa5ULL, 338090}},
+       {0xc51921508b0697c6ULL, 340152}, {0x5c8f007b729be20fULL, 338034}},
       {"system/TCM/per-app",
-       {0x3bb2f3269e1c9c74ULL, 340208}, {0x7e73bc6ec055fbf7ULL, 338090}},
+       {0x9710adf8ff2c4d8eULL, 340152}, {0x033255857293a041ULL, 338034}},
       {"system/StrictPriority/shared",
-       {0xf575ff58a0ebd3aaULL, 340224}, {0xf58552166ccf9700ULL, 338106}},
+       {0x58e6b70ba21b95c9ULL, 340168}, {0x1cc781b3f260a26fULL, 338050}},
       {"system/StrictPriority/per-app",
-       {0x1c6d35ed85e84adcULL, 340224}, {0xde035431901d7574ULL, 338106}},
+       {0x224a065fa50b9cc7ULL, 340168}, {0x67adb058ead177a3ULL, 338050}},
       {"churn-engine",
        {0x88d02f82c32fb0aaULL, 660}, {0x88d02f82c32fb0aaULL, 660}},
       {"bwrr",
        {0x24ce9b93103ebe02ULL, 272}, {0x24ce9b93103ebe02ULL, 272}},
       {"bwps",
-       {0xdafafdb66c28ad1cULL, 339709}, {0xda7f7d53fce9c851ULL, 337591}},
+       {0x02e73e2a2290bd4aULL, 339653}, {0xdd4c9fea54fab650ULL, 337535}},
   };
   std::vector<std::pair<std::string, StreamId>> got;
   for (const char* policy : kPolicies) {

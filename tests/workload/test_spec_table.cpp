@@ -5,6 +5,8 @@
 #include <set>
 #include <string>
 
+#include "cpu/core.hpp"
+
 namespace bwpart::workload {
 namespace {
 
@@ -40,6 +42,14 @@ TEST(SpecTable, PaperIntensityClassesMatchTableIII) {
 TEST(SpecTable, ApiDerivedFromApki) {
   for (const auto& b : spec2006_table()) {
     EXPECT_NEAR(b.api, b.paper_apki / 1000.0, 1e-9) << b.name;
+  }
+}
+
+// The core counts fetch budgets in hundredths of an instruction, and
+// ipc_x100() aborts on a rate off that grid.
+TEST(SpecTable, NonmemIpcOnTheHundredthsGrid) {
+  for (const auto& b : spec2006_table()) {
+    EXPECT_EQ(cpu::ipc_x100(b.nonmem_ipc) / 100.0, b.nonmem_ipc) << b.name;
   }
 }
 
