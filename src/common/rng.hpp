@@ -61,7 +61,10 @@ class Rng {
   bool next_bool(double p) { return next_double() < p; }
 
   /// Geometric number of failures before first success, success prob p.
-  /// Used for inter-arrival gaps in the trace generators.
+  /// Calls libm `log` and `log1p`, so its draws may differ across
+  /// toolchains; it sits on no result path. Its only caller is
+  /// AddressStreamGenerator::next(), which only the shared-L2 example
+  /// (examples/shared_l2_study.cpp) drives.
   std::uint64_t next_geometric(double p);
 
   /// Snapshot hook: the full xoshiro256** state, so a restored stream

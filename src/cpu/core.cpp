@@ -125,7 +125,8 @@ Cycle OoOCore::next_wake(Cycle now) const {
 WakeProof OoOCore::prove_sleep(Cycle now) const {
   const Cycle w = next_wake(now);
   if (w == now + 1) {
-    const Cycle wd = next_det_wake(now);
+    const DetWalk d = walk_det(now, kDetLookahead);
+    const Cycle wd = d.frozen ? kNoCycle : now + d.cycles + 1;
     if (wd > w) return {wd, SleepFlavor::kDet};
     return {w, SleepFlavor::kStall};  // not sleeping; flavor unused
   }
@@ -140,7 +141,7 @@ WakeProof OoOCore::prove_sleep(Cycle now) const {
   return {w, SleepFlavor::kStall};
 }
 
-Cycle OoOCore::next_det_wake(Cycle now) const {
+OoOCore::DetWalk OoOCore::walk_det(Cycle now, Cycle cap) const {
   const std::uint64_t width = cfg_.issue_width;
   const std::uint64_t r = cfg_.nonmem_ipc_x100;
   const std::uint64_t rob = cfg_.rob_size;
@@ -152,18 +153,8 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
   // cheap; indexed deque access in this loop is not).
   auto it = loads_.begin();
   const auto loads_end = loads_.end();
-  std::uint64_t mem_stalls = 0;
-  std::uint64_t rob_stalls = 0;
-  // State after the previous (proved-clean) iteration, memoized into
-  // det_proof_ so the owner's replay of the range is O(1).
-  std::uint64_t fb_p = fb, rs_p = rs, fs_p = fs;
-  auto it_p = it;
-  std::uint64_t ms_p = 0;
-  const Cycle cap =
-      offchip_loads_inflight_ == 0 ? kDetLookahead : kDetShortLookahead;
-  Cycle prefix = cap;
-  Cycle wake = now + cap + 1;  // clean cap unless proven otherwise
-  bool frozen = false;
+  DetWalk w;
+  w.cycles = cap;  // clean to the cap unless a memory op or a freeze ends it
   // Load-free collapse precondition: ROB headroom above the largest
   // single-cycle grant (which never exceeds the issue width, as the rate is
   // at most 100 * width). Then, once no load is left and the un-retired
@@ -175,7 +166,7 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
   for (Cycle j = 1; j <= cap; ++j) {
     if (it != loads_end && it->seq == rs && it->done_at == kNoCycle) {
       // Retirement blocked on a load whose completion is not yet known: the
-      // retire cursor cannot move again within this proof (loads_ is
+      // retire cursor cannot move again within this walk (loads_ is
       // immutable here), so each remaining cycle is one memory stall plus
       // the fetch grant, with no budget reset until the ROB fills (frozen:
       // the remaining cycles follow the fast_forward_stall() closed form
@@ -190,8 +181,8 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
         // Touch boundary first.
         stalls = g.before_touch(dist, room);
         if (stalls < room) {
-          prefix = j + stalls - 1;
-          wake = now + j + stalls;
+          w.cycles = j + stalls - 1;
+          return w;
         }
         fs += g.after(stalls);
         fb = g.left(stalls);
@@ -206,21 +197,20 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
         if (fill < room) {
           stalls = fill;
           fs = rs + rob;
-          prefix = j + fill - 1;
-          wake = kNoCycle;
-          frozen = true;
+          w.cycles = j + fill - 1;
+          w.frozen = true;
         } else {
           stalls = room;
           fs += std::min(g.after(room), dist_rob);
         }
         if (leftover) {
-          ++rob_stalls;
+          ++w.rob_stalls;
           fb = 0;
         } else {
           fb = g.left(stalls);
         }
       }
-      mem_stalls += stalls;
+      w.mem_stalls += stalls;
       break;
     }
     if (it == loads_end && collapsible && fs - rs <= width) {
@@ -230,23 +220,18 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
       const Grants g{fb, r};
       const std::uint64_t room = cap - j + 1;
       const std::uint64_t done = g.before_touch(mem_seq - fs, room);
+      if (done < room) {
+        w.cycles = j + done - 1;
+        return w;
+      }
       // Un-retired tail after the stretch = the last cycle's grant.
       const std::uint64_t tail =
           done > 0 ? g.after(done) - g.after(done - 1) : fs - rs;
       fs += g.after(done);
       rs = fs - tail;
       fb = g.left(done);
-      if (done < room) {
-        prefix = j + done - 1;
-        wake = now + j + done;
-      }
       break;
     }
-    fb_p = fb;
-    rs_p = rs;
-    fs_p = fs;
-    it_p = it;
-    ms_p = mem_stalls;
     // Mirror of do_retire(): drain completed loads, block on pending ones;
     // with no load left, one bulk advance.
     const std::uint64_t start_rs = rs;
@@ -263,74 +248,48 @@ Cycle OoOCore::next_det_wake(Cycle now) const {
         --rbud;
       }
     }
-    if (rs == start_rs && it != loads_end && it->seq == rs) ++mem_stalls;
+    if (rs == start_rs && it != loads_end && it->seq == rs) ++w.mem_stalls;
     // Mirror of do_fetch() up to the first memory-op attempt.
     fb += r;
     std::uint64_t bud = fb / kBudgetUnit;
     fb -= bud * kBudgetUnit;
     const FetchStop stop = fetch_nonmem(fs, bud, rs + rob, mem_seq);
     if (stop == FetchStop::kMemOp) {
-      // The tick at now + j touches memory: the clean range ends one cycle
-      // earlier, its end state the snapshot taken before this iteration.
-      prefix = j - 1;
-      wake = now + j;
-      fb = fb_p;
-      rs = rs_p;
-      fs = fs_p;
-      it = it_p;
-      mem_stalls = ms_p;
-      break;
+      // The tick at now + j touches memory: the walk ends one cycle earlier.
+      w.cycles = j - 1;
+      return w;
     }
     if (stop == FetchStop::kWindowFull) {
-      ++rob_stalls;
+      ++w.rob_stalls;
       fb = 0;
     }
   }
-  det_proof_ = DetProof{fetch_seq_,
-                        retire_seq_,
-                        fetch_budget_,
-                        prefix,
-                        fs,
-                        rs,
-                        static_cast<std::uint32_t>(fb),
-                        static_cast<std::size_t>(it - loads_.begin()),
-                        mem_stalls,
-                        rob_stalls,
-                        frozen,
-                        true};
-  return wake;
+  w.fetch_seq = fs;
+  w.retire_seq = rs;
+  w.fetch_budget = static_cast<std::uint32_t>(fb);
+  w.loads_retired = static_cast<std::size_t>(it - loads_.begin());
+  return w;
 }
 
 void OoOCore::fast_forward_det(Cycle start, Cycle n) {
   if (n == 0) return;
-  // Common case: the range being replayed starts exactly where the proof
-  // simulated, so its memoized end state applies directly; a frozen proof
-  // covers any longer range via the stall closed form. A range cut short
-  // (a read completion or the run-window edge) replays through tick().
-  const DetProof& p = det_proof_;
-  if (p.valid && (p.cycles == n || (p.frozen && p.cycles <= n)) &&
-      p.start_fetch_seq == fetch_seq_ && p.start_retire_seq == retire_seq_ &&
-      p.start_fetch_budget == fetch_budget_) {
-    const Cycle tail = n - p.cycles;
-    stats_.cycles += p.cycles;
-    stats_.instructions += p.end_retire_seq - retire_seq_;
-    stats_.mem_stall_cycles += p.mem_stalls;
-    stats_.rob_stall_cycles += p.rob_stalls;
-    fetch_seq_ = p.end_fetch_seq;
-    retire_seq_ = p.end_retire_seq;
-    fetch_budget_ = p.end_fetch_budget;
-    loads_.erase(loads_.begin(),
-                 loads_.begin() + static_cast<std::ptrdiff_t>(p.loads_retired));
-    det_proof_.valid = false;
-    if (tail > 0) fast_forward_stall(tail);
-    return;
-  }
-  const std::uint64_t mem_seq = next_mem_seq_;
-  const std::uint64_t queue_stalls = stats_.queue_stall_cycles;
-  for (Cycle i = 0; i < n; ++i) tick(start + i);
-  BWPART_ASSERT(next_mem_seq_ == mem_seq &&
-                    stats_.queue_stall_cycles == queue_stalls,
+  // The proof walked this window from the tick before the sleep, and
+  // nothing the walk reads has changed since: walking it again, capped at
+  // n, ends where n tick() calls would, or freezes first and stalls for the
+  // rest.
+  const DetWalk d = walk_det(start - 1, n);
+  BWPART_ASSERT(d.frozen || d.cycles == n,
                 "deterministic replay reached a memory operation");
+  stats_.cycles += d.cycles;
+  stats_.instructions += d.retire_seq - retire_seq_;
+  stats_.mem_stall_cycles += d.mem_stalls;
+  stats_.rob_stall_cycles += d.rob_stalls;
+  fetch_seq_ = d.fetch_seq;
+  retire_seq_ = d.retire_seq;
+  fetch_budget_ = d.fetch_budget;
+  loads_.erase(loads_.begin(),
+               loads_.begin() + static_cast<std::ptrdiff_t>(d.loads_retired));
+  fast_forward_stall(n - d.cycles);
 }
 
 void OoOCore::fast_forward_stall(Cycle n) {
@@ -535,8 +494,6 @@ void OoOCore::transfer(snap::Io& io) {
   io.u64(stats_.queue_stall_cycles);
   l1_.transfer(io);
   l2_.transfer(io);
-  // The memo is stale after a restore; rebuilt (or fallen back) on demand.
-  if (io.reading()) det_proof_ = DetProof{};
 }
 
 }  // namespace bwpart::cpu

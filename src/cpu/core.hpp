@@ -108,17 +108,9 @@ struct WakeProof {
 
 class OoOCore {
  public:
-  /// Cap on the cycles next_det_wake() will prove in one call; a longer run
-  /// simply re-proves after waking (bounds the cost of a proof that ends up
-  /// truncated by the run-window edge). Used when no off-chip read is
-  /// undelivered — then no event can truncate the proof, so every proved
-  /// cycle is replayed from the memo and long proofs amortize perfectly.
+  /// Cap on the cycles one deterministic-window proof walks; a longer run
+  /// simply re-proves after waking.
   static constexpr Cycle kDetLookahead = 4096;
-  /// Lookahead while off-chip reads are in flight: their completions
-  /// truncate the proof (forcing a cycle-by-cycle replay of the partial
-  /// range and a fresh proof), so proving far past the typical completion
-  /// gap only burns mirror cycles that are thrown away.
-  static constexpr Cycle kDetShortLookahead = 128;
 
   OoOCore(AppId app, const CoreConfig& cfg, TraceSource& trace,
           mem::MemoryController& controller);
@@ -138,41 +130,23 @@ class OoOCore {
   /// fast_forward_stall() call.
   Cycle next_wake(Cycle now) const;
 
-  /// Earliest cycle > `now` at which tick() would attempt to execute a
-  /// memory operation. Between memory-op attempts the core's evolution is
-  /// fully deterministic given the loads already in the window (their
-  /// completion cycles, known or still pending, are data, not events):
-  /// retirement drains completed loads and blocks on pending ones, fetch
-  /// consumes trace gap. Everything up to (excluding) the returned cycle
-  /// can be replayed by fast_forward_det() without consulting the memory
-  /// system — provided no new completion for this application's reads is
-  /// delivered inside the range (the owner must replay-then-wake at such a
-  /// delivery). Returns now + 1 when the memory op would be attempted on
-  /// the very next cycle, and kNoCycle when the proof shows the window
-  /// freezes (retirement blocked on a pending load, window full) — the
-  /// cycles after the frozen point follow the fast_forward_stall() closed
-  /// form. A stretch with retirement blocked on a pending load, or with no
-  /// load left, ends in closed form from the integer fetch budget; only
-  /// windows holding loads with known completions are mirrored cycle by
-  /// cycle. The proof covers at most kDetLookahead cycles.
-  Cycle next_det_wake(Cycle now) const;
-
   /// Replays the `n` consecutive cycles [start, start + n) of a
   /// deterministic window run: retire/fetch sequence numbers, retired
   /// loads, instruction and stall counters, and the fetch budget advance
-  /// exactly as n tick() calls would. The proved range applies
-  /// from the det-proof memo in O(1); a range cut short (a read completion
-  /// or the run-window edge) runs tick(start + i) per cycle. Precondition:
-  /// next_det_wake() proved no memory-op attempt within the range and no
-  /// read completion was delivered inside it.
+  /// exactly as n tick() calls would. It walks the proof's window again
+  /// from start - 1 (a sleep begins after a tick, so start >= 1), capped
+  /// at n, and replays the cycles past a freeze through
+  /// fast_forward_stall(). Precondition: prove_sleep(start - 1) proved a
+  /// det sleep that wakes no earlier than start + n (or freezes), and no
+  /// read completion of this application was delivered inside the range.
   void fast_forward_det(Cycle start, Cycle n);
 
   /// One-shot sleep proof combining next_wake() with the deterministic-
-  /// window refinement. Every sleep it proves ends only on this
-  /// application's completions: MSHR, store-buffer, per-app-queue and
-  /// dependent-load blocks clear on nothing else. A block on the shared
-  /// transaction queue, which any application's completion can clear,
-  /// proves no sleep (wake now + 1).
+  /// window refinement (a walk_det() capped at kDetLookahead). Every sleep
+  /// it proves ends only on this application's completions: MSHR,
+  /// store-buffer, per-app-queue and dependent-load blocks clear on nothing
+  /// else. A block on the shared transaction queue, which any application's
+  /// completion can clear, proves no sleep (wake now + 1).
   WakeProof prove_sleep(Cycle now) const;
 
   /// Replays `n` consecutive provably-stalled cycles in closed form at
@@ -205,9 +179,7 @@ class OoOCore {
   /// Snapshot hook: window sequence numbers, the fetch budget, the
   /// current trace op, the load queue (with controller request ids — slot
   /// wiring is restored by the controller's own hook), in-flight counters,
-  /// stats and both private caches. The det-proof memo is deliberately not
-  /// serialized: restore invalidates it, and a missing memo only makes the
-  /// next fast_forward_det() replay through tick().
+  /// stats and both private caches.
   void transfer(snap::Io& io);
 
   const Cache& l1() const { return l1_; }
@@ -233,6 +205,35 @@ class OoOCore {
   bool mem_op_would_stall() const;
   void advance_trace();
 
+  /// End of a deterministic-window walk: the cycles it covers and, unless
+  /// it stopped at a memory op, the state n tick() calls would leave.
+  struct DetWalk {
+    Cycle cycles = 0;
+    bool frozen = false;  ///< stopped where the window can make no progress
+    std::uint64_t fetch_seq = 0;
+    std::uint64_t retire_seq = 0;
+    std::uint32_t fetch_budget = 0;
+    std::size_t loads_retired = 0;  ///< front loads popped by the walk
+    std::uint64_t mem_stalls = 0;   ///< retire-blocked cycles
+    std::uint64_t rob_stalls = 0;   ///< ROB-full cycles
+  };
+  /// Walks at most `cap` cycles after `now` (now + 1, now + 2, ...) up to
+  /// the first tick() that would attempt a memory operation. Between such
+  /// attempts the core's evolution is fully deterministic given the loads
+  /// already in the window (their completion cycles, known or still
+  /// pending, are data, not events). The walk reads only the fetch and
+  /// retire cursors, the fetch budget, next_mem_seq_ and the load queue,
+  /// so a second walk before one of this application's reads is delivered
+  /// sees what the first saw. `cycles` counts the cycles before the
+  /// memory-op attempt (the end state is then not filled in), or is `cap`
+  /// when none comes. A walk that freezes (retirement blocked on a pending
+  /// load, window full) stops there with `frozen` set; the cycles after it
+  /// follow the fast_forward_stall() closed form. Stretches with retirement
+  /// blocked on a pending load, or with no load left, end in closed form
+  /// from the integer fetch budget; only windows holding loads with known
+  /// completions are mirrored cycle by cycle.
+  DetWalk walk_det(Cycle now, Cycle cap) const;
+
   AppId app_;
   CoreConfig cfg_;
   TraceSource& trace_;
@@ -250,30 +251,6 @@ class OoOCore {
   std::deque<Load> loads_;  ///< in program order
   std::uint32_t offchip_loads_inflight_ = 0;
   std::uint32_t stores_inflight_ = 0;
-
-  /// Memo written by next_det_wake(): the proof loop already simulates
-  /// every cycle it proves clean, so it records the architectural end state
-  /// of the proved range and fast_forward_det() applies it in O(1) instead
-  /// of replaying the same cycles a second time. Keyed on the full start
-  /// state; any mismatch (e.g. a replay truncated early by a completion or
-  /// the run-window edge) falls back to one tick() per cycle. When
-  /// `frozen` is set the proved prefix ends in a state that cannot make
-  /// progress, and cycles past it replay via fast_forward_stall().
-  struct DetProof {
-    std::uint64_t start_fetch_seq = 0;
-    std::uint64_t start_retire_seq = 0;
-    std::uint32_t start_fetch_budget = 0;
-    Cycle cycles = 0;  ///< length of the proved prefix
-    std::uint64_t end_fetch_seq = 0;
-    std::uint64_t end_retire_seq = 0;
-    std::uint32_t end_fetch_budget = 0;
-    std::size_t loads_retired = 0;   ///< front loads popped in the prefix
-    std::uint64_t mem_stalls = 0;    ///< retire-blocked cycles in the prefix
-    std::uint64_t rob_stalls = 0;    ///< ROB-full cycles in the prefix
-    bool frozen = false;
-    bool valid = false;
-  };
-  mutable DetProof det_proof_;
 
   CoreStats stats_;
 };

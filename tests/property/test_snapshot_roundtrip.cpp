@@ -6,8 +6,9 @@
 // container, with interference attribution on or off. Every stream's bytes
 // are pinned. Corrupt or truncated files, and forged counts and indices
 // behind a valid checksum, must fail with snap::SnapshotError, never
-// undefined behavior; a result shard with random byte edits behind a valid
-// checksum decodes or fails the same way.
+// undefined behavior; a result shard or a profile snapshot file with random
+// byte edits behind a valid checksum decodes (restores) or fails the same
+// way.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -888,9 +889,56 @@ TEST(SnapshotRoundtrip, ForgedContainerCountsFailLoudly) {
   std::remove(path.c_str());
 }
 
-/// Byte edits to a BWRR shard body: (offset, new byte) pairs, applied in
-/// order.
-using ShardEdits = std::vector<std::pair<std::size_t, std::uint8_t>>;
+/// Byte edits to a file body: (offset, new byte) pairs, applied in order.
+using ByteEdits = std::vector<std::pair<std::size_t, std::uint8_t>>;
+
+/// 1-8 edits at offsets in [lo, hi].
+pbt::GenFn<ByteEdits> byte_edits_gen(std::size_t lo, std::size_t hi) {
+  return [lo, hi](Rng& rng) {
+    ByteEdits edits(pbt::gen_uint(rng, 1, 8));
+    for (auto& [at, byte] : edits) {
+      at = pbt::gen_uint(rng, lo, hi);
+      // Saturated bytes forge huge counts and lengths more often.
+      byte = rng.next_bool(0.25)
+                 ? std::uint8_t{0xff}
+                 : static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    return edits;
+  };
+}
+
+std::vector<ByteEdits> fewer_edits(const ByteEdits& edits) {
+  std::vector<ByteEdits> fewer;
+  for (std::size_t i = 0; edits.size() > 1 && i < edits.size(); ++i) {
+    ByteEdits e = edits;
+    e.erase(e.begin() + static_cast<std::ptrdiff_t>(i));
+    fewer.push_back(std::move(e));
+  }
+  return fewer;
+}
+
+std::string print_edits(const ByteEdits& edits) {
+  std::ostringstream os;
+  for (const auto& [at, byte] : edits) {
+    os << at << "=0x" << std::hex << int{byte} << std::dec << ' ';
+  }
+  return os.str();
+}
+
+/// `valid` with `edits` applied and its checksum resealed.
+std::vector<std::uint8_t> edited(std::vector<std::uint8_t> valid,
+                                 const ByteEdits& edits) {
+  for (const auto& [at, byte] : edits) valid[at] = byte;
+  reseal(valid);
+  return valid;
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+}
 
 // A valid BWRR shard with 1-8 random byte edits, checksum resealed, either
 // decodes or fails with snap::SnapshotError: never another exception, an
@@ -903,23 +951,10 @@ TEST(SnapshotRoundtrip, EditedResultShardsDecodeOrFailLoudly) {
   int decoded = 0;
   int rejected = 0;
   const pbt::Config cfg{pbt::base_seed(), 2'000, 100};
-  const pbt::Result r = pbt::for_all<ShardEdits>(
-      "edited BWRR shards decode or fail loudly",
-      [body](Rng& rng) {
-        ShardEdits edits(pbt::gen_uint(rng, 1, 8));
-        for (auto& [at, byte] : edits) {
-          at = pbt::gen_uint(rng, 0, body - 1);
-          // Saturated bytes forge huge counts and lengths more often.
-          byte = rng.next_bool(0.25)
-                     ? std::uint8_t{0xff}
-                     : static_cast<std::uint8_t>(rng.next_below(256));
-        }
-        return edits;
-      },
-      [&](const ShardEdits& edits) -> std::string {
-        std::vector<std::uint8_t> bytes = valid;
-        for (const auto& [at, byte] : edits) bytes[at] = byte;
-        reseal(bytes);
+  const pbt::Result r = pbt::for_all<ByteEdits>(
+      "edited BWRR shards decode or fail loudly", byte_edits_gen(0, body - 1),
+      [&](const ByteEdits& edits) -> std::string {
+        const std::vector<std::uint8_t> bytes = edited(valid, edits);
         try {
           const shard::UnitResult u = shard::decode_result_shard(bytes);
           ++decoded;
@@ -933,27 +968,65 @@ TEST(SnapshotRoundtrip, EditedResultShardsDecodeOrFailLoudly) {
         }
         return {};
       },
-      cfg,
-      [](const ShardEdits& edits) {
-        std::vector<ShardEdits> fewer;
-        for (std::size_t i = 0; edits.size() > 1 && i < edits.size(); ++i) {
-          ShardEdits e = edits;
-          e.erase(e.begin() + static_cast<std::ptrdiff_t>(i));
-          fewer.push_back(std::move(e));
-        }
-        return fewer;
-      },
-      [](const ShardEdits& edits) {
-        std::ostringstream os;
-        for (const auto& [at, byte] : edits) {
-          os << at << "=0x" << std::hex << int{byte} << std::dec << ' ';
-        }
-        return os.str();
-      });
+      cfg, fewer_edits, print_edits);
   EXPECT_TRUE(r.ok) << r.report();
   // Both outcomes occur, so the property is not vacuous either way.
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// The bwpart_sim --resume path under hostile bytes: a valid BWPS file of the
+// pinned machine with 1-8 random byte edits in its payload, checksum
+// resealed, is read and restored into a fresh system the way
+// Experiment::restore_into() does. Each file either restores or fails with
+// snap::SnapshotError: never another exception, an abort or a sanitizer
+// report. A restored system must save back to the same state bytes (the
+// rest of the payload is copied verbatim).
+TEST(SnapshotRoundtrip, EditedProfileSnapshotsRestoreOrFailLoudly) {
+  const PhaseConfig phases = pinned_phases();
+  const Experiment ex(pinned_machine(), pinned_mix(), phases);
+  const std::string path = testing::TempDir() + "snap_edited.bwps";
+  write_profile_snapshot(path, ex.capture_profile());
+  const std::vector<std::uint8_t> valid = read_whole_file(path);
+  // Magic, version, config fingerprint and payload length precede the
+  // payload; the checksum follows it.
+  constexpr std::size_t kHeader = 4 + 4 + 8 + 8;
+  int restored = 0;
+  int rejected = 0;
+  const pbt::Config cfg{pbt::base_seed(), 150, 100};
+  const pbt::Result r = pbt::for_all<ByteEdits>(
+      "edited BWPS files restore or fail loudly",
+      byte_edits_gen(kHeader, valid.size() - 9),
+      [&](const ByteEdits& edits) -> std::string {
+        const std::vector<std::uint8_t> bytes = edited(valid, edits);
+        write_file(path, bytes);
+        try {
+          ProfileSnapshot s = read_profile_snapshot(path);
+          snap::require(s.config_fp == ex.config_fingerprint(),
+                        "snapshot was captured under a different "
+                        "configuration");
+          CmpSystem sys(pinned_machine(), pinned_mix(), phases.seed);
+          snap::Reader in(s.state);
+          sys.restore_state(in);
+          snap::require(in.at_end(),
+                        "trailing bytes after the system state blob");
+          ++restored;
+          if (system_blob(sys) != s.state) {
+            return "a restored system saves back to different bytes";
+          }
+        } catch (const snap::SnapshotError&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          return std::string("restore threw a non-SnapshotError: ") +
+                 e.what();
+        }
+        return {};
+      },
+      cfg, fewer_edits, print_edits);
+  EXPECT_TRUE(r.ok) << r.report();
+  EXPECT_GT(restored, 0);
+  EXPECT_GT(rejected, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace
