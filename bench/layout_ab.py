@@ -2,7 +2,7 @@
 """Layout-randomized A/B of two git revisions on one perfbench workload.
 
     python3 bench/layout_ab.py --base REV --change REV --workload W \
-        [--pads 0,32,208,560,1072,1584,2608,3632] [--rounds 4] \
+        [--pads 0,15,31,47,1087,1103,2095,3103] [--rounds 4] \
         [--seconds 10] [--seed 42] [--out BENCH_layout.json --label NAME]
 
 Run from the repository root. Code placement alone moves the simulator
@@ -19,7 +19,13 @@ ASPLOS 2013):
    each pad N, write a never-executed function holding `asm(".skip N")` at
    the head of that copy's perfbench/main.cpp, relink, and keep the binary
    (pad 0 is the unpadded build). The repository's own perfbench/ is never
-   touched, and binaries are reused by later invocations.
+   touched, and binaries are reused by later invocations. A pad of N > 0
+   bytes shifts the code after it by 16 * ceil((N + 1) / 16) bytes (its
+   return instruction, then alignment to 16), so the default pads shift it
+   by 0, 16, 32, 48, 1088, 1104, 2096 and 3104 bytes: each 16-byte class
+   mod 64 twice, so placement inside a cache line or a 32-byte fetch
+   window is sampled, not only placement mod 4096. Each layout's hot
+   functions are listed with their offsets mod 64, read with `nm`.
 2. Runs every (revision, pad) binary once per round, in interleaved,
    rotating order: within a round the two revisions alternate which runs
    first at each pad, and each round starts one layout later. Every run
@@ -48,7 +54,11 @@ import subprocess
 import sys
 
 METRICS = ("setup_s", "pass_s", "op_p50_us", "op_tail_us", "peak_rss_mb")
-DEFAULT_PADS = "0,32,208,560,1072,1584,2608,3632"
+DEFAULT_PADS = "0,15,31,47,1087,1103,2095,3103"
+# Functions whose placement the report lists per layout (substrings of
+# their demangled names).
+HOT_FUNCTIONS = ("MemoryController::scan_sorted(", "OoOCore::walk_det(",
+                 "CmpSystem::run_partition(", "MemoryController::tick(")
 BOOTSTRAP = 10000
 RUN_TIMEOUT_S = 600
 ROOT = os.path.join(".bench_build", "layout_ab")
@@ -117,6 +127,21 @@ def build_revision(tree, pads):
         shutil.copyfile(os.path.join(build, "bwpart_perfbench"), bins[p])
         os.chmod(bins[p], 0o755)
     return bins
+
+
+def hot_offsets(binary):
+    """{function: address mod 64} for HOT_FUNCTIONS, read with `nm -C`."""
+    proc = subprocess.run(["nm", "-C", "--defined-only", binary],
+                          stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        fail(f"nm failed on {binary}")
+    offsets = {}
+    for line in proc.stdout.splitlines():
+        addr, kind, name = (line.split(" ", 2) + ["", ""])[:3]
+        for f in HOT_FUNCTIONS:
+            if kind in ("T", "t") and f in name and f not in offsets:
+                offsets[f] = int(addr, 16) % 64
+    return offsets
 
 
 def run_once(binary, opt, scratch):
@@ -210,6 +235,13 @@ def main():
              for s, r in (("base", opt.base), ("change", opt.change))}
     # An A/A run builds once: the second call finds every binary in place.
     bins = {s: build_revision(t, pads) for s, t in trees.items()}
+    layouts = {s: {str(p): hot_offsets(b) for p, b in bins[s].items()}
+               for s in bins}
+    for s in bins:
+        for p in pads:
+            cells = "  ".join(f"{f.split('::')[1].split('(')[0]} {o:2}"
+                              for f, o in layouts[s][str(p)].items())
+            print(f"{s:6} pad {p:5} offsets mod 64: {cells}", file=sys.stderr)
 
     scratch = os.path.abspath(os.path.join(ROOT, "scratch"))
     runs = []
@@ -230,6 +262,7 @@ def main():
                  "src_tree": git("rev-parse", f"{trees['base']}:src")},
         "change": {"rev": opt.change, "tree": trees["change"],
                    "src_tree": git("rev-parse", f"{trees['change']}:src")},
+        "hot_offsets_mod64": layouts,
         "metrics": summarize(runs, pads, random.Random(opt.seed)),
         "runs": runs,
     }

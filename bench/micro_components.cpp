@@ -109,15 +109,12 @@ void BM_DramCanIssueIssue(benchmark::State& state) {
 BENCHMARK(BM_DramCanIssueIssue);
 
 void BM_DramNextEventTick(benchmark::State& state) {
-  // The fast-forward probe's DRAM half: the min over cached next-refresh /
-  // power-down deadlines that bounds every skip.
-  dram::DramConfig cfg = dram::DramConfig::ddr2_400();
-  dram::DramSystem d(cfg);
-  std::vector<std::uint32_t> rank_pending(
-      static_cast<std::size_t>(cfg.channels) * cfg.ranks, 0);
+  // The DRAM half of an idle controller's skip horizon: the min over cached
+  // next-refresh / power-down deadlines.
+  dram::DramSystem d(dram::DramConfig::ddr2_400());
   dram::Tick from = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(d.next_event_tick(from, rank_pending));
+    benchmark::DoNotOptimize(d.next_event_tick(from));
     ++from;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -56,27 +56,25 @@ void DramSystem::rebuild_refresh_cache() {
   }
 }
 
-void DramSystem::refresh_rank_ready(std::size_t rank_idx) {
-  const RankState& r = ranks_[rank_idx];
-  Tick* ready = &rank_ready_[rank_idx * kCmdClasses];
-  const auto set = [ready](CmdClass c, Tick t) {
-    ready[static_cast<std::size_t>(c)] = t;
-  };
-  if (r.pd) {  // powered down: the wake-up is an event, not a timing expiry
-    for (std::size_t c = 0; c < kCmdClasses; ++c) ready[c] = kNoTick;
-    return;
-  }
+std::array<Tick, kCmdClasses> DramSystem::rank_timing(
+    const RankState& r) const {
   Tick act = r.any_act ? r.last_act + tt_.act_to_act : 0;  // tRRD
   if (r.act_count >= 4) {                                  // tFAW
     act = std::max(act, r.act_window[r.act_count % 4] + tt_.faw);
   }
-  set(CmdClass::Activate, r.refresh_pending ? kNoTick : act);
-  set(CmdClass::Precharge, 0);
   const Tick col = r.any_col ? r.last_col + tt_.col_to_col : 0;  // tCCD
-  set(CmdClass::Read,
-      r.any_write ? std::max(col, r.write_data_end + tt_.wrdata_to_rd)
-                  : col);  // tWTR
-  set(CmdClass::Write, col);
+  const Tick rd = r.any_write
+                      ? std::max(col, r.write_data_end + tt_.wrdata_to_rd)
+                      : col;  // tWTR
+  return {act, 0, rd, col};  // in CmdClass order
+}
+
+void DramSystem::refresh_rank_ready(std::size_t rank_idx) {
+  const RankState& r = ranks_[rank_idx];
+  std::array<Tick, kCmdClasses> ready = rank_timing(r);
+  if (r.refresh_pending) ready[0] = kNoTick;  // no Activate while draining
+  if (r.pd) ready.fill(kNoTick);  // the wake-up is an event, not a timing
+  std::copy(ready.begin(), ready.end(), &rank_ready_[rank_idx * kCmdClasses]);
 }
 
 void DramSystem::refresh_bus_ready(std::uint32_t channel) {
@@ -119,11 +117,8 @@ void DramSystem::tick_slow(Tick now) {
   }
 }
 
-Tick DramSystem::next_event_tick(
-    Tick from, std::span<const std::uint32_t> rank_pending) const {
+Tick DramSystem::next_event_tick(Tick from) const {
   if (!cfg_.enable_refresh && !cfg_.enable_powerdown) return kNoTick;
-  BWPART_ASSERT(rank_pending.size() == ranks_.size(),
-                "rank_pending span has wrong size");
   // Fast path mirroring tick()'s fast-out: no drain in progress and no
   // power-down machinery means the only device event is the earliest
   // refresh deadline (min over ranks of max(due, from) == max(min_due,
@@ -135,8 +130,6 @@ Tick DramSystem::next_event_tick(
   for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) {
     for (std::uint32_t rk = 0; rk < cfg_.ranks; ++rk) {
       const RankState& r = rank_at(ch, rk);
-      const bool pending =
-          rank_pending[static_cast<std::size_t>(ch) * cfg_.ranks + rk] > 0;
       const std::size_t bank0 =
           (static_cast<std::size_t>(ch) * cfg_.ranks + rk) *
           cfg_.banks_per_rank;
@@ -162,60 +155,38 @@ Tick DramSystem::next_event_tick(
           if (!any_open) best = std::min(best, recover);
         }
       }
-      if (cfg_.enable_powerdown) {
-        if (r.pd) {
-          if (r.waking) {
-            best = std::min(best, std::max(r.wake_ready, from));
-          } else if (pending) {
-            // The controller's per-tick notify starts the wake-up; it must
-            // run, so the very next tick is an event.
-            best = std::min(best, from);
+      // A powered-down rank has no event of its own (see the header).
+      if (cfg_.enable_powerdown && !r.pd && !r.refresh_pending) {
+        // Idle rank: power-down entry once every bank is closed and
+        // recovered and the idle threshold has elapsed. Banks cannot close
+        // without commands, so an open bank means no entry while the state
+        // stays frozen.
+        bool any_open = false;
+        Tick entry = r.last_activity + pd_threshold_;
+        for (std::uint32_t b = 0; b < cfg_.banks_per_rank; ++b) {
+          const std::size_t bi = bank0 + b;
+          if (banks_.row_open(bi)) {
+            any_open = true;
+            break;
           }
-        } else if (pending && pd_threshold_ <= 1) {
-          // Degenerate threshold: even a rank notified every tick can slip
-          // into power-down between notifies. Give up skipping.
-          best = std::min(best, from);
-        } else if (!pending && !r.refresh_pending) {
-          // Idle rank: power-down entry once every bank is closed and
-          // recovered and the idle threshold has elapsed. Banks cannot
-          // close without commands, so an open bank means no entry while
-          // the state stays frozen.
-          bool any_open = false;
-          Tick entry = r.last_activity + pd_threshold_;
-          for (std::uint32_t b = 0; b < cfg_.banks_per_rank; ++b) {
-            const std::size_t bi = bank0 + b;
-            if (banks_.row_open(bi)) {
-              any_open = true;
-              break;
-            }
-            entry = std::max(entry, banks_.next_activate_tick(bi));
-          }
-          if (!any_open) best = std::min(best, std::max(entry, from));
+          entry = std::max(entry, banks_.next_activate_tick(bi));
         }
+        if (!any_open) best = std::min(best, std::max(entry, from));
       }
     }
   }
   return best;
 }
 
-void DramSystem::skip_ticks(Tick from, Tick to,
-                            std::span<const std::uint32_t> rank_pending) {
+void DramSystem::skip_ticks(Tick from, Tick to) {
   BWPART_ASSERT(to > from, "empty skip range");
   BWPART_ASSERT(!ticked_ || from == last_tick_ + 1,
                 "skip_ticks must continue the tick sequence");
-  BWPART_ASSERT(rank_pending.size() == ranks_.size(),
-                "rank_pending span has wrong size");
   const std::uint64_t n = to - from;
   stats_.ticks += n;
   if (cfg_.enable_powerdown) {
-    for (std::size_t i = 0; i < ranks_.size(); ++i) {
-      RankState& r = ranks_[i];
+    for (const RankState& r : ranks_) {
       if (r.pd) stats_.powerdown_rank_ticks += n;
-      // Per-tick notify_rank_pending calls would have pinned last_activity
-      // to each tick in the range; pin it to the last one.
-      if (rank_pending[i] > 0) {
-        r.last_activity = std::max(r.last_activity, to - 1);
-      }
     }
   }
   last_tick_ = to - 1;
@@ -451,6 +422,39 @@ void DramSystem::transfer(snap::Io& io) {
   if (io.reading()) {
     rebuild_refresh_cache();  // derived hot-path caches, never serialized
     rebuild_ready_ticks();
+    if (checker_ != nullptr) require_shadow_agrees();
+  }
+}
+
+void DramSystem::require_shadow_agrees() const {
+  const ReadyTicks ready = ready_ticks();
+  for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) {
+    for (std::uint32_t rk = 0; rk < cfg_.ranks; ++rk) {
+      const RankState& r = rank_at(ch, rk);
+      snap::require(checker_->same_act_window(ch, rk, r.act_window,
+                                              r.act_count),
+                    "protocol-checker section holds another four-activate "
+                    "window than the DRAM state");
+      const std::array<Tick, kCmdClasses> rank = rank_timing(r);
+      for (std::uint32_t bk = 0; bk < cfg_.banks_per_rank; ++bk) {
+        const std::size_t b = bank_index({ch, rk, bk, 0, 0});
+        const Location loc{ch, rk, bk, banks_.row_value(b), 0};
+        for (std::size_t c = 0; c < kCmdClasses; ++c) {
+          const auto cls = static_cast<CmdClass>(c);
+          const Tick at =
+              std::max({next_tick(), ready.bank[b * kCmdClasses + c],
+                        rank[c], ready.bus_at(b, cls)});
+          // Row state counts for the commands the bank's state admits: an
+          // ACT to a closed bank, the others to its open row.
+          const bool row_state = (cls == CmdClass::Activate) !=
+                                 banks_.row_open(b);
+          snap::require(checker_->allows({class_cmd_[c], loc, kNoApp, 0}, at,
+                                         row_state),
+                        "protocol-checker section flags a command the DRAM "
+                        "state allows");
+        }
+      }
+    }
   }
 }
 

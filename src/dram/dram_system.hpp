@@ -12,7 +12,7 @@
 // command is legal at the first tick no earlier than all three, once its
 // bank is in the row state it needs. can_issue and earliest_issue_tick are
 // thin reads of the tables, and the controller's per-tick scheduler scan
-// and event probe read them directly through ReadyTicks.
+// reads them directly through ReadyTicks.
 #pragma once
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -78,9 +77,9 @@ struct IssueResult {
 };
 
 /// Read-only view of the engine's ready-tick tables, for loops that query
-/// many requests per tick (the controller's scheduler scan and event
-/// probe). Take it once per loop; the pointers stay valid for the engine's
-/// lifetime, since the tables never resize after construction.
+/// many requests per tick (the controller's scheduler scan). Take it once
+/// per loop; the pointers stay valid for the engine's lifetime, since the
+/// tables never resize after construction.
 struct ReadyTicks {
   const std::uint64_t* open_row;  ///< per flat bank: open row or kNoRow
   const Tick* bank;               ///< [flat bank * kCmdClasses + class]
@@ -142,6 +141,8 @@ class DramSystem {
                cfg_.banks_per_rank +
            loc.bank;
   }
+  /// The tick the next tick() or skip_ticks() must start at.
+  Tick next_tick() const { return ticked_ ? last_tick_ + 1 : 0; }
   /// Flattened rank index of a location ([channel][rank]).
   std::size_t rank_index(const Location& loc) const {
     return static_cast<std::size_t>(loc.channel) * cfg_.ranks + loc.rank;
@@ -154,18 +155,15 @@ class DramSystem {
   void tick(Tick now);
 
   /// Earliest tick >= `from` at which tick() could change device state on
-  /// its own: a refresh deadline arriving, a refresh drain making progress
-  /// (a bank becoming closable or the refresh firing), or a power-down
-  /// transition (wake completing, or an idle rank becoming eligible to
-  /// enter). `rank_pending[channel * ranks + rank]` is the number of
-  /// controller requests waiting on each rank: the controller notifies
-  /// those ranks every tick, which keeps them out of power-down and, for a
-  /// powered-down rank, makes the notify itself the next event. Returns
-  /// kNoTick when no internal event can ever fire from the current state.
+  /// its own while no request waits on any rank: a refresh deadline
+  /// arriving, a refresh drain making progress (a bank becoming closable or
+  /// the refresh firing), or an idle rank becoming eligible to enter
+  /// power-down. No rank is then waking: a wake-up starts with a notify,
+  /// and the notifying request waits until the rank is up. Returns kNoTick
+  /// when no internal event can ever fire from the current state.
   /// Conservative in the safe direction: it may report a tick at which
   /// nothing happens, but never skips past a state change.
-  Tick next_event_tick(Tick from,
-                       std::span<const std::uint32_t> rank_pending) const;
+  Tick next_event_tick(Tick from) const;
 
   /// Earliest tick >= `from` at which `cmd` could first pass can_issue(),
   /// assuming device state stays frozen until then (no other command
@@ -176,14 +174,11 @@ class DramSystem {
   /// the bank's row state, then of each ready-tick table.
   Tick earliest_issue_tick(const Command& cmd, Tick from) const;
 
-  /// Batch-advances time over [from, to), a range tick() proved dead via
-  /// next_event_tick(): accounts the skipped ticks in the stats (including
-  /// per-rank power-down residency) and keeps `last_activity` of ranks with
-  /// pending work pinned, exactly as per-tick notify_rank_pending calls
-  /// would have. `from` must continue the tick sequence and `to` must not
-  /// exceed the next event tick.
-  void skip_ticks(Tick from, Tick to,
-                  std::span<const std::uint32_t> rank_pending);
+  /// Batch-advances time over [from, to), a range with no notify that
+  /// next_event_tick() proved dead: accounts the skipped ticks in the stats
+  /// (including per-rank power-down residency). `from` must continue the
+  /// tick sequence and `to` must not exceed the next event tick.
+  void skip_ticks(Tick from, Tick to);
 
   /// True if the bank addressed by `loc` currently has `loc.row` open.
   bool is_row_hit(const Location& loc) const {
@@ -249,7 +244,8 @@ class DramSystem {
   /// section: a checker-less build skips a checker-carrying snapshot's
   /// section, while restoring a checker-less snapshot into a checking build
   /// fails loudly (the shadow would be out of sync and report false
-  /// violations).
+  /// violations). A restored shadow must also agree with the restored
+  /// engine (see require_shadow_agrees), or the restore fails.
   void transfer(snap::Io& io);
 
  private:
@@ -298,6 +294,14 @@ class DramSystem {
   /// Rebuilds the cached refresh aggregates (pending count, earliest
   /// not-yet-pending deadline) from the rank states.
   void rebuild_refresh_cache();
+  /// Rank `r`'s timing floor per class (tRRD and tFAW, tCCD, tWTR),
+  /// before power-down and refresh drain block it.
+  std::array<Tick, kCmdClasses> rank_timing(const RankState& r) const;
+  /// Throws snap::SnapshotError unless the shadow checker agrees with the
+  /// engine, which it otherwise would flag after a resume: the same
+  /// four-activate windows, and every command class at every bank passing
+  /// the shadow at the first tick the engine's timing allows it.
+  void require_shadow_agrees() const;
 
   DramConfig cfg_;
   TimingsTicks t_;

@@ -49,87 +49,88 @@ void ProtocolChecker::violate(const Command& cmd, Tick now, const char* rule,
   check::report(buf, __FILE__, __LINE__);
 }
 
-int ProtocolChecker::check_activate(const Command& cmd, Tick now) {
+template <typename Flag>
+void ProtocolChecker::rules(const Command& cmd, Tick now, bool row_state,
+                            Flag&& flag) const {
   const BankShadow& b = bank_at(cmd.loc);
   const RankShadow& r = rank_at(cmd.loc.channel, cmd.loc.rank);
-  if (b.open) {
-    violate(cmd, now, "row-state ordering", "ACT to a bank with an open row");
-  }
-  if (b.any_pre && now < b.pre_tick + t_.rp) {
-    violate(cmd, now, "tRP", "ACT before precharge recovery completed");
-  }
-  if (b.any_ref && now < b.ref_end) {
-    violate(cmd, now, "tRFC", "ACT while the bank is refreshing");
-  }
-  if (r.any_act && now < r.last_act + t_.rrd) {
-    violate(cmd, now, "tRRD", "ACT too soon after the rank's last ACT");
-  }
-  if (r.act_count >= 4) {
-    const Tick fourth_back = r.act_window[r.act_count % 4];
-    if (now < fourth_back + t_.faw) {
-      violate(cmd, now, "tFAW",
-              "fifth ACT inside the rank's four-activate window");
+  switch (cmd.type) {
+    case CommandType::Activate:
+      if (row_state && b.open) {
+        flag("row-state ordering", "ACT to a bank with an open row");
+      }
+      if (b.any_pre && now < b.pre_tick + t_.rp) {
+        flag("tRP", "ACT before precharge recovery completed");
+      }
+      if (b.any_ref && now < b.ref_end) {
+        flag("tRFC", "ACT while the bank is refreshing");
+      }
+      if (r.any_act && now < r.last_act + t_.rrd) {
+        flag("tRRD", "ACT too soon after the rank's last ACT");
+      }
+      if (r.act_count >= 4 && now < r.act_window[r.act_count % 4] + t_.faw) {
+        flag("tFAW", "fifth ACT inside the rank's four-activate window");
+      }
+      break;
+    case CommandType::Read:
+    case CommandType::ReadAp:
+    case CommandType::Write:
+    case CommandType::WriteAp: {
+      const ChannelShadow& ch = chans_[cmd.loc.channel];
+      if (row_state && !b.open) {
+        flag("row-state ordering", "column access to a closed bank");
+      } else if (row_state && b.row != cmd.loc.row) {
+        flag("row-state ordering",
+             "column access to a different row than the open one");
+      }
+      // Posted CAS: the device executes the column command internally tAL
+      // after it is issued, so tRCD applies to now + tAL, not to now.
+      // Derived here from the raw parameter set independently of the
+      // engine's act_to_col = tRCD - tAL saturating subtraction.
+      if (b.any_act && now + t_.al < b.act_tick + t_.rcd) {
+        flag("tRCD", "column access before activate-to-column delay");
+      }
+      if (r.any_col && now < r.last_col + t_.ccd) {
+        flag("tCCD", "column command too soon after the rank's last");
+      }
+      if (is_read_command(cmd.type) && r.any_wr &&
+          now < r.wr_data_end + t_.wtr) {
+        flag("tWTR", "read before write-to-read turnaround elapsed");
+      }
+      // Shared data bus occupancy, including the rank-switch gap. Data
+      // moves tAL later under posted CAS.
+      const Tick data_start =
+          now + t_.al + (is_read_command(cmd.type) ? t_.cl : t_.cwl);
+      if (ch.bus_used) {
+        const Tick gap = ch.bus_last_rank != cmd.loc.rank ? t_.rtrs : 0;
+        if (data_start < ch.bus_free_at + gap) {
+          flag("data-bus occupancy",
+               gap > 0 ? "burst overlaps previous burst plus tRTRS gap"
+                       : "burst overlaps the previous data burst");
+        }
+      }
+      break;
     }
+    case CommandType::Precharge:
+      if (row_state && !b.open) {
+        flag("row-state ordering", "PRE to an already closed bank");
+        break;
+      }
+      if (b.any_act && now < b.act_tick + t_.ras) {
+        flag("tRAS", "PRE before the row was open tRAS");
+      }
+      // tRTP runs from the internal read (issue + tAL under posted CAS).
+      if (b.any_rd && now < b.last_rd + t_.al + t_.rtp) {
+        flag("tRTP", "PRE before read-to-precharge delay");
+      }
+      if (b.any_wr && now < b.wr_data_end + t_.wr) {
+        flag("tWR", "PRE before write recovery completed");
+      }
+      break;
+    case CommandType::Refresh:
+      flag("command routing", "REF must be observed via observe_refresh");
+      break;
   }
-  return current_cmd_violations_;
-}
-
-int ProtocolChecker::check_column(const Command& cmd, Tick now) {
-  const BankShadow& b = bank_at(cmd.loc);
-  const RankShadow& r = rank_at(cmd.loc.channel, cmd.loc.rank);
-  const ChannelShadow& ch = chans_[cmd.loc.channel];
-  if (!b.open) {
-    violate(cmd, now, "row-state ordering", "column access to a closed bank");
-  } else if (b.row != cmd.loc.row) {
-    violate(cmd, now, "row-state ordering",
-            "column access to a different row than the open one");
-  }
-  // Posted CAS: the device executes the column command internally tAL
-  // after it is issued, so tRCD applies to now + tAL, not to now. Derived
-  // here from the raw parameter set independently of the engine's
-  // act_to_col = tRCD - tAL saturating subtraction.
-  if (b.any_act && now + t_.al < b.act_tick + t_.rcd) {
-    violate(cmd, now, "tRCD", "column access before activate-to-column delay");
-  }
-  if (r.any_col && now < r.last_col + t_.ccd) {
-    violate(cmd, now, "tCCD", "column command too soon after the rank's last");
-  }
-  if (is_read_command(cmd.type) && r.any_wr &&
-      now < r.wr_data_end + t_.wtr) {
-    violate(cmd, now, "tWTR", "read before write-to-read turnaround elapsed");
-  }
-  // Shared data bus occupancy, including the rank-switch gap. Data moves
-  // tAL later under posted CAS.
-  const Tick data_start =
-      now + t_.al + (is_read_command(cmd.type) ? t_.cl : t_.cwl);
-  if (ch.bus_used) {
-    const Tick gap = ch.bus_last_rank != cmd.loc.rank ? t_.rtrs : 0;
-    if (data_start < ch.bus_free_at + gap) {
-      violate(cmd, now, "data-bus occupancy",
-              gap > 0 ? "burst overlaps previous burst plus tRTRS gap"
-                      : "burst overlaps the previous data burst");
-    }
-  }
-  return current_cmd_violations_;
-}
-
-int ProtocolChecker::check_precharge(const Command& cmd, Tick now) {
-  const BankShadow& b = bank_at(cmd.loc);
-  if (!b.open) {
-    violate(cmd, now, "row-state ordering", "PRE to an already closed bank");
-    return current_cmd_violations_;
-  }
-  if (b.any_act && now < b.act_tick + t_.ras) {
-    violate(cmd, now, "tRAS", "PRE before the row was open tRAS");
-  }
-  // tRTP runs from the internal read (issue + tAL under posted CAS).
-  if (b.any_rd && now < b.last_rd + t_.al + t_.rtp) {
-    violate(cmd, now, "tRTP", "PRE before read-to-precharge delay");
-  }
-  if (b.any_wr && now < b.wr_data_end + t_.wr) {
-    violate(cmd, now, "tWR", "PRE before write recovery completed");
-  }
-  return current_cmd_violations_;
 }
 
 void ProtocolChecker::apply(const Command& cmd, Tick now) {
@@ -199,26 +200,31 @@ void ProtocolChecker::apply(const Command& cmd, Tick now) {
 int ProtocolChecker::observe(const Command& cmd, Tick now) {
   ++commands_checked_;
   current_cmd_violations_ = 0;
-  switch (cmd.type) {
-    case CommandType::Activate:
-      check_activate(cmd, now);
-      break;
-    case CommandType::Read:
-    case CommandType::ReadAp:
-    case CommandType::Write:
-    case CommandType::WriteAp:
-      check_column(cmd, now);
-      break;
-    case CommandType::Precharge:
-      check_precharge(cmd, now);
-      break;
-    case CommandType::Refresh:
-      violate(cmd, now, "command routing",
-              "REF must be observed via observe_refresh");
-      return current_cmd_violations_;
-  }
-  apply(cmd, now);
+  rules(cmd, now, true, [&](const char* rule, const char* detail) {
+    violate(cmd, now, rule, detail);
+  });
+  if (cmd.type != CommandType::Refresh) apply(cmd, now);
   return current_cmd_violations_;
+}
+
+bool ProtocolChecker::allows(const Command& cmd, Tick now,
+                             bool row_state) const {
+  bool ok = true;
+  rules(cmd, now, row_state, [&ok](const char*, const char*) { ok = false; });
+  return ok;
+}
+
+bool ProtocolChecker::same_act_window(std::uint32_t channel,
+                                      std::uint32_t rank,
+                                      const Tick (&window)[4],
+                                      std::uint32_t count) const {
+  const RankShadow& r = rank_at(channel, rank);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    if (r.act_window[(r.act_count + i) % 4] != window[(count + i) % 4]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 int ProtocolChecker::observe_refresh(std::uint32_t channel, std::uint32_t rank,

@@ -38,6 +38,14 @@ class ProtocolChecker {
   /// an external Command). All banks must be precharged and recovered.
   int observe_refresh(std::uint32_t channel, std::uint32_t rank, Tick now);
 
+  /// Whether `cmd` at `now` passes the shadow's rules, its row-state rules
+  /// only when `row_state`. Reads only: nothing is reported or applied.
+  bool allows(const Command& cmd, Tick now, bool row_state) const;
+  /// Whether the rank's last four ACT ticks, in the order the tFAW rule
+  /// will meet them, are those of the ring `window` after `count` ACTs.
+  bool same_act_window(std::uint32_t channel, std::uint32_t rank,
+                       const Tick (&window)[4], std::uint32_t count) const;
+
   std::uint64_t commands_checked() const { return commands_checked_; }
   std::uint64_t violations() const { return violations_; }
 
@@ -80,14 +88,21 @@ class ProtocolChecker {
 
   BankShadow& bank_at(const Location& loc);
   RankShadow& rank_at(std::uint32_t channel, std::uint32_t rank);
+  const BankShadow& bank_at(const Location& loc) const {
+    return const_cast<ProtocolChecker*>(this)->bank_at(loc);
+  }
+  const RankShadow& rank_at(std::uint32_t channel, std::uint32_t rank) const {
+    return const_cast<ProtocolChecker*>(this)->rank_at(channel, rank);
+  }
 
   /// Reports "<rule> violated ..." and bumps the violation count.
   void violate(const Command& cmd, Tick now, const char* rule,
                const char* detail);
 
-  int check_activate(const Command& cmd, Tick now);
-  int check_column(const Command& cmd, Tick now);
-  int check_precharge(const Command& cmd, Tick now);
+  /// Calls `flag(rule, detail)` for each rule `cmd` at `now` breaks
+  /// against the shadow state; the row-state rules only when `row_state`.
+  template <typename Flag>
+  void rules(const Command& cmd, Tick now, bool row_state, Flag&& flag) const;
   void apply(const Command& cmd, Tick now);
 
   DramConfig cfg_;

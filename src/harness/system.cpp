@@ -457,6 +457,10 @@ void CmpSystem::transfer(snap::Io& io) {
   for (auto& mc : controllers_) mc->transfer(io);
   interference_.transfer(io);
   if (!io.reading()) return;
+  for (auto& mc : controllers_) {
+    snap::require(mc->ticked_before(now_),
+                  "a controller's clock runs ahead of the system's");
+  }
   // Engine telemetry is not state: a restored system counts its jumps from
   // the restore point.
   skipped_cycles_ = 0;

@@ -257,7 +257,6 @@ std::uint64_t MemoryController::enqueue(AppId app, Addr addr, AccessType type,
   } else {
     ++pending_reads_;
   }
-  ++state_version_;
   return req.id;
 }
 
@@ -266,7 +265,6 @@ void MemoryController::set_write_drain(const WriteDrainConfig& cfg) {
                 "write-drain watermarks inverted");
   write_drain_ = cfg;
   draining_ = false;
-  ++state_version_;
 }
 
 void MemoryController::tick(Cycle now_cpu) {
@@ -277,50 +275,31 @@ void MemoryController::tick(Cycle now_cpu) {
   ensure_order();
   const std::uint64_t target = crossing_.device_ticks_at(now_cpu);
   while (bus_ticks_done_ < target) {
-    // Probe only after a provably inactive tick: during a busy burst the
-    // horizon cannot be ahead of the next tick anyway, and the burst's end
-    // is detected by the first tick that does nothing. Settle the drain
-    // hysteresis first — the reference loop would apply it on the skipped
-    // ticks (see update_write_drain), and it is idempotent across a dead
-    // range.
-    if (fast_forward_ && !last_tick_active_) {
-      update_write_drain();
-      const dram::Tick horizon = cached_next_event_tick();
-      const dram::Tick quiet_to = std::min<dram::Tick>(horizon, target);
-      if (quiet_to > bus_ticks_done_) {
-        skip_bus_ticks(bus_ticks_done_, quiet_to);
-        bus_ticks_done_ = quiet_to;
-        ++state_version_;
-        // A skip changes no command-timing or queue state, so the horizon
-        // computed before it is still exact: keep the memo warm instead of
-        // rescanning the queues at the landing tick.
-        cached_event_tick_ = horizon;
-        cached_event_version_ = state_version_;
-        last_tick_active_ = true;
-        continue;
-      }
+    const dram::Tick quiet_to =
+        fast_forward_ ? std::min<dram::Tick>(horizon(), target) : 0;
+    if (quiet_to <= bus_ticks_done_) {
+      run_bus_tick(bus_ticks_done_);
+      ++bus_ticks_done_;
+      continue;
     }
-    run_bus_tick(bus_ticks_done_);
-    ++bus_ticks_done_;
-    ++state_version_;
+    // Nothing is pending, so the reference loop would end any write drain
+    // on the first skipped tick (see try_issue_one).
+    draining_ = false;
+    dram_.skip_ticks(bus_ticks_done_, quiet_to);
+    if (obs::kEnabled && obs_skip_ != nullptr && obs_->enabled()) {
+      obs_skip_->record(quiet_to - bus_ticks_done_);
+    }
+    bus_ticks_done_ = quiet_to;
   }
 }
 
-dram::Tick MemoryController::cached_next_event_tick() const {
-  if (cached_event_version_ != state_version_) {
-    cached_event_tick_ = next_event_tick(bus_ticks_done_);
-    cached_event_version_ = state_version_;
-  }
-  return cached_event_tick_;
+dram::Tick MemoryController::horizon() const {
+  if (!waiting_apps_.empty()) return bus_ticks_done_;
+  return std::min(next_completion_, dram_.next_event_tick(bus_ticks_done_));
 }
 
 Cycle MemoryController::next_event_cpu_cycle() const {
-  // After an active tick the next due tick runs unprobed (see tick()), so
-  // it bounds the horizon; a memo kept warm across a skip is still exact.
-  if (last_tick_active_ && cached_event_version_ != state_version_) {
-    return next_bus_activity_cpu_cycle();
-  }
-  const dram::Tick e = cached_next_event_tick();
+  const dram::Tick e = horizon();
   return e == dram::kNoTick ? kNoCycle : crossing_.cpu_cycle_of_tick(e);
 }
 
@@ -328,7 +307,6 @@ void MemoryController::replace_scheduler(std::unique_ptr<Scheduler> scheduler) {
   BWPART_ASSERT(scheduler != nullptr, "controller needs a scheduler");
   scheduler_ = std::move(scheduler);
   order_valid_ = false;
-  ++state_version_;
   if constexpr (obs::kEnabled) {
     if (obs_ != nullptr && obs_->enabled()) {
       obs_->trace().instant("scheduler:" + scheduler_->name(),
@@ -378,17 +356,6 @@ std::size_t MemoryController::pending_requests(AppId app) const {
   return per_app_count_[app];
 }
 
-bool MemoryController::writes_would_be_eligible() const {
-  if (!write_drain_.enabled) return true;
-  bool draining = draining_;
-  if (!draining && pending_writes_ >= write_drain_.high_watermark) {
-    draining = true;
-  } else if (draining && pending_writes_ <= write_drain_.low_watermark) {
-    draining = false;
-  }
-  return draining || pending_reads_ == 0;
-}
-
 void MemoryController::recompute_oldest(AppId app) {
   std::uint32_t o = kNoSlot;
   Cycle best_arrival = 0;
@@ -416,67 +383,8 @@ void MemoryController::recompute_oldest(AppId app) {
   }
 }
 
-dram::Tick MemoryController::next_event_tick(dram::Tick from) const {
-  dram::Tick best = dram_.next_event_tick(from, rank_pending_);
-  best = std::min(best, next_completion_);
-  if (best <= from) return from;
-  const bool writes_eligible = writes_would_be_eligible();
-  // One branch on a combined flag, not one on the request's type first.
-  const bool writes_held = !writes_eligible;
-  // Each request's earliest issue tick is one read of each ready table: the
-  // class its bank state implies, then the max over bank, rank and bus.
-  // Blocked classes read kNoTick, which the min ignores.
-  const dram::ReadyTicks ready = dram_.ready_ticks();
-  for (std::uint32_t ch = 0; ch < channels_; ++ch) {
-    const PendQueue& q = pend_[ch];
-    const std::size_t n = q.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool is_write = q.type[i] == kWriteType;
-      if (is_write & writes_held) continue;
-      const std::uint32_t bank = q.bank[i];
-      const dram::CmdClass cls = ready.class_at(bank, q.row[i], is_write);
-      best = std::min(best, ready.issue_tick(bank, cls));
-      if (best <= from) return from;
-    }
-  }
-  if (observer_ != nullptr) {
-    // A victim's attribution can also flip when its blocking data burst
-    // drains, or when a drain-held write becomes issue-ready (moving it
-    // from "blocked on a resource" to "ready but not picked").
-    const dram::CmdTimings& t = dram_.cmd_timings();
-    for (const AppId app : waiting_apps_) {
-      const MemRequest& r = pool_[oldest_pending_[app]];
-      const bool is_write = r.type == AccessType::Write;
-      const std::size_t bank = bank_index(r.loc);
-      const dram::CmdClass cls = ready.class_at(bank, r.loc.row, is_write);
-      if (!writes_eligible && is_write) {
-        best = std::min(best, ready.issue_tick(bank, cls));
-      }
-      if (dram::is_column_class(cls)) {
-        const dram::Tick lat =
-            cls == dram::CmdClass::Read ? t.rd_lat : t.wr_lat;
-        const dram::Tick until = bus_busy_until_[r.loc.channel];
-        if (until > lat && until - lat > from) {
-          best = std::min(best, until - lat);
-        }
-      }
-      if (best <= from) return from;
-    }
-  }
-  return best;
-}
-
-void MemoryController::skip_bus_ticks(dram::Tick from, dram::Tick to) {
-  dram_.skip_ticks(from, to, rank_pending_);
-  if (observer_ != nullptr) account_interference_range(from, to);
-  if constexpr (obs::kEnabled) {
-    if (obs_skip_ != nullptr && obs_->enabled()) obs_skip_->record(to - from);
-  }
-}
-
 void MemoryController::run_bus_tick(dram::Tick now) {
   dram_.tick(now);
-  const std::size_t active_before = active_;
   deliver_completions(now);
   // Wake powered-down ranks that have work waiting.
   if (dram_.config().enable_powerdown) {
@@ -490,12 +398,8 @@ void MemoryController::run_bus_tick(dram::Tick now) {
   }
   // One command per channel per tick (shared command bus per channel).
   issued_scratch_.assign(channels_, kNoApp);
-  bool any_issued = false;
   for (std::uint32_t ch = 0; ch < channels_; ++ch) {
-    if (try_issue_one(ch, now)) {
-      issued_scratch_[ch] = issued_app_scratch_;
-      any_issued = true;
-    }
+    if (try_issue_one(ch, now)) issued_scratch_[ch] = issued_app_scratch_;
   }
   if (observer_ != nullptr) {
     // Weight of this bus tick in CPU cycles: exact rational spacing.
@@ -503,7 +407,6 @@ void MemoryController::run_bus_tick(dram::Tick now) {
                          crossing_.cpu_cycle_of_tick(now);
     account_interference(now, issued_scratch_, weight);
   }
-  last_tick_active_ = any_issued || active_ != active_before;
 }
 
 void MemoryController::deliver_completions(dram::Tick now) {
@@ -584,7 +487,7 @@ void MemoryController::issue_request(std::uint32_t channel, std::size_t pos,
   issued_app_scratch_ = req.app;
 }
 
-void MemoryController::update_write_drain() {
+bool MemoryController::try_issue_one(std::uint32_t channel, dram::Tick now) {
   // Write-drain hysteresis: hold writes while reads wait, unless the write
   // backlog crossed the high watermark; drain down to the low watermark.
   if (write_drain_.enabled) {
@@ -594,10 +497,6 @@ void MemoryController::update_write_drain() {
       draining_ = false;
     }
   }
-}
-
-bool MemoryController::try_issue_one(std::uint32_t channel, dram::Tick now) {
-  update_write_drain();
   const bool writes_eligible =
       !write_drain_.enabled || draining_ || pending_reads_ == 0;
   if (pend_[channel].size() == 0) return false;
@@ -707,57 +606,39 @@ bool MemoryController::scan_dynamic(std::uint32_t channel, dram::Tick now,
   return false;
 }
 
-bool MemoryController::interfered(AppId app, const MemRequest& oldest,
-                                  dram::Tick now, AppId winner) const {
-  // Paper Section IV-C (detection per STFM / FST). Ready: a different
-  // application's command won the slot.
-  const bool ready_verdict = winner != kNoApp && winner != app;
-  // Blocked on a resource: data bus or bank; attribute to its last user.
-  // Refresh is not inter-application interference.
-  const std::uint32_t ch = oldest.loc.channel;
-  const std::size_t bank = bank_index(oldest.loc);
-  const dram::ReadyTicks ready = dram_.ready_ticks();
-  const dram::CmdClass cls = ready.class_at(
-      bank, oldest.loc.row, oldest.type == AccessType::Write);
-  bool blocked_verdict = false;
-  if (!dram_.refresh_blocked(ch, oldest.loc.rank)) {
-    const dram::CmdTimings& t = dram_.cmd_timings();
-    const bool bus_block =
-        dram::is_column_class(cls) &&
-        now + (cls == dram::CmdClass::Read ? t.rd_lat : t.wr_lat) <
-            bus_busy_until_[ch];
-    const AppId holder = bus_block ? bus_user_[ch] : bank_last_user_[bank];
-    blocked_verdict = holder != kNoApp && holder != app;
-  }
-  if (ready_verdict == blocked_verdict) return ready_verdict;
-  return ready.issue_tick(bank, cls) <= now ? ready_verdict : blocked_verdict;
-}
-
 void MemoryController::account_interference(dram::Tick now,
                                             std::span<const AppId> issued_app,
                                             Cycle weight) {
-  // Each application with a waiting request is judged on its oldest one.
+  // Paper Section IV-C (detection per STFM / FST). Each application with a
+  // waiting request is judged on its oldest one. Ready, it is a victim when
+  // a different application's command won its channel's slot; blocked on
+  // the data bus or its bank, when another application used that last
+  // (refresh is not inter-application interference). Command legality,
+  // which picks between the two, is tested only when they differ.
+  const dram::ReadyTicks ready = dram_.ready_ticks();
+  const dram::CmdTimings& t = dram_.cmd_timings();
   for (const AppId app : waiting_apps_) {
     const MemRequest& oldest = pool_[oldest_pending_[app]];
-    if (interfered(app, oldest, now, issued_app[oldest.loc.channel])) {
-      observer_->on_interference(app, weight);
+    const std::uint32_t ch = oldest.loc.channel;
+    const AppId winner = issued_app[ch];
+    const bool ready_verdict = winner != kNoApp && winner != app;
+    const std::size_t bank = bank_index(oldest.loc);
+    const dram::CmdClass cls = ready.class_at(
+        bank, oldest.loc.row, oldest.type == AccessType::Write);
+    bool blocked_verdict = false;
+    if (!dram_.refresh_blocked(ch, oldest.loc.rank)) {
+      const bool bus_block =
+          dram::is_column_class(cls) &&
+          now + (cls == dram::CmdClass::Read ? t.rd_lat : t.wr_lat) <
+              bus_busy_until_[ch];
+      const AppId holder = bus_block ? bus_user_[ch] : bank_last_user_[bank];
+      blocked_verdict = holder != kNoApp && holder != app;
     }
-  }
-}
-
-void MemoryController::account_interference_range(dram::Tick from,
-                                                  dram::Tick to) {
-  // Every classification input is frozen over a dead range: nothing issues
-  // or completes (so a ready request has no winner to blame), device state
-  // only ages, and every flip tick (earliest legal issue, bus drain,
-  // refresh events) bounds the skip. The per-tick weights telescope: sum
-  // of (cpu_of(n+1) - cpu_of(n)) over [from, to).
-  const Cycle weight = crossing_.cpu_cycle_of_tick(to) -
-                       crossing_.cpu_cycle_of_tick(from);
-  for (const AppId app : waiting_apps_) {
-    if (interfered(app, pool_[oldest_pending_[app]], from, kNoApp)) {
-      observer_->on_interference(app, weight);
+    bool victim = ready_verdict;
+    if (ready_verdict != blocked_verdict && ready.issue_tick(bank, cls) > now) {
+      victim = blocked_verdict;
     }
+    if (victim) observer_->on_interference(app, weight);
   }
 }
 
@@ -852,7 +733,10 @@ void MemoryController::transfer(snap::Io& io) {
   io.u64(bus_ticks_done_);
   io.u64(last_cpu_cycle_);
   io.b(started_);
-  io.b(last_tick_active_);
+  // A retired engine flag's byte, written as 1 and ignored on read: older
+  // files resume here, and files written here resume in older builds.
+  bool retired = true;
+  io.b(retired);
   io.fixed(oldest_pending_,
            "controller vector arity differs from the snapshot's",
            [&](std::uint32_t& s) { slot(s, true); });
@@ -875,6 +759,8 @@ void MemoryController::transfer(snap::Io& io) {
   scheduler_->transfer(io);
   dram_.transfer(io);
   if (!io.reading()) return;
+  snap::require(dram_.next_tick() == bus_ticks_done_,
+                "controller and DRAM tick cursors differ");
   waiting_apps_.clear();
   for (AppId a = 0; a < num_apps_; ++a) {
     if (oldest_pending_[a] != kNoSlot) waiting_apps_.push_back(a);
@@ -882,7 +768,6 @@ void MemoryController::transfer(snap::Io& io) {
   num_live_ = 0;
   for (const std::uint8_t l : app_live_) num_live_ += l;
   order_valid_ = false;  // queue keys/order rebuild against the new policy
-  ++state_version_;  // the event-horizon memo is stale for the new state
 }
 
 }  // namespace bwpart::mem

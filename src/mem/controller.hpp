@@ -7,11 +7,11 @@
 // Hot-path layout: requests live in a preallocated FixedPool (no queue
 // churn after construction) and each channel's pending set is mirrored
 // into a structure-of-arrays PendQueue carrying exactly the fields the
-// per-tick scheduler scan and event probes touch (policy key, flat bank
-// index, row, access type). For policies that advertise a
-// static sort key (SchedOrdering) the queue is kept sorted, so the scan
-// visits candidates in policy order with no virtual comparator calls;
-// dynamic policies keep the exact top-1-selection fallback over before().
+// per-tick scheduler scan touches (policy key, flat bank index, row,
+// access type). For policies that advertise a static sort key
+// (SchedOrdering) the queue is kept sorted, so the scan visits candidates
+// in policy order with no virtual comparator calls; dynamic policies keep
+// the exact top-1-selection fallback over before().
 #pragma once
 
 #include <algorithm>
@@ -122,11 +122,11 @@ class MemoryController {
   /// due since the previous call).
   void tick(Cycle now_cpu);
 
-  /// Selects between the event-driven engine (default), which proves tick
-  /// ranges dead via next_event_tick() and jumps over them, and the
-  /// reference engine that runs run_bus_tick() for every tick. Both produce
-  /// bit-identical stats and scheduling decisions; the reference loop
-  /// exists for debugging and differential testing.
+  /// Selects between the event-driven engine (default), which skips to
+  /// horizon() while no request waits, and the reference engine that runs
+  /// run_bus_tick() for every tick. Both produce bit-identical stats and
+  /// scheduling decisions; the reference loop exists for debugging and
+  /// differential testing.
   void set_fast_forward(bool on) { fast_forward_ = on; }
   bool fast_forward() const { return fast_forward_; }
 
@@ -135,9 +135,8 @@ class MemoryController {
   /// device housekeeping (refresh, power-down). Valid between tick() calls;
   /// kNoCycle when the controller is empty and the device has no scheduled
   /// events. The system loop may skip straight to min(core wakes, this)
-  /// without simulating the cycles in between. Right after an active bus
-  /// tick, with no memoized horizon, it answers the next due bus tick
-  /// without probing: tick() runs that tick unconditionally anyway.
+  /// without simulating the cycles in between. While a request waits to
+  /// issue it answers the next due bus tick.
   Cycle next_event_cpu_cycle() const;
 
   /// First CPU cycle > the last tick() call at which a new bus tick falls
@@ -147,16 +146,16 @@ class MemoryController {
   Cycle next_bus_activity_cpu_cycle() const {
     return crossing_.cpu_cycle_of_tick(bus_ticks_done_);
   }
+  /// Whether every tick() call so far was at a cycle before `now`.
+  bool ticked_before(Cycle now) const {
+    return !started_ || last_cpu_cycle_ < now;
+  }
 
   void set_completion_callback(CompletionCallback cb) { on_complete_ = std::move(cb); }
   /// Attaches the attribution observer; nullptr detaches it. Detached, no
-  /// bus tick or dead range is attributed and the event probe ignores
-  /// attribution flip points. Attribution only reads controller state, so
+  /// bus tick is attributed. Attribution only reads controller state, so
   /// every other result is the same either way.
-  void set_interference_observer(InterferenceObserver* obs) {
-    observer_ = obs;
-    ++state_version_;
-  }
+  void set_interference_observer(InterferenceObserver* obs) { observer_ = obs; }
 
   /// Attaches the observability hub (nullptr detaches). The controller
   /// records per-app request-latency histograms (arrival to data delivery,
@@ -201,9 +200,9 @@ class MemoryController {
   /// the app count and request locations against the geometry, so a
   /// forged stream fails as snap::SnapshotError. Deliberately excluded as
   /// engine/wiring, not state: the fast_forward_ switch (snapshots restore
-  /// bit-identically into either engine), the event-horizon memo and the
-  /// pending queues' derived policy keys (restore invalidates both; they
-  /// rebuild on first use), the waiting-app list (rebuilt from the restored
+  /// bit-identically into either engine), the pending queues' derived
+  /// policy keys (restore invalidates them; they rebuild on first use),
+  /// the waiting-app list (rebuilt from the restored
   /// oldest-pending index), completion/observer/obs hooks (the host rewires
   /// them) and the per-tick scratch vectors.
   void transfer(snap::Io& io);
@@ -213,8 +212,8 @@ class MemoryController {
       std::numeric_limits<std::uint32_t>::max();
 
   /// One channel's pending requests in structure-of-arrays layout: the
-  /// parallel arrays carry every field the scheduler scan and the event
-  /// probe read, so neither ever touches the request pool. For static-key
+  /// parallel arrays carry every field the scheduler scan reads, so it
+  /// never touches the request pool. For static-key
   /// policies the arrays are kept sorted ascending by (prim, arrival, id) —
   /// exactly the policy's service order; for dynamic policies entries stay
   /// in append order (order never affects decisions there: the comparator's
@@ -240,29 +239,12 @@ class MemoryController {
   };
 
   void run_bus_tick(dram::Tick now);
-  /// Batch-advances over [from, to), a range next_event_tick() proved dead:
-  /// no completion, no legal issue, no device event. Device tick/power-down
-  /// stats and interference attribution are accounted in closed form.
-  void skip_bus_ticks(dram::Tick from, dram::Tick to);
-  /// Earliest bus tick >= `from` at which the controller could act:
-  /// min over device events, the tracked next completion, each pending
-  /// request's earliest legal issue tick, and (when an interference
-  /// observer is attached) the ticks at which a victim's blocked/ready
-  /// classification can flip.
-  dram::Tick next_event_tick(dram::Tick from) const;
-  /// next_event_tick(bus_ticks_done_) memoized on state_version_: between
-  /// mutations (enqueue, an executed or skipped bus tick, a config change)
-  /// the controller's event horizon cannot move, so the system loop can
-  /// poll next_event_cpu_cycle() every blocked CPU cycle at O(1).
-  dram::Tick cached_next_event_tick() const;
+  /// First bus tick >= bus_ticks_done_ at which the controller can act:
+  /// bus_ticks_done_ itself while a request waits to issue, else the next
+  /// completion or device event (kNoTick when there is none). With nothing
+  /// waiting, nothing can issue and no app is attributed interference.
+  dram::Tick horizon() const;
   void deliver_completions(dram::Tick now);
-  /// One step of the write-drain hysteresis against the current pending
-  /// counts. The reference loop applies this every bus tick (first thing in
-  /// try_issue_one); a flip is only possible at the first tick after the
-  /// counts move, so the fast engine applies it once before probing for a
-  /// skip — otherwise a skipped flip tick would leave draining_ stale when
-  /// later enqueues move the counts back across a watermark.
-  void update_write_drain();
   bool try_issue_one(std::uint32_t channel, dram::Tick now);
   /// Devirtualized scan for static-key policies: the queue is already in
   /// policy order, so this walks it front to back applying the same vetoes
@@ -279,26 +261,11 @@ class MemoryController {
   /// queue, plus the bookkeeping shared by both scans.
   void issue_request(std::uint32_t channel, std::size_t pos,
                      dram::CmdClass cls, dram::Tick now);
-  /// Write eligibility the next try_issue_one() will compute, without
-  /// mutating the drain-hysteresis state (the update is idempotent while no
-  /// request is enqueued or issued, so this is exact across a dead range).
-  bool writes_would_be_eligible() const;
+  /// Attributes bus tick `now` (worth `weight` CPU cycles) to each waiting
+  /// application another one delays; `issued_app[ch]` is the app whose
+  /// command issued on channel ch this tick (kNoApp when none).
   void account_interference(dram::Tick now, std::span<const AppId> issued_app,
                             Cycle weight);
-  /// Closed-form interference attribution for a dead tick range: each
-  /// victim's classification is constant over [from, to), and the per-tick
-  /// CPU-cycle weights telescope to an exact total.
-  void account_interference_range(dram::Tick from, dram::Tick to);
-  /// The attribution verdict shared by both accounting paths: whether
-  /// waiting app `app`, whose oldest request is `oldest`, is delayed by
-  /// another application at bus tick `now`. `winner` is the app whose
-  /// command issued on the request's channel this tick (kNoApp when none,
-  /// and always across a dead range). A ready request is a victim when
-  /// another app won the slot; a blocked one when the block is not refresh
-  /// and another app holds the data bus or last used the bank. Command
-  /// legality, which picks between the two, is tested only when they differ.
-  bool interfered(AppId app, const MemRequest& oldest, dram::Tick now,
-                  AppId winner) const;
   /// Rebuilds oldest_pending_[app] by scanning the pending queues (arrival
   /// then id order; kNoSlot when the app has none). Only needed when the
   /// app's current oldest leaves the pending set — new arrivals are never
@@ -348,7 +315,7 @@ class MemoryController {
   /// early-exits on it, and the fast path skips straight to it.
   dram::Tick next_completion_ = dram::kNoTick;
   /// Pending (not yet issued) requests per (channel, rank); drives the
-  /// power-down notify loop and DramSystem::next_event_tick().
+  /// power-down notify loop.
   std::vector<std::uint32_t> rank_pending_;
 
   std::vector<std::size_t> per_app_count_;
@@ -392,26 +359,15 @@ class MemoryController {
   Cycle last_cpu_cycle_ = 0;
   bool started_ = false;
   bool fast_forward_ = true;
-  /// Whether the last executed bus tick issued or delivered anything (a
-  /// skip also sets it). Gates event probing: tick() probes for a dead range
-  /// only after an inactive tick, and next_event_cpu_cycle() answers the
-  /// next due bus tick instead of probing after an active one. Serialized,
-  /// so a restored controller makes the same probe decisions.
-  bool last_tick_active_ = true;
-  /// Bumped on every state mutation that can move the event horizon;
-  /// invalidates the cached_next_event_tick() memo.
-  std::uint64_t state_version_ = 0;
-  mutable std::uint64_t cached_event_version_ =
-      std::numeric_limits<std::uint64_t>::max();
-  mutable dram::Tick cached_event_tick_ = 0;
 
   /// Each app's oldest pending request slot, maintained incrementally
   /// (set at enqueue when empty, recomputed only when the incumbent is
-  /// issued) — the interference-attribution and event-horizon paths read it
-  /// every bus tick, so a full rescan there would dominate the tick cost.
+  /// issued) — the interference-attribution path reads it every bus tick,
+  /// so a full rescan there would dominate the tick cost.
   std::vector<std::uint32_t> oldest_pending_;
   /// The apps whose oldest_pending_ is set, in no particular order (every
-  /// consumer is order-independent). Those per-tick paths walk this instead
+  /// consumer is order-independent); empty exactly when no request waits
+  /// to issue. The per-tick attribution walks this instead
   /// of all num_apps_ ids: a controller of a multi-controller system is
   /// built over the global id space but sees only its own apps enqueue.
   /// Derived state, rebuilt on restore.

@@ -8,7 +8,7 @@
 // behind a valid checksum, must fail with snap::SnapshotError, never
 // undefined behavior; a result shard or a profile snapshot file with random
 // byte edits behind a valid checksum decodes (restores) or fails the same
-// way.
+// way, and a restored system runs on without a violation.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -615,29 +615,29 @@ TEST(SnapshotRoundtrip, StreamBytesArePinned) {
       {"system/FCFS/per-app",
        {0x02cf8221391750d0ULL, 340050}, {0xc4371a3178a9d511ULL, 337932}},
       {"system/FR-FCFS/shared",
-       {0xdaab86a04f52aaa2ULL, 340090}, {0xee89cd9478de508dULL, 337972}},
+       {0x4daa040c5c4a4f67ULL, 340090}, {0xddfc9ea47601ed1cULL, 337972}},
       {"system/FR-FCFS/per-app",
-       {0xade6a26435ff4d98ULL, 340090}, {0x81bfd7a58d98c265ULL, 337972}},
+       {0x2ce206733a4bfb91ULL, 340090}, {0x5641adc381cf41d4ULL, 337972}},
       {"system/PAR-BS/shared",
-       {0x669f55373d7e9d77ULL, 340225}, {0x41d9fdbd7f62f82eULL, 338107}},
+       {0xfa951d310ff05992ULL, 340225}, {0xbb35e3f9141f8df3ULL, 338107}},
       {"system/PAR-BS/per-app",
-       {0x8a0e98f64262cacdULL, 340225}, {0xf04cd59354b95e32ULL, 338107}},
+       {0xc7e961fa3d8ce3b4ULL, 340225}, {0xb9d7790fb882c9dfULL, 338107}},
       {"system/StartTimeFair/shared",
        {0xd6ba0fcf38e6ba78ULL, 340187}, {0xc63f856ba3ba9735ULL, 338069}},
       {"system/StartTimeFair/per-app",
        {0x5d255fdacae82f54ULL, 340187}, {0xf94d48c63cdf198fULL, 338069}},
       {"system/ClassicDSTF/shared",
-       {0x3cbc56e5cd9fa0bcULL, 340315}, {0x5866f88a275514edULL, 338197}},
+       {0xc0e9fea7ee7c5411ULL, 340315}, {0x4be291736800cff8ULL, 338197}},
       {"system/ClassicDSTF/per-app",
-       {0x3a11d4bbf6f04d5cULL, 340315}, {0x348e9c45dfa6120fULL, 338197}},
+       {0x4dc1c8a99fa0f241ULL, 340315}, {0xb10045160792292eULL, 338197}},
       {"system/STFM/shared",
-       {0xd659248c891dc254ULL, 340146}, {0x9cb8b7c32855ce31ULL, 338028}},
+       {0x8ae9133d3eeb9971ULL, 340146}, {0x3dbd055dcffce200ULL, 338028}},
       {"system/STFM/per-app",
-       {0x2ef72f8463f542eeULL, 340146}, {0x5cde4170bf2ee0cdULL, 338028}},
+       {0x1342a3fd7a9879cfULL, 340146}, {0xe982e4bf0b48d894ULL, 338028}},
       {"system/ATLAS/shared",
-       {0x480c02488e238338ULL, 340255}, {0x0078419bf6379333ULL, 338137}},
+       {0x11c857aa3eb76a0dULL, 340255}, {0x1eccdb8b285fca78ULL, 338137}},
       {"system/ATLAS/per-app",
-       {0xd68c7b5c80315d44ULL, 340255}, {0x788bba0f56d5ca95ULL, 338137}},
+       {0xb4d2d33410554d69ULL, 340255}, {0x017c1f16debd5d42ULL, 338137}},
       {"system/TCM/shared",
        {0xc51921508b0697c6ULL, 340152}, {0x5c8f007b729be20fULL, 338034}},
       {"system/TCM/per-app",
@@ -981,7 +981,9 @@ TEST(SnapshotRoundtrip, EditedResultShardsDecodeOrFailLoudly) {
 // Experiment::restore_into() does. Each file either restores or fails with
 // snap::SnapshotError: never another exception, an abort or a sanitizer
 // report. A restored system must save back to the same state bytes (the
-// rest of the payload is copied verbatim).
+// rest of the payload is copied verbatim), then run 20,000 cycles without
+// an invariant or DRAM-protocol violation: an edit the restore accepts
+// must not surface later as an abort of the resumed run.
 TEST(SnapshotRoundtrip, EditedProfileSnapshotsRestoreOrFailLoudly) {
   const PhaseConfig phases = pinned_phases();
   const Experiment ex(pinned_machine(), pinned_mix(), phases);
@@ -993,10 +995,8 @@ TEST(SnapshotRoundtrip, EditedProfileSnapshotsRestoreOrFailLoudly) {
   constexpr std::size_t kHeader = 4 + 4 + 8 + 8;
   int restored = 0;
   int rejected = 0;
-  const pbt::Config cfg{pbt::base_seed(), 150, 100};
-  const pbt::Result r = pbt::for_all<ByteEdits>(
-      "edited BWPS files restore or fail loudly",
-      byte_edits_gen(kHeader, valid.size() - 9),
+  check::Recorder rec;
+  const pbt::Property<ByteEdits> restores_or_fails =
       [&](const ByteEdits& edits) -> std::string {
         const std::vector<std::uint8_t> bytes = edited(valid, edits);
         write_file(path, bytes);
@@ -1014,6 +1014,12 @@ TEST(SnapshotRoundtrip, EditedProfileSnapshotsRestoreOrFailLoudly) {
           if (system_blob(sys) != s.state) {
             return "a restored system saves back to different bytes";
           }
+          rec.clear();
+          sys.run(20'000);
+          if (rec.count() != 0) {
+            return "the resumed run broke an invariant: " +
+                   rec.violations().front().what;
+          }
         } catch (const snap::SnapshotError&) {
           ++rejected;
         } catch (const std::exception& e) {
@@ -1021,8 +1027,16 @@ TEST(SnapshotRoundtrip, EditedProfileSnapshotsRestoreOrFailLoudly) {
                  e.what();
         }
         return {};
-      },
-      cfg, fewer_edits, print_edits);
+      };
+  // A one-byte edit inside the first controller's protocol-checker section
+  // (of a BWPART_CHECK build's file) that the restore once accepted; the
+  // resumed run then flagged tFAW.
+  EXPECT_EQ(restores_or_fails({{336'294, 0xff}}), "");
+  const pbt::Config cfg{pbt::base_seed(), 150, 100};
+  const pbt::Result r = pbt::for_all<ByteEdits>(
+      "edited BWPS files restore or fail loudly",
+      byte_edits_gen(kHeader, valid.size() - 9), restores_or_fails, cfg,
+      fewer_edits, print_edits);
   EXPECT_TRUE(r.ok) << r.report();
   EXPECT_GT(restored, 0);
   EXPECT_GT(rejected, 0);
