@@ -2,26 +2,30 @@
 // and the snapshot/fork sweep engine.
 //
 // Runs a Fig. 2-shaped sweep (paper mixes x partitioning schemes, serial so
-// wall-clock is comparable) twice — once with SystemConfig::fast_forward on
-// (the default engine) and once with the reference cycle-by-cycle loop —
-// then checks the two sweeps are bit-identical via RunResult fingerprints
-// and reports the speedup. A third sweep runs Experiment::run_all (profile
-// once, fork every scheme's measure phase from the snapshot, schemes in
-// parallel) and must reproduce the per-scheme fingerprints exactly; its
-// wall time against the serial per-scheme sweep is the sweep speedup.
+// wall-clock is comparable) with SystemConfig::fast_forward on (the default
+// engine) and with the reference cycle-by-cycle loop, checks the two sweeps
+// are bit-identical via RunResult fingerprints and reports the speedup. A
+// third sweep runs Experiment::run_all (profile once, fork every scheme's
+// measure phase from the snapshot, schemes in parallel) and must reproduce
+// the per-scheme fingerprints exactly; its wall time against the serial
+// per-scheme sweep is the sweep speedup. A fourth runs the on-disk shard
+// pipeline. Every sweep runs kRounds times, the two engines alternating
+// which goes first, and every run must reproduce the first one's results.
 //
 //   perf_regression [--quick] [--seed N] [--out FILE]
 //
-// Emits a JSON report (default BENCH_perf.json) with wall-clock seconds,
-// simulated CPU cycles per second for both engines, the speedups, and the
-// divergence flag. The exit code is nonzero ONLY if an optimized path's
-// results diverge from the reference — a slow machine never fails the run,
-// so CI can gate on correctness while archiving the perf numbers.
+// Emits a JSON report (default BENCH_perf.json) with the median, minimum
+// and maximum over the rounds of each wall-clock time and speedup, the
+// simulated CPU cycles per second of both engines and the divergence flag.
+// The exit code is nonzero ONLY if an optimized path's results diverge
+// from the reference — a slow machine never fails the run, so CI can gate
+// on correctness while archiving the perf numbers.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -37,13 +41,16 @@ namespace {
 using namespace bwpart;
 using Clock = std::chrono::steady_clock;
 
+/// Every sweep runs this many times, so each timing in the report is a
+/// median with its spread rather than one draw of a noisy host.
+constexpr std::size_t kRounds = 5;
+
 struct SweepResult {
   double seconds = 0.0;  ///< total wall time, warm-up included
   /// Wall time attributed to each experiment phase (via the observability
   /// hub's harness.wall_ns.* counters). warmup_seconds is cache/queue
   /// warm-up that the old schema silently folded into `seconds`;
-  /// measure_seconds is the part a speedup claim should be based on. All
-  /// zero when observability is compiled out (BWPART_OBS=OFF).
+  /// measure_seconds is the part a speedup claim should be based on.
   double warmup_seconds = 0.0;
   double profile_seconds = 0.0;
   double measure_seconds = 0.0;
@@ -179,14 +186,55 @@ ShardSweepResult run_sweep_sharded(std::span<const workload::MixSpec> mixes,
   return out;
 }
 
-/// First index where the two fingerprint sequences differ, or npos.
+constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+/// First index where the two fingerprint sequences differ, or kNpos.
 std::size_t first_divergence(const std::vector<std::uint64_t>& a,
                              const std::vector<std::uint64_t>& b) {
   if (a.size() != b.size()) return 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i] != b[i]) return i;
   }
-  return static_cast<std::size_t>(-1);
+  return kNpos;
+}
+
+/// The first divergence of any of `runs` from `want`, or kNpos.
+template <typename R>
+std::size_t first_divergence(const std::vector<R>& runs,
+                             const std::vector<std::uint64_t>& want) {
+  for (const R& r : runs) {
+    const std::size_t i = first_divergence(r.fingerprints, want);
+    if (i != kNpos) return i;
+  }
+  return kNpos;
+}
+
+/// Median, minimum and maximum of one timing over the rounds.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// The spread of `value(round)` over rounds 0..kRounds-1.
+template <typename F>
+Spread spread(F value) {
+  std::vector<double> v;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    v.push_back(value(round));
+  }
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
+}
+
+double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
+
+std::string json(const Spread& s) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "{\"median\": %.6f, \"min\": %.6f, \"max\": %.6f}", s.median,
+                s.min, s.max);
+  return buf;
 }
 
 }  // namespace
@@ -208,62 +256,91 @@ int main(int argc, char** argv) {
     mixes.assign(all.begin(), all.end());
   }
 
-  std::fprintf(stderr, "sweep: %zu mixes x %zu schemes, %llu cycles each\n",
+  std::fprintf(stderr,
+               "sweep: %zu mixes x %zu schemes, %llu cycles each, %zu rounds\n",
                mixes.size(), std::size(core::kAllSchemes),
                static_cast<unsigned long long>(opt.phases.warmup_cycles +
                                                opt.phases.profile_cycles +
-                                               opt.phases.measure_cycles));
-  std::fprintf(stderr, "running fast-forward engine...\n");
-  const SweepResult fast = run_sweep(true, mixes, opt.phases);
-  // BWPART_ONLY_FAST=1 stops after the fast-forward sweep: a quick timing
-  // loop for engine work (no reference pass, no report file written).
-  if (std::getenv("BWPART_ONLY_FAST") != nullptr) {
-    std::fprintf(stderr, "  %.3f s (fast only)\n", fast.seconds);
-    return 0;
+                                               opt.phases.measure_cycles),
+               kRounds);
+  std::vector<SweepResult> fast;
+  std::vector<SweepResult> ref;
+  std::vector<SweepResult> sweep;
+  std::vector<ShardSweepResult> sharded;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    // Alternate which engine runs first, so a drift in the host's speed
+    // does not always favour the same one.
+    for (const bool fast_forward : {round % 2 == 0, round % 2 != 0}) {
+      std::fprintf(stderr, "round %zu: %s engine...\n", round + 1,
+                   fast_forward ? "fast-forward" : "reference");
+      (fast_forward ? fast : ref)
+          .push_back(run_sweep(fast_forward, mixes, opt.phases));
+    }
+    std::fprintf(stderr, "round %zu: snapshot/fork sweep (run_all)...\n",
+                 round + 1);
+    sweep.push_back(run_sweep_run_all(mixes, opt.phases));
+    std::fprintf(stderr, "round %zu: sharded sweep (spool pipeline)...\n",
+                 round + 1);
+    sharded.push_back(run_sweep_sharded(mixes, opt.phases));
   }
-  std::fprintf(stderr, "  %.3f s\nrunning reference engine...\n",
-               fast.seconds);
-  const SweepResult ref = run_sweep(false, mixes, opt.phases);
-  std::fprintf(stderr, "  %.3f s\nrunning snapshot/fork sweep (run_all)...\n",
-               ref.seconds);
-  const SweepResult sweep = run_sweep_run_all(mixes, opt.phases);
-  std::fprintf(stderr, "  %.3f s\nrunning sharded sweep (spool pipeline)...\n",
-               sweep.seconds);
-  const ShardSweepResult sharded = run_sweep_sharded(mixes, opt.phases);
-  std::fprintf(stderr, "  %.3f s\n", sharded.seconds);
 
-  const std::size_t npos = static_cast<std::size_t>(-1);
-  const std::size_t first_mismatch =
-      first_divergence(fast.fingerprints, ref.fingerprints);
-  const std::size_t sweep_mismatch =
-      first_divergence(sweep.fingerprints, fast.fingerprints);
-  const std::size_t sharded_mismatch =
-      first_divergence(sharded.fingerprints, fast.fingerprints);
-  const bool identical = first_mismatch == npos && sweep_mismatch == npos &&
-                         sharded_mismatch == npos;
+  // Every run of every engine must reproduce the first fast-forward run.
+  const std::vector<std::uint64_t>& want = fast[0].fingerprints;
+  const std::size_t engine_mismatch =
+      std::min(first_divergence(fast, want), first_divergence(ref, want));
+  const std::size_t sweep_mismatch = first_divergence(sweep, want);
+  const std::size_t sharded_mismatch = first_divergence(sharded, want);
+  const bool identical = engine_mismatch == kNpos &&
+                         sweep_mismatch == kNpos && sharded_mismatch == kNpos;
 
-  const double speedup =
-      fast.seconds > 0.0 ? ref.seconds / fast.seconds : 0.0;
+  const auto of = [](const std::vector<SweepResult>& runs, auto field) {
+    return spread([&](std::size_t r) { return runs[r].*field; });
+  };
+  const Spread fast_s = of(fast, &SweepResult::seconds);
+  const Spread ref_s = of(ref, &SweepResult::seconds);
+  const Spread run_all_s = of(sweep, &SweepResult::seconds);
+  // Ratios pair the runs of one round.
+  const Spread speedup = spread(
+      [&](std::size_t r) { return ratio(ref[r].seconds, fast[r].seconds); });
   // Warm-up and profile run under FCFS before the scheme under test is even
   // installed; the measure-phase ratio is the engine comparison that
   // matches what an experiment's reported numbers cost to produce.
-  const double measure_speedup = fast.measure_seconds > 0.0
-                                     ? ref.measure_seconds /
-                                           fast.measure_seconds
-                                     : 0.0;
-  const double fast_cps =
-      fast.seconds > 0.0
-          ? static_cast<double>(fast.simulated_cycles) / fast.seconds
-          : 0.0;
-  const double ref_cps =
-      ref.seconds > 0.0
-          ? static_cast<double>(ref.simulated_cycles) / ref.seconds
-          : 0.0;
+  const Spread measure_speedup = spread([&](std::size_t r) {
+    return ratio(ref[r].measure_seconds, fast[r].measure_seconds);
+  });
   // Sweep speedup: the run_all fork engine against the serial per-scheme
   // sweep on the same (fast-forward) engine — profile reuse + parallel
   // measure phases, results proven identical above.
-  const double sweep_speedup =
-      sweep.seconds > 0.0 ? fast.seconds / sweep.seconds : 0.0;
+  const Spread sweep_speedup = spread(
+      [&](std::size_t r) { return ratio(fast[r].seconds, sweep[r].seconds); });
+  const std::uint64_t simulated_cycles = fast[0].simulated_cycles;
+  const double fast_cps =
+      ratio(static_cast<double>(simulated_cycles), fast_s.median);
+  const double ref_cps =
+      ratio(static_cast<double>(simulated_cycles), ref_s.median);
+  const auto mix_spread = [&](std::size_t i, const std::vector<SweepResult>&
+                                                 runs) {
+    return spread([&](std::size_t r) { return runs[r].mix_seconds[i]; });
+  };
+  const auto mix_speedup = [&](std::size_t i) {
+    return spread([&](std::size_t r) {
+      return ratio(ref[r].mix_seconds[i], fast[r].mix_seconds[i]);
+    });
+  };
+  const auto engine_json = [&](const std::vector<SweepResult>& runs,
+                               double cps) {
+    return "{\"seconds\": " + json(of(runs, &SweepResult::seconds)) +
+           ", \"cycles_per_second\": " + std::to_string(std::llround(cps)) +
+           ",\n    \"warmup_seconds\": " +
+           json(of(runs, &SweepResult::warmup_seconds)) +
+           ",\n    \"profile_seconds\": " +
+           json(of(runs, &SweepResult::profile_seconds)) +
+           ",\n    \"measure_seconds\": " +
+           json(of(runs, &SweepResult::measure_seconds)) + "}";
+  };
+  const auto shard_json = [&](auto field) {
+    return json(spread([&](std::size_t r) { return sharded[r].*field; }));
+  };
 
   if (!out_path.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -271,56 +348,53 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
       return 2;
     }
-    // Schema 5: the sweep section gains "sharded" — per-phase wall time of
-    // the same sweep through the on-disk shard pipeline (snapshot spool
-    // write, worker measure loop, result-shard merge), proven bit-identical
-    // alongside the other engines. Schema 4 added the per-mix breakdown
-    // ("mixes" array with each mix's fast/reference wall time and speedup);
-    // schema 3 added the snapshot/fork sweep-engine numbers inside "sweep";
-    // schema 2 added per-phase wall-clock attribution (schema 1 folded
-    // warm-up into "seconds"). All older keys keep their old meaning so
-    // existing consumers read the file unchanged.
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": 5,\n"
-                 "  \"sweep\": {\"mixes\": %zu, \"schemes\": %zu, "
-                 "\"runs\": %zu, \"simulated_cycles\": %llu,\n"
-                 "    \"run_all_seconds\": %.6f, \"per_scheme_seconds\": %.6f, "
-                 "\"speedup\": %.3f, \"snapshot_reuse\": %s,\n"
-                 "    \"sharded\": {\"seconds\": %.6f, "
-                 "\"spool_seconds\": %.6f, \"measure_seconds\": %.6f, "
-                 "\"merge_seconds\": %.6f}},\n"
-                 "  \"fast_forward\": {\"seconds\": %.6f, "
-                 "\"cycles_per_second\": %.0f,\n"
-                 "    \"warmup_seconds\": %.6f, \"profile_seconds\": %.6f, "
-                 "\"measure_seconds\": %.6f},\n"
-                 "  \"reference\": {\"seconds\": %.6f, "
-                 "\"cycles_per_second\": %.0f,\n"
-                 "    \"warmup_seconds\": %.6f, \"profile_seconds\": %.6f, "
-                 "\"measure_seconds\": %.6f},\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"measure_speedup\": %.3f,\n"
-                 "  \"mixes\": [\n",
-                 mixes.size(), std::size(core::kAllSchemes),
-                 fast.fingerprints.size(),
-                 static_cast<unsigned long long>(fast.simulated_cycles),
-                 sweep.seconds, fast.seconds, sweep_speedup,
-                 harness::kSnapshotEnabled ? "true" : "false",
-                 sharded.seconds, sharded.spool_seconds,
-                 sharded.measure_seconds, sharded.merge_seconds,
-                 fast.seconds, fast_cps, fast.warmup_seconds,
-                 fast.profile_seconds, fast.measure_seconds, ref.seconds,
-                 ref_cps, ref.warmup_seconds, ref.profile_seconds,
-                 ref.measure_seconds, speedup, measure_speedup);
+    // Schema 6: every sweep runs `rounds` times (the two engines
+    // alternating which goes first) and every timing and speedup is an
+    // object {"median", "min", "max"} over the rounds; cycles_per_second
+    // uses the median. Schema 5 added "sweep.sharded" (spool write, worker
+    // measure loop, result-shard merge); schema 4 the per-mix "mixes"
+    // array; schema 3 the snapshot/fork numbers inside "sweep"; schema 2
+    // the per-phase wall-clock attribution.
+    std::fprintf(
+        f,
+        "{\n"
+        "  \"schema\": 6,\n"
+        "  \"rounds\": %zu,\n"
+        "  \"sweep\": {\"mixes\": %zu, \"schemes\": %zu, \"runs\": %zu, "
+        "\"simulated_cycles\": %llu, \"snapshot_reuse\": %s,\n"
+        "    \"run_all_seconds\": %s,\n"
+        "    \"per_scheme_seconds\": %s,\n"
+        "    \"speedup\": %s,\n"
+        "    \"sharded\": {\"seconds\": %s,\n"
+        "      \"spool_seconds\": %s,\n"
+        "      \"measure_seconds\": %s,\n"
+        "      \"merge_seconds\": %s}},\n"
+        "  \"fast_forward\": %s,\n"
+        "  \"reference\": %s,\n"
+        "  \"speedup\": %s,\n"
+        "  \"measure_speedup\": %s,\n"
+        "  \"mixes\": [\n",
+        kRounds, mixes.size(), std::size(core::kAllSchemes), want.size(),
+        static_cast<unsigned long long>(simulated_cycles),
+        harness::kSnapshotEnabled ? "true" : "false",
+        json(run_all_s).c_str(), json(fast_s).c_str(),
+        json(sweep_speedup).c_str(),
+        shard_json(&ShardSweepResult::seconds).c_str(),
+        shard_json(&ShardSweepResult::spool_seconds).c_str(),
+        shard_json(&ShardSweepResult::measure_seconds).c_str(),
+        shard_json(&ShardSweepResult::merge_seconds).c_str(),
+        engine_json(fast, fast_cps).c_str(), engine_json(ref, ref_cps).c_str(),
+        json(speedup).c_str(), json(measure_speedup).c_str());
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-      const double mix_speedup = fast.mix_seconds[i] > 0.0
-                                     ? ref.mix_seconds[i] / fast.mix_seconds[i]
-                                     : 0.0;
       std::fprintf(f,
-                   "    {\"name\": \"%.*s\", \"fast_seconds\": %.6f, "
-                   "\"ref_seconds\": %.6f, \"speedup\": %.3f}%s\n",
+                   "    {\"name\": \"%.*s\",\n"
+                   "      \"fast_seconds\": %s,\n"
+                   "      \"ref_seconds\": %s,\n"
+                   "      \"speedup\": %s}%s\n",
                    static_cast<int>(mixes[i].name.size()), mixes[i].name.data(),
-                   fast.mix_seconds[i], ref.mix_seconds[i], mix_speedup,
+                   json(mix_spread(i, fast)).c_str(),
+                   json(mix_spread(i, ref)).c_str(),
+                   json(mix_speedup(i)).c_str(),
                    i + 1 < mixes.size() ? "," : "");
     }
     std::fprintf(f,
@@ -331,52 +405,48 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
 
-  std::printf("fast-forward: %8.3f s  (%.2fM simulated cycles/s)\n",
-              fast.seconds, fast_cps / 1e6);
-  std::printf("reference:    %8.3f s  (%.2fM simulated cycles/s)\n",
-              ref.seconds, ref_cps / 1e6);
-  std::printf("speedup:      %8.2fx", speedup);
-  if (measure_speedup > 0.0) {
-    std::printf("  (measure phase only: %.2fx)", measure_speedup);
-  }
-  std::printf("\n");
-  std::printf("run_all:      %8.3f s  (sweep speedup %.2fx, snapshot reuse %s)\n",
-              sweep.seconds, sweep_speedup,
-              harness::kSnapshotEnabled ? "on" : "off");
-  std::printf("sharded:      %8.3f s  (spool %.3f s, measure %.3f s, "
-              "merge %.3f s)\n",
-              sharded.seconds, sharded.spool_seconds,
-              sharded.measure_seconds, sharded.merge_seconds);
+  // Medians, with the [min, max] over the rounds.
+  const auto print = [](const char* label, const Spread& s, const char* unit) {
+    std::printf("%-14s %8.3f%s [%.3f, %.3f]\n", label, s.median, unit, s.min,
+                s.max);
+  };
+  std::printf("%zu rounds; medians [min, max]\n", kRounds);
+  print("fast-forward:", fast_s, " s");
+  print("reference:", ref_s, " s");
+  std::printf("  (%.2fM vs %.2fM simulated cycles/s)\n", fast_cps / 1e6,
+              ref_cps / 1e6);
+  print("speedup:", speedup, "x");
+  print("measure phase:", measure_speedup, "x");
+  print("run_all:", run_all_s, " s");
+  print("sweep speedup:", sweep_speedup, "x");
+  print("sharded:",
+        spread([&](std::size_t r) { return sharded[r].seconds; }), " s");
   for (std::size_t i = 0; i < mixes.size(); ++i) {
-    const double mix_speedup = fast.mix_seconds[i] > 0.0
-                                   ? ref.mix_seconds[i] / fast.mix_seconds[i]
-                                   : 0.0;
-    std::printf("  %-10.*s %6.3f s -> %6.3f s  (%.2fx)\n",
-                static_cast<int>(mixes[i].name.size()), mixes[i].name.data(),
-                ref.mix_seconds[i], fast.mix_seconds[i], mix_speedup);
+    const std::string label(mixes[i].name);
+    print(("  " + label).c_str(), mix_speedup(i), "x");
   }
-  if (first_mismatch != npos) {
+  if (engine_mismatch != kNpos) {
     std::fprintf(stderr,
-                 "DIVERGENCE: fast-forward results differ from the "
-                 "reference loop (first mismatch at run %zu)\n",
-                 first_mismatch);
+                 "DIVERGENCE: the fast-forward and reference runs differ "
+                 "(first mismatch at run %zu)\n",
+                 engine_mismatch);
     return 1;
   }
-  if (sweep_mismatch != npos) {
+  if (sweep_mismatch != kNpos) {
     std::fprintf(stderr,
                  "DIVERGENCE: run_all sweep results differ from the "
                  "per-scheme runs (first mismatch at run %zu)\n",
                  sweep_mismatch);
     return 1;
   }
-  if (sharded_mismatch != npos) {
+  if (sharded_mismatch != kNpos) {
     std::fprintf(stderr,
                  "DIVERGENCE: sharded spool-pipeline results differ from "
                  "the per-scheme runs (first mismatch at run %zu)\n",
                  sharded_mismatch);
     return 1;
   }
-  std::printf("results bit-identical across %zu runs\n",
-              fast.fingerprints.size());
+  std::printf("results bit-identical across %zu runs in each of %zu rounds\n",
+              want.size(), kRounds);
   return 0;
 }

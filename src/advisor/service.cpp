@@ -105,7 +105,7 @@ ServiceStats AdvisorService::run(std::istream& in, std::ostream& out) {
   ServiceStats stats;
 
   obs::Hub* hub = cfg_.hub;
-  const bool observed = hub != nullptr && hub->active();
+  const bool observed = hub != nullptr && hub->enabled();
   obs::Counter* c_requests = nullptr;
   obs::Counter* c_errors = nullptr;
   obs::Counter* c_audits = nullptr;

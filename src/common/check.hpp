@@ -1,10 +1,10 @@
-// Runtime invariant checkers for the paper's conservation laws, compiled in
-// when the build defines BWPART_CHECK (CMake option of the same name, ON by
-// default). Unlike BWPART_ASSERT — which guards programmer errors and always
-// aborts — these checks validate *model* invariants (share vectors summing
-// to one, Eq. 2 bandwidth conservation, allocation caps) and route failures
-// through a replaceable handler so negative tests can assert that a
-// deliberately seeded violation is caught without killing the process.
+// Runtime invariant checkers for the paper's conservation laws, compiled
+// into every build. Unlike BWPART_ASSERT — which guards programmer errors
+// and always aborts — these checks validate *model* invariants (share
+// vectors summing to one, Eq. 2 bandwidth conservation, allocation caps)
+// and route failures through a replaceable handler so negative tests can
+// assert that a deliberately seeded violation is caught without killing
+// the process.
 #pragma once
 
 #include <cstdint>
@@ -14,12 +14,6 @@
 #include <vector>
 
 namespace bwpart::check {
-
-#if defined(BWPART_CHECK)
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
 
 /// Tolerance for share-vector sums (beta is produced by normalization, so
 /// only accumulated rounding error is acceptable).
@@ -92,16 +86,3 @@ void bandwidth_accounting(std::span<const double> per_app, double total,
                           const char* where);
 
 }  // namespace bwpart::check
-
-/// Statement-level gate: evaluates to nothing when checkers are compiled
-/// out, so call sites stay zero-cost in BWPART_CHECK=OFF builds.
-#if defined(BWPART_CHECK)
-#define BWPART_CHECK_RUN(stmt) \
-  do {                         \
-    stmt;                      \
-  } while (false)
-#else
-#define BWPART_CHECK_RUN(stmt) \
-  do {                         \
-  } while (false)
-#endif

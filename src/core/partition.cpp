@@ -174,7 +174,7 @@ void compute_shares_into(Scheme s, std::span<const AppParams> apps, double b,
         std::accumulate(ws.alloc.begin(), ws.alloc.end(), 0.0);
     BWPART_ASSERT(sum > 0.0, "knapsack allocated nothing");
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = ws.alloc[i] / sum;
-    BWPART_CHECK_RUN(check::share_vector(out, "compute_shares(priority)"));
+    check::share_vector(out, "compute_shares(priority)");
     return;
   }
   double sum = 0.0;
@@ -184,7 +184,7 @@ void compute_shares_into(Scheme s, std::span<const AppParams> apps, double b,
   }
   BWPART_ASSERT(sum > 0.0, "weights must have positive sum");
   for (double& x : out) x /= sum;
-  BWPART_CHECK_RUN(check::share_vector(out, "compute_shares"));
+  check::share_vector(out, "compute_shares");
 }
 
 std::vector<double> compute_shares(Scheme s, std::span<const AppParams> apps,
@@ -219,8 +219,8 @@ void analytic_allocation_into(Scheme s, std::span<const AppParams> apps,
     ws.flags.resize(n);
     waterfill_into(ws.weights, ws.caps, b, out, ws.flags);
   }
-  BWPART_CHECK_RUN(check::allocation(out, ws.caps, b, 1e-9 * std::max(1.0, b),
-                                     "analytic_allocation"));
+  check::allocation(out, ws.caps, b, 1e-9 * std::max(1.0, b),
+                    "analytic_allocation");
 }
 
 std::vector<double> analytic_allocation(Scheme s,

@@ -76,9 +76,9 @@ void qos_allocate_into(std::span<const AppParams> apps,
       waterfill_into(ws.weights, ws.caps, plan.b_best_effort, ws.alloc,
                      std::span<unsigned char>(ws.flags.data(), m));
     }
-    BWPART_CHECK_RUN(check::allocation(
-        ws.alloc, ws.caps, plan.b_best_effort,
-        1e-9 * std::max(1.0, plan.b_best_effort), "analytic_allocation"));
+    check::allocation(ws.alloc, ws.caps, plan.b_best_effort,
+                      1e-9 * std::max(1.0, plan.b_best_effort),
+                      "analytic_allocation");
     for (std::size_t k = 0; k < m; ++k) {
       plan.apc_shared[ws.index[k]] = ws.alloc[k];
     }

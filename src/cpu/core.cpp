@@ -461,6 +461,13 @@ void OoOCore::on_mem_complete(const mem::MemRequest& req, Cycle done_cpu) {
   BWPART_ASSERT(false, "read completion for unknown load");
 }
 
+void OoOCore::pending_load_ids(std::vector<std::uint64_t>& out) const {
+  out.clear();
+  for (const Load& ld : loads_) {
+    if (ld.offchip && ld.done_at == kNoCycle) out.push_back(ld.req_id);
+  }
+}
+
 void OoOCore::reset_stats() { stats_ = CoreStats{}; }
 
 void OoOCore::transfer(snap::Io& io) {

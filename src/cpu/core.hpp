@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "common/types.hpp"
 #include "cpu/cache.hpp"
@@ -169,6 +170,11 @@ class OoOCore {
   std::uint32_t offchip_loads_inflight() const {
     return offchip_loads_inflight_;
   }
+  /// Off-chip writes (stores and dirty write-backs) not yet completed.
+  std::uint32_t stores_inflight() const { return stores_inflight_; }
+  /// Replaces `out` with the controller request ids of the off-chip loads
+  /// still waiting for their data, in program order.
+  void pending_load_ids(std::vector<std::uint64_t>& out) const;
   /// Fetch bandwidth carried into the next cycle, in 1/kBudgetUnit
   /// instruction; always below kBudgetUnit.
   std::uint32_t fetch_budget() const { return fetch_budget_; }

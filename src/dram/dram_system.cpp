@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/check.hpp"
 
 namespace bwpart::dram {
 
@@ -42,9 +41,6 @@ DramSystem::DramSystem(const DramConfig& cfg, MapScheme scheme)
       static_cast<Tick>(std::ceil(cfg_.powerdown_idle_ns / tick_ns));
   stats_.channels = cfg_.channels;
   stats_.channel_busy_ticks.assign(cfg_.channels, 0);
-  if constexpr (check::kEnabled) {
-    checker_ = std::make_unique<ProtocolChecker>(cfg_);
-  }
 }
 
 void DramSystem::rebuild_refresh_cache() {
@@ -250,11 +246,8 @@ void DramSystem::try_refresh(std::uint32_t channel, std::uint32_t rank,
     const std::size_t bi = bank0 + b;
     if (banks_.row_open(bi)) {
       if (banks_.can_precharge(bi, now)) {
-        if (checker_) {
-          const Location pre_loc{channel, rank, b, banks_.row_value(bi), 0};
-          checker_->observe({CommandType::Precharge, pre_loc, kNoApp, 0},
-                            now);
-        }
+        const Location pre_loc{channel, rank, b, banks_.row_value(bi), 0};
+        checker_.observe({CommandType::Precharge, pre_loc, kNoApp, 0}, now);
         banks_.precharge(bi, now, tt_);
         ++stats_.precharges;
       } else {
@@ -267,7 +260,7 @@ void DramSystem::try_refresh(std::uint32_t channel, std::uint32_t rank,
   for (std::uint32_t b = 0; b < cfg_.banks_per_rank; ++b) {
     if (now < banks_.next_activate_tick(bank0 + b)) return;
   }
-  if (checker_) checker_->observe_refresh(channel, rank, now);
+  checker_.observe_refresh(channel, rank, now);
   for (std::uint32_t b = 0; b < cfg_.banks_per_rank; ++b) {
     banks_.refresh(bank0 + b, now, tt_);
   }
@@ -292,7 +285,7 @@ bool DramSystem::refresh_blocked(std::uint32_t channel,
 
 IssueResult DramSystem::issue(const Command& cmd, Tick now) {
   BWPART_ASSERT(can_issue(cmd, now), "issue() without can_issue()");
-  if (checker_) checker_->observe(cmd, now);
+  checker_.observe(cmd, now);
   const Location& loc = cmd.loc;
   const std::size_t bi = bank_index(loc);
   RankState& rank = rank_at(loc.channel, loc.rank);
@@ -395,34 +388,26 @@ void DramSystem::transfer(snap::Io& io) {
            "per-channel stats arity differs from the snapshot's");
   io.u64(last_tick_);
   io.b(ticked_);
-  // Optional shadow-checker section, length-prefixed so a checker-less
-  // build (BWPART_CHECK=OFF) can skip it wholesale.
-  bool has_checker = checker_ != nullptr;
+  // The shadow-checker section: a presence flag, always 1, then the
+  // length-prefixed shadow state. Without the section the shadow would
+  // start out of step with the engine and report false violations.
+  bool has_checker = true;
   io.b(has_checker);
-  if (has_checker) {
-    std::vector<std::uint8_t> section;
-    if (!io.reading()) {
-      snap::Writer sub;
-      snap::save(*checker_, sub);
-      section = sub.take();
-    }
-    io.bytes(section);
-    // A checker-less build validates nothing and drops the shadow state.
-    if (io.reading() && checker_ != nullptr) {
-      snap::Reader sub(section);
-      snap::restore(*checker_, sub);
-      snap::require(sub.at_end(), "protocol-checker section length mismatch");
-    }
-  } else {
-    snap::require(checker_ == nullptr,
-                  "snapshot lacks the protocol-checker state this "
-                  "BWPART_CHECK build needs (was it written by a "
-                  "BWPART_CHECK=OFF build?)");
+  snap::require(has_checker, "snapshot lacks the protocol-checker section");
+  std::vector<std::uint8_t> section;
+  if (!io.reading()) {
+    snap::Writer sub;
+    snap::save(checker_, sub);
+    section = sub.take();
   }
+  io.bytes(section);
   if (io.reading()) {
+    snap::Reader sub(section);
+    snap::restore(checker_, sub);
+    snap::require(sub.at_end(), "protocol-checker section length mismatch");
     rebuild_refresh_cache();  // derived hot-path caches, never serialized
     rebuild_ready_ticks();
-    if (checker_ != nullptr) require_shadow_agrees();
+    require_shadow_agrees();
   }
 }
 
@@ -431,8 +416,8 @@ void DramSystem::require_shadow_agrees() const {
   for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) {
     for (std::uint32_t rk = 0; rk < cfg_.ranks; ++rk) {
       const RankState& r = rank_at(ch, rk);
-      snap::require(checker_->same_act_window(ch, rk, r.act_window,
-                                              r.act_count),
+      snap::require(checker_.same_act_window(ch, rk, r.act_window,
+                                             r.act_count),
                     "protocol-checker section holds another four-activate "
                     "window than the DRAM state");
       const std::array<Tick, kCmdClasses> rank = rank_timing(r);
@@ -448,8 +433,8 @@ void DramSystem::require_shadow_agrees() const {
           // ACT to a closed bank, the others to its open row.
           const bool row_state = (cls == CmdClass::Activate) !=
                                  banks_.row_open(b);
-          snap::require(checker_->allows({class_cmd_[c], loc, kNoApp, 0}, at,
-                                         row_state),
+          snap::require(checker_.allows({class_cmd_[c], loc, kNoApp, 0}, at,
+                                        row_state),
                         "protocol-checker section flags a command the DRAM "
                         "state allows");
         }

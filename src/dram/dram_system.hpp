@@ -19,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -232,20 +231,18 @@ class DramSystem {
                            Tick now);
   bool powered_down(std::uint32_t channel, std::uint32_t rank) const;
 
-  /// The shadow protocol checker validating every issued command, or
-  /// nullptr when the build was configured with BWPART_CHECK=OFF.
-  const ProtocolChecker* protocol_checker() const { return checker_.get(); }
+  /// The shadow protocol checker validating every issued command.
+  const ProtocolChecker& protocol_checker() const { return checker_; }
 
   /// Snapshot hook: every bank/rank/channel state machine, the stats block
   /// and the tick cursor. Derived hot-path caches (the refresh-deadline
   /// minimum, the pending-refresh count and the rank and bus ready ticks)
   /// are rebuilt from the restored rank and channel state, not serialized.
-  /// The shadow protocol checker travels as an optional length-prefixed
-  /// section: a checker-less build skips a checker-carrying snapshot's
-  /// section, while restoring a checker-less snapshot into a checking build
-  /// fails loudly (the shadow would be out of sync and report false
-  /// violations). A restored shadow must also agree with the restored
-  /// engine (see require_shadow_agrees), or the restore fails.
+  /// The shadow protocol checker travels as a flagged, length-prefixed
+  /// section: restoring a snapshot whose flag says it has none fails
+  /// loudly (the shadow would be out of sync and report false violations).
+  /// A restored shadow must also agree with the restored engine (see
+  /// require_shadow_agrees), or the restore fails.
   void transfer(snap::Io& io);
 
  private:
@@ -319,7 +316,7 @@ class DramSystem {
   /// command tick whose burst from that rank clears the channel's last
   /// burst plus the tRTRS gap on a rank switch. Zero for ACT and PRE.
   std::vector<Tick> bus_ready_;
-  std::unique_ptr<ProtocolChecker> checker_;  // shadow model (BWPART_CHECK)
+  ProtocolChecker checker_{cfg_};  // shadow model
   DramStats stats_;
   /// command_of() table: the command each class issues under the policy.
   std::array<CommandType, kCmdClasses> class_cmd_;

@@ -8,11 +8,11 @@
 // which is exactly what a perf-motivated scheduler or engine refactor is
 // most likely to break silently.
 //
-// The checker is wired into DramSystem::issue() when the build defines
-// BWPART_CHECK, and can also be driven standalone against a hand-written
-// command stream (the negative tests in tests/property do this to prove
-// violations are caught). Violations are routed through check::report with
-// the JEDEC rule name (tRCD, tFAW, ...) in the message.
+// The checker is wired into DramSystem::issue() in every build, and can
+// also be driven standalone against a hand-written command stream (the
+// negative tests in tests/property do this to prove violations are
+// caught). Violations are routed through check::report with the JEDEC rule
+// name (tRCD, tFAW, ...) in the message.
 #pragma once
 
 #include <cstdint>

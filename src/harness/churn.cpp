@@ -609,8 +609,7 @@ void ChurnEngine::resolve_shares(bool initial) {
     for (std::size_t i = 0; i < live_ids.size(); ++i) {
       e.beta[live_ids[i]] = live_e.beta[i];
     }
-    BWPART_CHECK_RUN(
-        check::share_vector_live(e.beta, live, "ChurnEngine::resolve_shares"));
+    check::share_vector_live(e.beta, live, "ChurnEngine::resolve_shares");
   } else if (!live_e.ranks.empty()) {
     e.ranks.assign(n, 0);
     for (std::size_t i = 0; i < live_ids.size(); ++i) {

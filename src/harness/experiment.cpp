@@ -37,33 +37,28 @@ namespace {
 obs::ScopedSpan phase_span(const CmpSystem& sys, std::string name) {
   obs::Hub* hub = sys.observability();
   obs::TraceEmitter* em =
-      (obs::kEnabled && hub != nullptr && hub->enabled()) ? &hub->trace()
-                                                          : nullptr;
+      (hub != nullptr && hub->enabled()) ? &hub->trace() : nullptr;
   return obs::ScopedSpan(em, std::move(name), obs::TraceEmitter::kSystemTrack,
                          sys.cycle_clock());
 }
 
 /// Accumulates this scope's wall-clock time into a hub counter (so hosts
 /// like bench/perf_regression can attribute wall time to warmup / profile /
-/// measure). Dormant when the hub is absent, disabled or compiled out.
+/// measure). Dormant when the hub is absent or disabled.
 class PhaseTimer {
  public:
   PhaseTimer(obs::Hub* hub, const char* key) : key_(key) {
-    if constexpr (obs::kEnabled) {
-      if (hub != nullptr && hub->enabled()) {
-        hub_ = hub;
-        start_ = std::chrono::steady_clock::now();
-      }
+    if (hub != nullptr && hub->enabled()) {
+      hub_ = hub;
+      start_ = std::chrono::steady_clock::now();
     }
   }
   ~PhaseTimer() {
-    if constexpr (obs::kEnabled) {
-      if (hub_ != nullptr) {
-        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - start_)
-                            .count();
-        hub_->metrics().counter(key_).add(static_cast<std::uint64_t>(ns));
-      }
+    if (hub_ != nullptr) {
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
+      hub_->metrics().counter(key_).add(static_cast<std::uint64_t>(ns));
     }
   }
   PhaseTimer(const PhaseTimer&) = delete;

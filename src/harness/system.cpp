@@ -180,10 +180,6 @@ void CmpSystem::flush_deferred_stalls(std::size_t i, Cycle upto) {
 }
 
 void CmpSystem::set_observability(obs::Hub* hub) {
-  if constexpr (!obs::kEnabled) {
-    (void)hub;
-    return;
-  }
   hub_ = hub;
   for (auto& mc : controllers_) mc->set_observability(hub);
   if (hub_ != nullptr) obs_resnapshot();
@@ -295,21 +291,19 @@ void CmpSystem::obs_sample() {
 }
 
 void CmpSystem::run(Cycle cycles) {
-  if constexpr (obs::kEnabled) {
-    if (hub_ != nullptr && hub_->enabled() && hub_->epoch_cycles() > 0) {
-      // Chunk the run at absolute epoch boundaries and sample each one.
-      // run_engine() is bit-identical to the reference loop regardless of
-      // chunking, so sampling never perturbs results — a chunk start only
-      // voids sleep proofs, which re-prove at the same decisions.
-      const Cycle end = now_ + cycles;
-      const Cycle epoch = hub_->epoch_cycles();
-      while (now_ < end) {
-        const Cycle boundary = (now_ / epoch + 1) * epoch;
-        run_engine(std::min(end, boundary) - now_);
-        if (now_ == boundary) obs_sample();
-      }
-      return;
+  if (hub_ != nullptr && hub_->enabled() && hub_->epoch_cycles() > 0) {
+    // Chunk the run at absolute epoch boundaries and sample each one.
+    // run_engine() is bit-identical to the reference loop regardless of
+    // chunking, so sampling never perturbs results — a chunk start only
+    // voids sleep proofs, which re-prove at the same decisions.
+    const Cycle end = now_ + cycles;
+    const Cycle epoch = hub_->epoch_cycles();
+    while (now_ < end) {
+      const Cycle boundary = (now_ / epoch + 1) * epoch;
+      run_engine(std::min(end, boundary) - now_);
+      if (now_ == boundary) obs_sample();
     }
+    return;
   }
   run_engine(cycles);
 }
@@ -461,6 +455,7 @@ void CmpSystem::transfer(snap::Io& io) {
     snap::require(mc->ticked_before(now_),
                   "a controller's clock runs ahead of the system's");
   }
+  require_requests_match_loads();
   // Engine telemetry is not state: a restored system counts its jumps from
   // the restore point.
   skipped_cycles_ = 0;
@@ -471,10 +466,42 @@ void CmpSystem::transfer(snap::Io& io) {
     slept_from_[i] = now_;
     sleep_kind_[i] = cpu::SleepFlavor::kStall;
   }
-  if constexpr (obs::kEnabled) {
-    // The epoch sampler's cumulative snapshot belongs to the pre-restore
-    // counters; re-base it on the restored ones.
-    if (hub_ != nullptr) obs_resnapshot();
+  // The epoch sampler's cumulative snapshot belongs to the pre-restore
+  // counters; re-base it on the restored ones.
+  if (hub_ != nullptr) obs_resnapshot();
+}
+
+void CmpSystem::require_requests_match_loads() const {
+  const std::size_t n = cores_.size();
+  std::vector<std::vector<std::uint64_t>> reads(n);
+  std::vector<std::size_t> writes(n, 0);
+  for (std::size_t k = 0; k < controllers_.size(); ++k) {
+    controllers_[k]->for_each_outstanding([&](const mem::MemRequest& req) {
+      snap::require(controller_of(req.app) == k,
+                    "a controller holds a request of an app it does not "
+                    "serve");
+      if (req.type == AccessType::Read) {
+        reads[req.app].push_back(req.id);
+      } else {
+        ++writes[req.app];
+      }
+    });
+  }
+  std::vector<std::uint64_t> loads;
+  for (AppId a = 0; a < n; ++a) {
+    const cpu::OoOCore& core = *cores_[a];
+    core.pending_load_ids(loads);
+    std::sort(loads.begin(), loads.end());
+    std::sort(reads[a].begin(), reads[a].end());
+    snap::require(loads == reads[a] &&
+                      std::adjacent_find(loads.begin(), loads.end()) ==
+                          loads.end(),
+                  "a controller's outstanding reads do not match its app's "
+                  "pending loads one to one");
+    snap::require(core.offchip_loads_inflight() == loads.size() &&
+                      core.stores_inflight() == writes[a],
+                  "a core's in-flight load or store count differs from its "
+                  "controller's outstanding requests");
   }
 }
 
@@ -488,11 +515,9 @@ void CmpSystem::reset_measurement() {
     live_cycles_[i] = 0;
     live_from_[i] = now_;
   }
-  if constexpr (obs::kEnabled) {
-    // Counters just went back to zero; re-base the epoch sampler so the
-    // next epoch's deltas cannot underflow.
-    if (hub_ != nullptr) obs_resnapshot();
-  }
+  // Counters just went back to zero; re-base the epoch sampler so the
+  // next epoch's deltas cannot underflow.
+  if (hub_ != nullptr) obs_resnapshot();
 }
 
 std::vector<profile::AppCounters> CmpSystem::profiler_counters() const {
@@ -565,11 +590,6 @@ std::vector<double> CmpSystem::measured_apc_live() const {
 }
 
 void CmpSystem::note_churn_event(const char* kind, AppId app) {
-  if constexpr (!obs::kEnabled) {
-    (void)kind;
-    (void)app;
-    return;
-  }
   if (hub_ == nullptr || !hub_->enabled()) return;
   ++churn_events_pending_;
   hub_->trace().instant(std::string("churn:") + kind + ":app" +
@@ -579,20 +599,12 @@ void CmpSystem::note_churn_event(const char* kind, AppId app) {
 }
 
 void CmpSystem::note_adaptation_lag(Cycle lag) {
-  if constexpr (!obs::kEnabled) {
-    (void)lag;
-    return;
-  }
   if (hub_ == nullptr || !hub_->enabled()) return;
   churn_lag_pending_ = std::max(churn_lag_pending_, lag);
   hub_->metrics().histogram("churn.adaptation_lag").record(lag);
 }
 
 void CmpSystem::check_conservation(const char* where) const {
-  if constexpr (!check::kEnabled) {
-    (void)where;
-    return;
-  }
   // Eq. 2 over the measured window: sum_i APC_shared,i == B.
   check::bandwidth_accounting(measured_apc(), measured_total_apc(), where);
   // Double-entry bookkeeping across layers: the controller counts a request

@@ -107,8 +107,7 @@ class CmpSystem {
 
   /// Attaches the observability hub to this system and its controller
   /// (nullptr detaches). Pure telemetry: every obs read is const, so
-  /// results are bit-identical with the hub attached, detached, disabled or
-  /// compiled out (BWPART_OBS=OFF turns this into a no-op).
+  /// results are bit-identical with the hub attached, detached or disabled.
   void set_observability(obs::Hub* hub);
   obs::Hub* observability() const { return hub_; }
   /// Label stamped on every epoch row this system emits (e.g.
@@ -231,8 +230,8 @@ class CmpSystem {
 
   /// Telemetry hooks for the churn engine: counts stamped onto the next
   /// epoch row (and emitted as trace instants) so time-series plots can mark
-  /// churn instants and adaptation lag. No-ops when BWPART_OBS is off or no
-  /// hub is attached; never read by any simulation decision.
+  /// churn instants and adaptation lag. No-ops when no enabled hub is
+  /// attached; never read by any simulation decision.
   void note_churn_event(const char* kind, AppId app);
   void note_adaptation_lag(Cycle lag);
 
@@ -250,15 +249,23 @@ class CmpSystem {
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
-  /// Eq. 2 conservation audit (compiled in under BWPART_CHECK): per-app APC
-  /// must sum to B, and the controller's per-app served counters must agree
-  /// with the DRAM engine's independently maintained column-access counter
-  /// up to the in-flight slack. Violations go through check::report.
+  /// Eq. 2 conservation audit: per-app APC must sum to B, and the
+  /// controller's per-app served counters must agree with the DRAM engine's
+  /// independently maintained column-access counter up to the in-flight
+  /// slack. Violations go through check::report.
   void check_conservation(const char* where) const;
 
  private:
   /// The one field list behind save_state and restore_state.
   void transfer(snap::Io& io);
+  /// Restore check: every read a controller holds, pending or in flight,
+  /// belongs to an app that controller serves and matches exactly one
+  /// pending off-chip load of that app's core (same request id), and each
+  /// core's in-flight load and store counts equal its app's outstanding
+  /// reads and writes. Throws snap::SnapshotError otherwise: an edited
+  /// request id or owner would restore and then abort the resumed run when
+  /// its completion found no load.
+  void require_requests_match_loads() const;
   SystemConfig cfg_;
   std::vector<workload::BenchmarkSpec> apps_;
   std::vector<std::unique_ptr<workload::SyntheticTraceGenerator>> traces_;

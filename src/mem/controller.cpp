@@ -286,7 +286,7 @@ void MemoryController::tick(Cycle now_cpu) {
     // on the first skipped tick (see try_issue_one).
     draining_ = false;
     dram_.skip_ticks(bus_ticks_done_, quiet_to);
-    if (obs::kEnabled && obs_skip_ != nullptr && obs_->enabled()) {
+    if (obs_skip_ != nullptr && obs_->enabled()) {
       obs_skip_->record(quiet_to - bus_ticks_done_);
     }
     bus_ticks_done_ = quiet_to;
@@ -307,20 +307,14 @@ void MemoryController::replace_scheduler(std::unique_ptr<Scheduler> scheduler) {
   BWPART_ASSERT(scheduler != nullptr, "controller needs a scheduler");
   scheduler_ = std::move(scheduler);
   order_valid_ = false;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr && obs_->enabled()) {
-      obs_->trace().instant("scheduler:" + scheduler_->name(),
-                            obs::TraceEmitter::kSystemTrack, last_cpu_cycle_);
-      obs_->metrics().counter("mem.scheduler_swaps").add();
-    }
+  if (obs_ != nullptr && obs_->enabled()) {
+    obs_->trace().instant("scheduler:" + scheduler_->name(),
+                          obs::TraceEmitter::kSystemTrack, last_cpu_cycle_);
+    obs_->metrics().counter("mem.scheduler_swaps").add();
   }
 }
 
 void MemoryController::set_observability(obs::Hub* hub) {
-  if constexpr (!obs::kEnabled) {
-    (void)hub;
-    return;
-  }
   obs_ = hub;
   obs_latency_.clear();
   std::fill(std::begin(obs_cmd_), std::end(obs_cmd_), nullptr);
@@ -426,11 +420,9 @@ void MemoryController::deliver_completions(dram::Tick now) {
       }
       s.sum_queue_cycles +=
           done_cpu > req.arrival_cpu ? done_cpu - req.arrival_cpu : 0;
-      if constexpr (obs::kEnabled) {
-        if (obs_ != nullptr && obs_->enabled()) {
-          obs_latency_[req.app]->record(
-              done_cpu > req.arrival_cpu ? done_cpu - req.arrival_cpu : 0);
-        }
+      if (obs_ != nullptr && obs_->enabled()) {
+        obs_latency_[req.app]->record(
+            done_cpu > req.arrival_cpu ? done_cpu - req.arrival_cpu : 0);
       }
       --per_app_count_[req.app];
       --active_;
@@ -457,10 +449,8 @@ void MemoryController::issue_request(std::uint32_t channel, std::size_t pos,
   const dram::IssueResult result =
       dram_.issue({need, req.loc, req.app, req.id}, now);
   bank_last_user_[q.bank[pos]] = req.app;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr && obs_->enabled()) {
-      obs_cmd_[static_cast<std::size_t>(need)]->add();
-    }
+  if (obs_ != nullptr && obs_->enabled()) {
+    obs_cmd_[static_cast<std::size_t>(need)]->add();
   }
   if (dram::is_column_command(need)) {
     req.in_flight = true;

@@ -163,7 +163,7 @@ class MemoryController {
   /// tick-range histogram for the event engine (mem.skip_ticks), and marks
   /// scheduler swaps in the trace. Pure telemetry: never consulted by any
   /// scheduling or timing decision, so attaching it cannot change
-  /// simulation results. Compiled out under BWPART_OBS=OFF.
+  /// simulation results.
   void set_observability(obs::Hub* hub);
 
   Scheduler& scheduler() { return *scheduler_; }
@@ -181,6 +181,15 @@ class MemoryController {
 
   std::size_t pending_requests(AppId app) const;
   std::size_t pending_requests_total() const { return active_; }
+  /// Calls `f(req)` for every request the controller holds: each pending
+  /// one, then each one in flight.
+  template <class F>
+  void for_each_outstanding(F&& f) const {
+    for (const PendQueue& q : pend_) {
+      for (const std::uint32_t s : q.slot) f(pool_[s]);
+    }
+    for (const std::uint32_t s : inflight_slots_) f(pool_[s]);
+  }
 
   /// Upper bound on requests that can ever be queued or in flight at once,
   /// across both admission modes — the slack term for cross-layer

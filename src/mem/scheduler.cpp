@@ -116,8 +116,7 @@ bool StartTimeFairScheduler::before(const MemRequest& a, const MemRequest& b,
 
 void StartTimeFairScheduler::set_shares(std::span<const double> beta) {
   BWPART_ASSERT(beta.size() == increment_.size(), "share vector arity");
-  BWPART_CHECK_RUN(
-      check::share_vector(beta, "StartTimeFairScheduler::set_shares"));
+  check::share_vector(beta, "StartTimeFairScheduler::set_shares");
   for (std::size_t i = 0; i < beta.size(); ++i) {
     BWPART_ASSERT(beta[i] >= 0.0, "negative share");
     // A zero share would starve the app entirely; clamp so every app makes
@@ -179,8 +178,7 @@ double ClassicDstfScheduler::virtual_time_lag() const {
 
 void ClassicDstfScheduler::set_shares(std::span<const double> beta) {
   BWPART_ASSERT(beta.size() == increment_.size(), "share vector arity");
-  BWPART_CHECK_RUN(
-      check::share_vector(beta, "ClassicDstfScheduler::set_shares"));
+  check::share_vector(beta, "ClassicDstfScheduler::set_shares");
   for (std::size_t i = 0; i < beta.size(); ++i) {
     increment_[i] = 1.0 / std::max(beta[i], 1e-6);
   }

@@ -2,16 +2,11 @@
 // registry, the epoch time-series and the Chrome-trace emitter, plus the
 // runtime off-switch.
 //
-// Two gates keep the simulator's hot paths clean:
-//   * compile time — the BWPART_OBS CMake option removes every
-//     instrumentation call site via `if constexpr (obs::kEnabled)`
-//     (obs::kEnabled in metrics.hpp);
-//   * run time — components hold a Hub* that is nullptr until attached, and
-//     a disabled hub (set_enabled(false)) is treated exactly like an absent
-//     one.
-// Either way the simulation's results are bit-identical with observability
-// on, off or compiled out: instrumentation only ever *reads* simulator
-// state (the zero-overhead differential test enforces this).
+// Components hold a Hub* that is nullptr until attached, and a disabled hub
+// (set_enabled(false)) is treated exactly like an absent one. Either way the
+// simulation's results are bit-identical with observability on or off:
+// instrumentation only ever *reads* simulator state (the zero-overhead
+// differential test enforces this).
 #pragma once
 
 #include <ostream>
@@ -36,11 +31,10 @@ class Hub {
   const EpochSeries& series() const { return series_; }
 
   /// Runtime off-switch: a disabled hub records nothing and (because every
-  /// producer checks active()) costs one predictable branch per cold-path
+  /// producer checks enabled()) costs one predictable branch per cold-path
   /// hook.
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
-  bool active() const { return kEnabled && enabled_; }
 
   /// Epoch length for the time-series sampler; 0 disables epoch sampling
   /// (the harness then never chunks its run loop).

@@ -27,14 +27,10 @@
 
 namespace bwpart::obs {
 
-/// True when the build compiled the instrumentation hooks in (CMake option
-/// BWPART_OBS, ON by default). The obs data structures themselves always
-/// compile — only the call sites inside the simulator vanish when OFF.
-#if defined(BWPART_OBS)
+/// Every build compiles the instrumentation hooks in; a Hub's runtime
+/// switch (Hub::set_enabled) is the only way to turn them off. The constant
+/// stays because perfbench's build record reports it.
 inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
 
 /// Monotone event counter.
 class Counter {

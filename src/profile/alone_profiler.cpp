@@ -68,26 +68,16 @@ std::optional<std::vector<core::AppParams>> RollingProfiler::update(
   has_estimate_ = true;
   last_cycle_ = now;
   while (next_boundary_ <= now) next_boundary_ += period_;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr && obs_->enabled()) {
-      obs_->trace().instant("reprofile", obs::TraceEmitter::kSystemTrack, now);
-      obs_->metrics().counter("profile.reprofiles").add();
-      for (std::size_t i = 0; i < estimate_.size(); ++i) {
-        const std::string app = "profile.app" + std::to_string(i);
-        obs_->metrics().gauge(app + ".apc_alone_est").set(estimate_[i].apc_alone);
-        obs_->metrics().gauge(app + ".api_est").set(estimate_[i].api);
-      }
+  if (obs_ != nullptr && obs_->enabled()) {
+    obs_->trace().instant("reprofile", obs::TraceEmitter::kSystemTrack, now);
+    obs_->metrics().counter("profile.reprofiles").add();
+    for (std::size_t i = 0; i < estimate_.size(); ++i) {
+      const std::string app = "profile.app" + std::to_string(i);
+      obs_->metrics().gauge(app + ".apc_alone_est").set(estimate_[i].apc_alone);
+      obs_->metrics().gauge(app + ".api_est").set(estimate_[i].api);
     }
   }
   return estimate_;
-}
-
-void RollingProfiler::set_observability(obs::Hub* hub) {
-  if constexpr (!obs::kEnabled) {
-    (void)hub;
-    return;
-  }
-  obs_ = hub;
 }
 
 }  // namespace bwpart::profile

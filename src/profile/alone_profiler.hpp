@@ -50,9 +50,8 @@ class RollingProfiler {
 
   /// Attaches the observability hub: each re-profiling boundary then emits
   /// an instant trace event and refreshes per-app APC_alone/API estimate
-  /// gauges. Telemetry only — never read back. Compiled out with
-  /// BWPART_OBS=OFF.
-  void set_observability(obs::Hub* hub);
+  /// gauges. Telemetry only — never read back.
+  void set_observability(obs::Hub* hub) { obs_ = hub; }
 
  private:
   obs::Hub* obs_ = nullptr;

@@ -247,8 +247,7 @@ int main(int argc, char** argv) {
 
   harness::Experiment experiment(machine, apps, phases);
 
-  // Observability is opt-in: an output path enables the hub (compiled out
-  // entirely under BWPART_OBS=OFF — the flags then produce empty documents).
+  // Observability is opt-in: an output path enables the hub.
   const bool want_obs =
       !metrics_out.empty() || !trace_out.empty() || !epochs_out.empty();
   obs::Hub hub;
@@ -399,7 +398,7 @@ int main(int argc, char** argv) {
     } catch (const snap::SnapshotError& e) {
       // Only a fork restores the state blob, so a resumed file can pass
       // every container check and still fail here (a forged field, or a
-      // BWPART_CHECK=OFF build's missing checker section).
+      // missing checker section).
       std::fprintf(stderr, "cannot resume from '%s': %s\n",
                    resume_path.c_str(), e.what());
       return 1;

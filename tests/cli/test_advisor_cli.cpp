@@ -3,8 +3,8 @@
 // response line validated as JSON with the in-tree mini parser, request/
 // response accounting checked exactly (one response per request, errors
 // line-numbered, nothing silently dropped), and the --metrics-out document
-// verified to carry the advisor.* instruments (or, from a BWPART_OBS=OFF
-// build, none). This is the same validation the CI advisor-smoke job runs.
+// verified to carry the advisor.* instruments. This is the same validation
+// the CI advisor-smoke job runs.
 // Malformed flag values must exit 2 naming the flag.
 //
 // The binary under test is passed as argv[1] by ctest
@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "../obs/mini_json.hpp"
-#include "obs/metrics.hpp"
 
 namespace {
 
@@ -163,24 +162,18 @@ TEST(AdvisorCli, TenThousandPlainRequests) {
     buf << in.rdbuf();
     return buf.str();
   }());
-  // The document names the build that wrote it, and that must be this
-  // suite's build. With the hooks compiled out (BWPART_OBS=OFF) nothing is
-  // recorded, so the registry is empty.
+  // Schema-1 documents carry "obs_compiled_in", always true.
   const Value& compiled_in = mdoc->at("obs_compiled_in");
   ASSERT_EQ(compiled_in.kind, Value::Kind::kBool);
-  ASSERT_EQ(compiled_in.b, bwpart::obs::kEnabled);
+  ASSERT_TRUE(compiled_in.b);
   const Value& m = mdoc->at("metrics");
   ASSERT_TRUE(m.is_object());
-  if (compiled_in.b) {
-    EXPECT_EQ(static_cast<std::size_t>(m.at("advisor.requests").num), n);
-    EXPECT_EQ(static_cast<std::size_t>(m.at("advisor.parse_errors").num),
-              n - good);
-    EXPECT_EQ(
-        static_cast<std::size_t>(m.at("advisor.solve_ns").at("count").num),
-        good);
-  } else {
-    EXPECT_EQ(m.size(), 0u);
-  }
+  EXPECT_EQ(static_cast<std::size_t>(m.at("advisor.requests").num), n);
+  EXPECT_EQ(static_cast<std::size_t>(m.at("advisor.parse_errors").num),
+            n - good);
+  EXPECT_EQ(
+      static_cast<std::size_t>(m.at("advisor.solve_ns").at("count").num),
+      good);
 
   std::remove(reqs.c_str());
   std::remove(resp.c_str());

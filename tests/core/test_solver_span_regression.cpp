@@ -5,8 +5,8 @@
 // take std::span<const AppParams> end-to-end and delegate to *_into cores
 // that borrow caller scratch (SolveWorkspace) instead of allocating — the
 // advisor's hot path depends on that. This suite freezes the pre-refactor
-// implementations verbatim (namespace ref, minus the advisory
-// BWPART_CHECK_RUN hooks, which never alter results) and asserts the
+// implementations verbatim (namespace ref, minus the advisory check::
+// calls, which never alter results) and asserts the
 // production entry points return bitwise-identical doubles on 200 random
 // workloads per property plus paper-magnitude profiles. Any reassociation,
 // reordering or copy-elimination slip that moves one result by one ULP

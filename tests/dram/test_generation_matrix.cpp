@@ -153,9 +153,6 @@ std::string print_stream_case(const StreamCase& c) {
 }
 
 TEST(GenerationProperty, EveryGenerationsEngineStreamsPassTheShadow) {
-  if constexpr (!check::kEnabled) {
-    GTEST_SKIP() << "BWPART_CHECK is compiled out";
-  }
   check::Recorder rec;  // a disagreement fails the test instead of aborting
   for (const DramGeneration& g : dram_generations()) {
     SCOPED_TRACE(g.name);
@@ -188,12 +185,11 @@ TEST(GenerationProperty, EveryGenerationsEngineStreamsPassTheShadow) {
               if (dram.can_issue(cmd, now)) dram.issue(cmd, now);
             }
           }
-          const ProtocolChecker* pc = dram.protocol_checker();
-          if (pc == nullptr) return "checker not attached";
-          total_checked += pc->commands_checked();
-          if (pc->violations() != 0 || rec.count() != 0) {
+          const ProtocolChecker& pc = dram.protocol_checker();
+          total_checked += pc.commands_checked();
+          if (pc.violations() != 0 || rec.count() != 0) {
             std::ostringstream os;
-            os << pc->violations() << " shadow violations; first: "
+            os << pc.violations() << " shadow violations; first: "
                << (rec.violations().empty()
                        ? "<none recorded>"
                        : rec.violations().front().what);

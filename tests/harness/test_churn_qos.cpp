@@ -1,8 +1,8 @@
 // QoS under churn: after every arrival/departure the re-solver must bring
 // the surviving guaranteed apps back onto their Eq. 11 targets within a
 // bounded adaptation lag, and the liveness-aware share checker must catch a
-// deliberately corrupted share vector (negative test) — the BWPART_CHECK
-// conservation story extended to time-varying app sets.
+// deliberately corrupted share vector (negative test) — the invariant
+// checkers' conservation story extended to time-varying app sets.
 #include <string>
 #include <vector>
 
@@ -102,9 +102,6 @@ TEST(ChurnQos, ResolveOnChurnDominatesStaticOnceOnViolationTime) {
 // Negative tests: the liveness-aware checkers catch injected corruption.
 
 TEST(ChurnQos, ShareVectorLiveCatchesDormantAppHoldingShare) {
-  if constexpr (!check::kEnabled) {
-    GTEST_SKIP() << "BWPART_CHECK is compiled out";
-  }
   check::Recorder rec;
   const std::vector<double> beta = {0.5, 0.2, 0.3};
   const std::vector<std::uint8_t> live = {1, 0, 1};
@@ -118,9 +115,6 @@ TEST(ChurnQos, ShareVectorLiveCatchesDormantAppHoldingShare) {
 }
 
 TEST(ChurnQos, ShareVectorLiveCatchesLiveShareSumDeficit) {
-  if constexpr (!check::kEnabled) {
-    GTEST_SKIP() << "BWPART_CHECK is compiled out";
-  }
   check::Recorder rec;
   // Dormant entries zeroed, but the live mass was never renormalized — the
   // other false negative the constant-num_apps checker used to wave past.
@@ -133,9 +127,6 @@ TEST(ChurnQos, ShareVectorLiveCatchesLiveShareSumDeficit) {
 }
 
 TEST(ChurnQos, ShareVectorLiveAcceptsWellFormedVectors) {
-  if constexpr (!check::kEnabled) {
-    GTEST_SKIP() << "BWPART_CHECK is compiled out";
-  }
   check::Recorder rec;
   check::share_vector_live(std::vector<double>{0.6, 0.0, 0.4},
                            std::vector<std::uint8_t>{1, 0, 1}, "test");

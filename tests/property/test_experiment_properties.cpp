@@ -76,9 +76,6 @@ bool profile_is_degenerate(const E2eCase& c) {
 }
 
 TEST(ExperimentProperties, RandomizedRunsSatisfyEveryInvariantChecker) {
-  if constexpr (!check::kEnabled) {
-    GTEST_SKIP() << "BWPART_CHECK is compiled out";
-  }
   check::Recorder rec;  // catches protocol/conservation/share violations
   int skipped = 0;
   const pbt::Result r = pbt::for_all<E2eCase>(

@@ -6,11 +6,6 @@
 // IPC/APC. Randomized end-to-end configurations in the style of
 // test_fast_forward_differential, across both engines and the full
 // Experiment pipeline (whose re-profiling path is also instrumented).
-//
-// The third leg of the guarantee — BWPART_OBS=OFF compiles the hooks out —
-// cannot be observed from inside one binary; CI builds and runs the tier-1
-// suite with the option OFF to cover it. This suite still passes in that
-// build: an attached hub then simply records nothing.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -172,14 +167,12 @@ TEST(ObsDifferential, SystemResultsIdenticalWithObsOnOffDetached) {
         }
         // The instrumented run must actually have sampled (it would be easy
         // to be "zero overhead" by never doing anything).
-        if (obs::kEnabled) {
-          const Cycle total = c.phases.warmup_cycles + c.phases.measure_cycles;
-          if (total >= c.epoch && hub_on.series().size() == 0) {
-            return "obs-on run sampled nothing";
-          }
-          if (hub_off.series().size() != 0) {
-            return "disabled hub recorded epoch rows";
-          }
+        const Cycle total = c.phases.warmup_cycles + c.phases.measure_cycles;
+        if (total >= c.epoch && hub_on.series().size() == 0) {
+          return "obs-on run sampled nothing";
+        }
+        if (hub_off.series().size() != 0) {
+          return "disabled hub recorded epoch rows";
         }
         return {};
       },

@@ -186,10 +186,6 @@ TEST(ObsSeriesProperty, EpochRowsMonotoneAndTiling) {
           total += chunk;
         }
         const auto& rows = hub.series().rows();
-        if (!kEnabled) {
-          return rows.empty() ? std::string{}
-                              : "rows recorded with obs compiled out";
-        }
         // Exactly one row per epoch boundary crossed.
         if (rows.size() != total / c.epoch) {
           return "expected " + std::to_string(total / c.epoch) + " rows, got " +

@@ -281,9 +281,6 @@ void drive_random_traffic(DramSystem& dram, const StreamCase& c, Rng& rng,
 }
 
 TEST(ProtocolCheckerProperty, EngineStreamsNeverViolateShadowRules) {
-  if constexpr (!check::kEnabled) {
-    GTEST_SKIP() << "BWPART_CHECK is compiled out";
-  }
   check::Recorder rec;  // a disagreement fails the test instead of aborting
   std::uint64_t total_checked = 0;
   const pbt::Result r = pbt::for_all<StreamCase>(
@@ -296,12 +293,11 @@ TEST(ProtocolCheckerProperty, EngineStreamsNeverViolateShadowRules) {
           dram.tick(now);
           drive_random_traffic(dram, c, rng, now);
         }
-        const ProtocolChecker* pc = dram.protocol_checker();
-        if (pc == nullptr) return "checker not attached";
-        total_checked += pc->commands_checked();
-        if (pc->violations() != 0 || rec.count() != 0) {
+        const ProtocolChecker& pc = dram.protocol_checker();
+        total_checked += pc.commands_checked();
+        if (pc.violations() != 0 || rec.count() != 0) {
           std::ostringstream os;
-          os << pc->violations() << " shadow violations; first: "
+          os << pc.violations() << " shadow violations; first: "
              << (rec.violations().empty() ? "<none recorded>"
                                           : rec.violations().front().what);
           return os.str();
@@ -365,7 +361,7 @@ std::string check_earliest_tick(const DramSystem& dram, const Command& cmd,
   ++n.probes;
   if (e == kNoTick) return fail("no earliest tick in the right row state");
   rec.clear();
-  ProtocolChecker at_e = *dram.protocol_checker();
+  ProtocolChecker at_e = dram.protocol_checker();
   if (at_e.observe(cmd, e) != 0) {
     return fail("engine too lax: the shadow rejects it at its earliest "
                 "tick " + std::to_string(e) + ": " +
@@ -373,7 +369,7 @@ std::string check_earliest_tick(const DramSystem& dram, const Command& cmd,
   }
   if (e == now) return {};
   ++n.future;
-  ProtocolChecker before = *dram.protocol_checker();
+  ProtocolChecker before = dram.protocol_checker();
   if (before.observe(cmd, e - 1) == 0) {
     return fail("engine too strict: the shadow accepts it at tick " +
                 std::to_string(e - 1) + ", one before its earliest tick " +
@@ -384,16 +380,12 @@ std::string check_earliest_tick(const DramSystem& dram, const Command& cmd,
 }
 
 TEST(ProtocolCheckerProperty, EarliestIssueTickIsFirstShadowLegalTick) {
-  if constexpr (!check::kEnabled) {
-    GTEST_SKIP() << "BWPART_CHECK is compiled out";
-  }
   check::Recorder rec;
   ProbeCounts n;
   const pbt::Result r = pbt::for_all<StreamCase>(
       "earliest-issue-tick-exact", stream_case_gen(),
       [&rec, &n](const StreamCase& c) -> std::string {
         DramSystem dram(c.cfg);
-        if (dram.protocol_checker() == nullptr) return "checker not attached";
         Rng rng(c.seed);
         for (Tick now = 0; now < static_cast<Tick>(c.ticks); ++now) {
           dram.tick(now);

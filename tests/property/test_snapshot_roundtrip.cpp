@@ -493,8 +493,7 @@ TEST(SnapshotRoundtrip, MismatchedTargetsAreRejected) {
 // bounds included, so the systems cover every scheduler and both
 // admission modes).
 // The values depend on libm, as the golden corpora do
-// (tests/golden/README.md). A BWPART_CHECK=OFF build writes no
-// protocol-checker section, so its system streams pin their own values.
+// (tests/golden/README.md).
 
 struct StreamId {
   std::uint64_t hash = 0;
@@ -606,52 +605,30 @@ shard::UnitResult pinned_unit_result() {
 TEST(SnapshotRoundtrip, StreamBytesArePinned) {
   struct Pinned {
     std::string name;
-    StreamId on;   // BWPART_CHECK build
-    StreamId off;  // BWPART_CHECK=OFF build
+    StreamId id;
   };
   const std::vector<Pinned> pinned = {
-      {"system/FCFS/shared",
-       {0x4e7d2e5cd4d0ee16ULL, 340050}, {0xc42bd4a8a49ab959ULL, 337932}},
-      {"system/FCFS/per-app",
-       {0x02cf8221391750d0ULL, 340050}, {0xc4371a3178a9d511ULL, 337932}},
-      {"system/FR-FCFS/shared",
-       {0x4daa040c5c4a4f67ULL, 340090}, {0xddfc9ea47601ed1cULL, 337972}},
-      {"system/FR-FCFS/per-app",
-       {0x2ce206733a4bfb91ULL, 340090}, {0x5641adc381cf41d4ULL, 337972}},
-      {"system/PAR-BS/shared",
-       {0xfa951d310ff05992ULL, 340225}, {0xbb35e3f9141f8df3ULL, 338107}},
-      {"system/PAR-BS/per-app",
-       {0xc7e961fa3d8ce3b4ULL, 340225}, {0xb9d7790fb882c9dfULL, 338107}},
-      {"system/StartTimeFair/shared",
-       {0xd6ba0fcf38e6ba78ULL, 340187}, {0xc63f856ba3ba9735ULL, 338069}},
-      {"system/StartTimeFair/per-app",
-       {0x5d255fdacae82f54ULL, 340187}, {0xf94d48c63cdf198fULL, 338069}},
-      {"system/ClassicDSTF/shared",
-       {0xc0e9fea7ee7c5411ULL, 340315}, {0x4be291736800cff8ULL, 338197}},
-      {"system/ClassicDSTF/per-app",
-       {0x4dc1c8a99fa0f241ULL, 340315}, {0xb10045160792292eULL, 338197}},
-      {"system/STFM/shared",
-       {0x8ae9133d3eeb9971ULL, 340146}, {0x3dbd055dcffce200ULL, 338028}},
-      {"system/STFM/per-app",
-       {0x1342a3fd7a9879cfULL, 340146}, {0xe982e4bf0b48d894ULL, 338028}},
-      {"system/ATLAS/shared",
-       {0x11c857aa3eb76a0dULL, 340255}, {0x1eccdb8b285fca78ULL, 338137}},
-      {"system/ATLAS/per-app",
-       {0xb4d2d33410554d69ULL, 340255}, {0x017c1f16debd5d42ULL, 338137}},
-      {"system/TCM/shared",
-       {0xc51921508b0697c6ULL, 340152}, {0x5c8f007b729be20fULL, 338034}},
-      {"system/TCM/per-app",
-       {0x9710adf8ff2c4d8eULL, 340152}, {0x033255857293a041ULL, 338034}},
-      {"system/StrictPriority/shared",
-       {0x58e6b70ba21b95c9ULL, 340168}, {0x1cc781b3f260a26fULL, 338050}},
-      {"system/StrictPriority/per-app",
-       {0x224a065fa50b9cc7ULL, 340168}, {0x67adb058ead177a3ULL, 338050}},
-      {"churn-engine",
-       {0x88d02f82c32fb0aaULL, 660}, {0x88d02f82c32fb0aaULL, 660}},
-      {"bwrr",
-       {0x24ce9b93103ebe02ULL, 272}, {0x24ce9b93103ebe02ULL, 272}},
-      {"bwps",
-       {0x02e73e2a2290bd4aULL, 339653}, {0xdd4c9fea54fab650ULL, 337535}},
+      {"system/FCFS/shared", {0x4e7d2e5cd4d0ee16ULL, 340050}},
+      {"system/FCFS/per-app", {0x02cf8221391750d0ULL, 340050}},
+      {"system/FR-FCFS/shared", {0x4daa040c5c4a4f67ULL, 340090}},
+      {"system/FR-FCFS/per-app", {0x2ce206733a4bfb91ULL, 340090}},
+      {"system/PAR-BS/shared", {0xfa951d310ff05992ULL, 340225}},
+      {"system/PAR-BS/per-app", {0xc7e961fa3d8ce3b4ULL, 340225}},
+      {"system/StartTimeFair/shared", {0xd6ba0fcf38e6ba78ULL, 340187}},
+      {"system/StartTimeFair/per-app", {0x5d255fdacae82f54ULL, 340187}},
+      {"system/ClassicDSTF/shared", {0xc0e9fea7ee7c5411ULL, 340315}},
+      {"system/ClassicDSTF/per-app", {0x4dc1c8a99fa0f241ULL, 340315}},
+      {"system/STFM/shared", {0x8ae9133d3eeb9971ULL, 340146}},
+      {"system/STFM/per-app", {0x1342a3fd7a9879cfULL, 340146}},
+      {"system/ATLAS/shared", {0x11c857aa3eb76a0dULL, 340255}},
+      {"system/ATLAS/per-app", {0xb4d2d33410554d69ULL, 340255}},
+      {"system/TCM/shared", {0xc51921508b0697c6ULL, 340152}},
+      {"system/TCM/per-app", {0x9710adf8ff2c4d8eULL, 340152}},
+      {"system/StrictPriority/shared", {0x58e6b70ba21b95c9ULL, 340168}},
+      {"system/StrictPriority/per-app", {0x224a065fa50b9cc7ULL, 340168}},
+      {"churn-engine", {0x88d02f82c32fb0aaULL, 660}},
+      {"bwrr", {0x24ce9b93103ebe02ULL, 272}},
+      {"bwps", {0x02e73e2a2290bd4aULL, 339653}},
   };
   std::vector<std::pair<std::string, StreamId>> got;
   for (const char* policy : kPolicies) {
@@ -717,9 +694,7 @@ TEST(SnapshotRoundtrip, StreamBytesArePinned) {
   table << std::hex;
   bool all = got.size() == pinned.size();
   for (std::size_t i = 0; i < got.size(); ++i) {
-    const StreamId want = i < pinned.size()
-                              ? (check::kEnabled ? pinned[i].on : pinned[i].off)
-                              : StreamId{};
+    const StreamId want = i < pinned.size() ? pinned[i].id : StreamId{};
     const bool ok = i < pinned.size() && pinned[i].name == got[i].first &&
                     want == got[i].second;
     all = all && ok;
@@ -1029,9 +1004,14 @@ TEST(SnapshotRoundtrip, EditedProfileSnapshotsRestoreOrFailLoudly) {
         return {};
       };
   // A one-byte edit inside the first controller's protocol-checker section
-  // (of a BWPART_CHECK build's file) that the restore once accepted; the
-  // resumed run then flagged tFAW.
+  // that the restore once accepted; the resumed run then flagged tFAW.
   EXPECT_EQ(restores_or_fails({{336'294, 0xff}}), "");
+  // A one-byte edit that forges an outstanding read the cores know nothing
+  // of. The restore once accepted it, and the resumed run aborted when its
+  // completion found no load; now the restore refuses it.
+  const int rejected_before = rejected;
+  EXPECT_EQ(restores_or_fails({{336'581, 0xfb}}), "");
+  EXPECT_EQ(rejected, rejected_before + 1);
   const pbt::Config cfg{pbt::base_seed(), 150, 100};
   const pbt::Result r = pbt::for_all<ByteEdits>(
       "edited BWPS files restore or fail loudly",
@@ -1040,6 +1020,78 @@ TEST(SnapshotRoundtrip, EditedProfileSnapshotsRestoreOrFailLoudly) {
   EXPECT_TRUE(r.ok) << r.report();
   EXPECT_GT(restored, 0);
   EXPECT_GT(rejected, 0);
+  std::remove(path.c_str());
+}
+
+/// Offset in `bytes`, which hold `sys`'s state, of the first controller's
+/// protocol-checker flag: the byte 1, then the section's length and bytes.
+/// bytes.size() when absent.
+std::size_t checker_flag_at(const std::vector<std::uint8_t>& bytes,
+                            const CmpSystem& sys) {
+  snap::Writer section;
+  snap::save(sys.controller(0).dram().protocol_checker(), section);
+  snap::Writer pattern;
+  pattern.b(true);
+  pattern.u64(section.bytes().size());
+  pattern.blob(section.bytes());
+  return static_cast<std::size_t>(
+      std::search(bytes.begin(), bytes.end(), pattern.bytes().begin(),
+                  pattern.bytes().end()) -
+      bytes.begin());
+}
+
+/// Whether `restore` throws snap::SnapshotError naming the checker section.
+template <typename F>
+std::string refuses_missing_checker(const F& restore) {
+  try {
+    restore();
+  } catch (const snap::SnapshotError& e) {
+    return std::string(e.what()).find("protocol-checker section") ==
+                   std::string::npos
+               ? std::string("refused for another reason: ") + e.what()
+               : std::string();
+  }
+  return "restored";
+}
+
+// Every build writes the protocol-checker section, and a stream whose flag
+// says it has none is refused by name: a system stream, and a BWPS file
+// (checksum resealed) resumed through Experiment::measure_from() as
+// bwpart_sim --resume does.
+TEST(SnapshotRoundtrip, MissingProtocolCheckerSectionIsRefused) {
+  {
+    const std::unique_ptr<CmpSystem> sys =
+        pinned_system("FCFS", mem::AdmissionMode::Shared);
+    std::vector<std::uint8_t> blob = system_blob(*sys);
+    const std::size_t at = checker_flag_at(blob, *sys);
+    ASSERT_LT(at, blob.size());
+    blob[at] = 0;
+    EXPECT_EQ(refuses_missing_checker([&] {
+                CmpSystem target(pinned_machine(), pinned_mix(), 42);
+                snap::Reader r(blob);
+                target.restore_state(r);
+              }),
+              "");
+  }
+  const PhaseConfig phases = pinned_phases();
+  const Experiment ex(pinned_machine(), pinned_mix(), phases);
+  const ProfileSnapshot profile = ex.capture_profile();
+  CmpSystem sys(pinned_machine(), pinned_mix(), phases.seed);
+  snap::Reader in(profile.state);
+  sys.restore_state(in);
+  const std::string path = testing::TempDir() + "snap_no_checker.bwps";
+  write_profile_snapshot(path, profile);
+  std::vector<std::uint8_t> file = read_whole_file(path);
+  const std::size_t at = checker_flag_at(file, sys);
+  ASSERT_LT(at, file.size());
+  file[at] = 0;
+  reseal(file);
+  write_file(path, file);
+  const ProfileSnapshot forged = read_profile_snapshot(path);
+  EXPECT_EQ(refuses_missing_checker([&] {
+              (void)ex.measure_from(forged, core::Scheme::Equal);
+            }),
+            "");
   std::remove(path.c_str());
 }
 
